@@ -94,6 +94,12 @@ class SoakReport:
     #: measured form of the "no per-replica heap copy" claim.
     shared_segments: bool = False
     peak_rss_mb: float | None = None
+    #: Scatter traffic under load (the server's ``sparql.scatter.*``
+    #: counters when the drive loop ends): queries answered by per-shard
+    #: fan-out, and partitionable queries the fan-out gate ran
+    #: single-process because they were too small to fan out.
+    scatter_queries: int = 0
+    scatter_local_queries: int = 0
 
     @property
     def ok(self) -> bool:
@@ -115,6 +121,9 @@ class SoakReport:
                 if self.peak_rss_mb is not None
                 else ""
             ),
+            f"scatter queries: {self.scatter_queries} fanned out, "
+            f"{self.scatter_local_queries} run single-process below the "
+            f"fan-out gate",
         ]
         lines.extend(f"VIOLATION: {v}" for v in self.violations)
         return "\n".join(lines)
@@ -264,6 +273,11 @@ def run_soak(
     faults.disarm()
     server.guard.reset()
     server.stop()
+    counters = server.metrics()["counters"]
+    report.scatter_queries = counters.get("sparql.scatter.queries", 0)
+    report.scatter_local_queries = counters.get(
+        "sparql.scatter.local_queries", 0
+    )
     report.post_soak_identical = all(
         answer_signature(system.answer(text)) == clean[text] for text in controls
     )

@@ -635,12 +635,15 @@ def filter_memoized(
     closure,
     width: int,
     stats: PerfStats | None = None,
+    memo: dict | None = None,
 ) -> ColumnBatch:
     """General filter over a batch, memoized per distinct slot values.
 
     The compiled closure only reads ``closure.slots_used``; its verdict is
     therefore a pure function of those slots' ids, evaluated once per
-    distinct combination and reused for every duplicate row.
+    distinct combination and reused for every duplicate row.  ``memo``
+    (closure -> verdicts) carries the verdicts across batches: ids are
+    global dictionary ids, so a verdict holds on every shard of a KB.
     """
     used = getattr(closure, "slots_used", None)
     slots = sorted(used) if used is not None else list(range(width))
@@ -653,7 +656,9 @@ def filter_memoized(
         _count(stats, "sparql.columnar.filter.memo_rows", batch.length)
         return batch if verdict else ColumnBatch.empty(width)
     key_columns = [batch.columns[slot] for slot in slots]
-    cache: dict[tuple[int, ...], bool] = {}
+    cache: dict[tuple[int, ...], bool] = (
+        {} if memo is None else memo.setdefault(closure, {})
+    )
     keep: list[int] = []
     evaluated = 0
     for i, key in enumerate(zip(*key_columns)):
@@ -676,7 +681,7 @@ def filter_memoized(
 
 def apply_filters(
     filters: Sequence, batch: ColumnBatch, width: int,
-    stats: PerfStats | None = None,
+    stats: PerfStats | None = None, memo: dict | None = None,
 ) -> ColumnBatch:
     for closure in filters:
         if batch.length == 0:
@@ -687,7 +692,7 @@ def apply_filters(
         ):
             batch = filter_id_equality(batch, closure, stats)
         else:
-            batch = filter_memoized(batch, closure, width, stats)
+            batch = filter_memoized(batch, closure, width, stats, memo)
     return batch
 
 
@@ -718,7 +723,10 @@ def _run_group(
         if batch.length == 0:
             break
     if batch.length and group.filters:
-        batch = apply_filters(group.filters, batch, plan.width, context.stats)
+        batch = apply_filters(
+            group.filters, batch, plan.width, context.stats,
+            context.filter_memo,
+        )
     return batch
 
 

@@ -131,19 +131,27 @@ class PrefixMemo:
 
 
 class ExecContext:
-    """Per-execution plumbing handed through the operator tree."""
+    """Per-execution plumbing handed through the operator tree.
 
-    __slots__ = ("graph", "stats", "prefix_memo")
+    ``filter_memo`` (columnar engine only) maps a compiled filter closure
+    to its verdicts per distinct id combination; executions that share one
+    dict — every shard of one scatter gather — evaluate each combination
+    once.
+    """
+
+    __slots__ = ("graph", "stats", "prefix_memo", "filter_memo")
 
     def __init__(
         self,
         graph: Graph,
         stats: PerfStats | None = None,
         prefix_memo: PrefixMemo | None = None,
+        filter_memo: dict | None = None,
     ) -> None:
         self.graph = graph
         self.stats = stats
         self.prefix_memo = prefix_memo
+        self.filter_memo = filter_memo
 
 
 # ---------------------------------------------------------------------------
@@ -1116,15 +1124,23 @@ class TwoStarSlice:
     join of the two stars' solution sets on these variables — which is
     what makes per-shard semi-join evaluation in
     :mod:`repro.sparql.scatter` equivalent to single-process execution.
+
+    ``residual`` holds the positions (in WHERE order, i.e. indexes into
+    the full plan's top-level ``CompiledGroup.filters``) of the filters
+    that were *not* pushed into a star: cross-star filters, variable-free
+    filters, and filters naming a variable neither star binds.
     """
 
-    __slots__ = ("stars", "join_names")
+    __slots__ = ("stars", "join_names", "residual")
 
-    def __init__(self, stars: tuple[StarSlice, StarSlice]) -> None:
+    def __init__(
+        self, stars: tuple[StarSlice, StarSlice], residual: tuple[int, ...]
+    ) -> None:
         self.stars = stars
         self.join_names = tuple(
             sorted(set(stars[0].names) & set(stars[1].names))
         )
+        self.residual = residual
 
 
 def slice_two_star(query: SelectQuery | AskQuery) -> TwoStarSlice | None:
@@ -1141,11 +1157,11 @@ def slice_two_star(query: SelectQuery | AskQuery) -> TwoStarSlice | None:
     into that star's subquery, so shards prune before shipping — sound
     because a flat BGP star always binds every one of its variables, so
     the filter sees identical bindings per solution whether it runs
-    per-shard or after the join.  The scatter coordinator still
-    re-applies the full plan's compiled filter closures after the join
-    (cross-star filters run only there; pushed filters pass their
-    surviving rows again), which reproduces group-level FILTER semantics
-    exactly.
+    per-shard or after the join.  Every other filter is *residual*
+    (recorded in :attr:`TwoStarSlice.residual`): the scatter coordinator
+    applies only those after the join, over the whole conjunction's
+    bindings.  Pushed filters already held on the same bindings, so the
+    pair reproduces group-level FILTER semantics exactly.
     """
     triples: list[Triple] = []
     expressions: list = []
@@ -1175,17 +1191,20 @@ def slice_two_star(query: SelectQuery | AskQuery) -> TwoStarSlice | None:
         for group in star_triples
     ]
     star_filters: list[list] = [[], []]
-    for expression in expressions:
+    residual: list[int] = []
+    for position, expression in enumerate(expressions):
         names = _expression_names(expression)
         for index in (0, 1):
             if names and names <= star_names[index]:
                 star_filters[index].append(expression)
                 break
+        else:
+            residual.append(position)
     stars = tuple(
         StarSlice(subject, star_triples[index], tuple(star_filters[index]))
         for index, subject in enumerate(subjects)
     )
-    sliced = TwoStarSlice(stars)  # type: ignore[arg-type]
+    sliced = TwoStarSlice(stars, tuple(residual))  # type: ignore[arg-type]
     if not sliced.join_names:
         return None
     return sliced

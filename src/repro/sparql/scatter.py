@@ -22,38 +22,48 @@ deduplication:
   *shipped* to the other star's shards — routed to the one owning shard
   when the second star's subject is itself a join variable, broadcast as
   a per-shard semi-join filter otherwise.  The coordinator hash-joins the
-  two row sets, re-applies the full plan's compiled FILTER closures
-  (group-level SPARQL semantics: filters see the whole conjunction), and
-  shapes the result.  Because BGP solutions over a set-graph are sets of
-  assignments, the natural join of the two stars' solution sets *is* the
-  full query's solution multiset — no multiplicity correction needed.
+  two batches into the full plan's slot layout and applies only the
+  **residual** filters (cross-star or variable-free ones; every other
+  filter was pushed into a star by :func:`slice_two_star` and already
+  held on the same bindings) before shaping the result.  Because BGP
+  solutions over a set-graph are sets of assignments, the natural join
+  of the two stars' solution sets *is* the full query's solution
+  multiset — no multiplicity correction needed.
 
-:class:`ScatterGatherExecutor` implements the decomposition:
+:class:`ScatterGatherExecutor` runs the decomposition on the columnar
+engine (:mod:`repro.sparql.columnar`), from shard to answer:
 
-1. **Scatter** — the query AST (frozen, picklable dataclasses) fans out to
-   one task per shard.  Each task compiles the plan against a single-shard
-   Graph view; the dictionary is global, so constants and slot layouts
-   resolve identically in every process.  Tasks run either inline
-   (``processes=0`` — deterministic, no pool) or on a lazily created
-   ``multiprocessing`` pool (spawn-safe: workers re-open the segment
-   directory in an initializer instead of inheriting mapped state),
-   returning their id rows packed as ``array('q')`` bytes.
-2. **Gather** — the coordinator concatenates the per-shard row batches in
-   shard order and hands them to the coordinator plan's own result
-   shaping (:meth:`CompiledQuery._shape_select`).  ORDER BY runs there
-   with the engine's deterministic id-tuple tie-break, so ordered answers
-   are **byte-identical** to single-process execution regardless of
-   gather interleaving; unordered answers are multiset-identical (the
-   documented engine contract).  DISTINCT, OFFSET/LIMIT and aggregates
-   also shape at the coordinator, over the complete solution set.
+1. **Gate** — a plan whose most selective pattern matches fewer than
+   :data:`FANOUT_MIN_ROWS` rows runs single-process instead, where
+   routed scans already touch one shard.
+2. **Scatter** — the query AST (frozen, picklable dataclasses) fans out to
+   one task per shard, which runs the compiled plan's operator tree on a
+   :class:`~repro.sparql.columnar.ColumnBatch` over a single-shard view;
+   the dictionary is global, so constants and slot layouts resolve
+   identically in every process.  All shards of one gather share one
+   filter-verdict memo: a compiled filter reads only global ids, so its
+   verdict for an id combination is the same on every shard.  Tasks run
+   inline (``processes=0`` — deterministic, no pool) or on a lazily
+   created ``multiprocessing`` pool (spawn-safe: workers re-open the
+   segment directory in an initializer), returning their batches packed
+   column-major as ``array('q')`` bytes.
+3. **Gather** — the coordinator concatenates the per-shard batches in
+   shard order and shapes them with
+   :meth:`ColumnarQuery._shape_select_batch` (ORDER BY keys memoized per
+   distinct id combination, each distinct id decoded once).  ORDER BY
+   sorts with the engine's deterministic id-tuple tie-break, so ordered
+   answers are **byte-identical** to single-process execution; unordered
+   answers are multiset-identical (the documented engine contract).
+   DISTINCT, OFFSET/LIMIT and aggregates see the complete solution set.
 
 Per-shard results are cached in generation-stamped
 :class:`~repro.kb.shard.ShardResultCache` instances (one per shard, on
-the coordinator for inline mode and inside each worker for pool mode).
-The stamp combines the backend's content fingerprint with the executor's
-reload generation: :meth:`ScatterGatherExecutor.rebind` — called on every
-hot KB reload — bumps the generation, so one reload empties every shard
-cache at once (``kb.shard_cache.*`` counters).
+the coordinator for inline mode — holding the batch itself, which is safe
+because operators never mutate a column — and inside each worker for pool
+mode).  The stamp combines the backend's content fingerprint with the
+executor's reload generation: :meth:`ScatterGatherExecutor.rebind` —
+called on every hot KB reload — bumps the generation, so one reload
+empties every shard cache at once (``kb.shard_cache.*`` counters).
 
 Queries outside the partitionable fragment (OPTIONAL, UNION, nested
 groups, three or more stars, disconnected stars, unordered LIMIT/OFFSET,
@@ -76,19 +86,28 @@ from repro.kb.shard import (
     ShardResultCache,
     shard_of_subject,
 )
+from repro.perf.lru import LRUCache
 from repro.perf.stats import PerfStats
 from repro.rdf.terms import Variable
+from repro.sparql import columnar
 from repro.sparql.ast import BGP, Filter, TermExpr
+from repro.sparql.columnar import ColumnarQuery, ColumnBatch
 from repro.sparql.compiler import (
+    HASH_JOIN_MIN_ROWS,
     UNBOUND,
     CompiledQuery,
     ExecContext,
     TwoStarSlice,
     slice_two_star,
 )
-from repro.sparql.errors import SparqlTypeError
-from repro.sparql.functions import effective_boolean
+from repro.sparql.engine import DEFAULT_CACHE_SIZE
 from repro.sparql.results import AskResult, SelectResult
+
+#: Fan-out threshold: a partitionable plan whose most selective pattern
+#: matches fewer rows than this runs single-process instead (the same
+#: row count below which the engine keeps per-row index lookups over a
+#: hash join — too little work to pay for one plan run per shard).
+FANOUT_MIN_ROWS = HASH_JOIN_MIN_ROWS
 
 
 def _slice_deterministic(query) -> bool:
@@ -203,6 +222,21 @@ def partition_spec(query, object_shards: bool = True):
     return None
 
 
+def _min_pattern_count(graph, plan: CompiledQuery) -> int:
+    """Matches of the plan's most selective triple pattern: ``count_ids``
+    over its already-resolved pattern ids, no dictionary lookups (an
+    absent constant resolves to -1 and counts zero).  Sizes both the
+    fan-out gate and the semi-join's lead star."""
+    plan._resolve(graph)
+    return min(
+        (
+            graph.count_ids(pattern.s_id, pattern.p_id, pattern.o_id)
+            for pattern in plan._patterns
+        ),
+        default=0,
+    )
+
+
 def _keys_token(keys) -> object:
     """A compact, hashable cache-key component for a broadcast key set
     (the raw frozenset would bloat every cache entry's key)."""
@@ -219,13 +253,13 @@ def _keys_token(keys) -> object:
 # Worker side (runs in pool processes; also reused by inline mode)
 # ---------------------------------------------------------------------------
 
-#: Per-process caches: segment backends keyed by directory, row plans
-#: keyed by (directory, frozen query AST), per-shard result caches keyed
-#: by (directory, partition kind, shard index).  Workers live for the
-#: pool's lifetime, so repeated queries against the same segments compile
-#: once and hit warm shard caches.
+#: Per-process caches: segment backends keyed by directory, columnar
+#: plans keyed by (directory, frozen query AST) in a bounded LRU, per-shard
+#: result caches keyed by (directory, partition kind, shard index).
+#: Workers live for the pool's lifetime, so repeated queries against the
+#: same segments compile once and hit warm shard caches.
 _WORKER_BACKENDS: dict[str, SegmentedBackend] = {}
-_WORKER_PLANS: dict = {}
+_WORKER_PLANS = LRUCache(DEFAULT_CACHE_SIZE)
 _WORKER_CACHES: dict = {}
 
 #: Result-cache capacity inside pool workers (entries per shard).
@@ -252,14 +286,14 @@ def _worker_init(path: str) -> None:
     _worker_backend(path)
 
 
-def _worker_plan(path: str, backend: SegmentedBackend, query) -> CompiledQuery:
+def _worker_plan(path: str, backend: SegmentedBackend, query) -> ColumnarQuery:
     key = (path, query)
     plan = _WORKER_PLANS.get(key)
     if plan is None:
         # Compiled against the full view so pattern-selectivity planning
         # sees global counts; constants are global ids, valid per shard.
-        plan = CompiledQuery(query, backend.graph_view())
-        _WORKER_PLANS[key] = plan
+        plan = ColumnarQuery(query, backend.graph_view())
+        _WORKER_PLANS.put(key, plan)
     return plan
 
 
@@ -269,41 +303,37 @@ def _execute_shard(
     seeds=None,
     keys=None,
     stats: PerfStats | None = None,
-) -> list:
-    """Execute a compiled plan's operator tree over one shard view.
+    memo: dict | None = None,
+) -> ColumnBatch:
+    """Run a compiled plan's operator tree over one shard view, columnar.
 
     ``seeds`` — optional ``(variable_name, ids)`` pair: the run starts
-    from one seed row per id with that variable pre-bound (semi-join
-    shipping routed the ids to this shard).  ``keys`` — optional
-    ``(names, keyset)`` broadcast filter: only rows whose id tuple over
-    the named slots is in the set survive (per-shard semi-join).
-    Returns raw slot-aligned id rows, no result shaping.
+    from a seed batch with one row per id, that variable pre-bound
+    (semi-join shipping routed the ids to this shard).  ``keys`` —
+    optional ``(names, keyset)`` broadcast filter: only rows whose id
+    tuple over the named slots is in the set survive (per-shard
+    semi-join).  ``memo`` is the gather's shared filter-verdict memo.
+    Returns the slot-aligned batch, no result shaping.
     """
     plan._resolve(view)
-    context = ExecContext(view, stats, None)
     if seeds is None:
-        seed_rows = [(UNBOUND,) * plan.width]
+        batch = ColumnBatch.seed(plan.width)
     else:
         name, ids = seeds
-        slot = plan.slot_by_name[name]
-        base = [UNBOUND] * plan.width
-        seed_rows = []
-        for value in ids:
-            row = list(base)
-            row[slot] = value
-            seed_rows.append(tuple(row))
-        if not seed_rows:
-            return []
-    rows = plan.root.run(context, seed_rows, plan)
-    if keys is not None and rows:
+        # Sharing one all-UNBOUND column across slots is safe: operators
+        # never mutate a column in place, they only build fresh arrays.
+        columns = [array("q", (UNBOUND,)) * len(ids)] * plan.width
+        columns[plan.slot_by_name[name]] = array("q", ids)
+        batch = ColumnBatch(plan.width, columns, len(ids))
+    context = ExecContext(view, stats, None, memo)
+    batch = columnar._run_node(plan.root, context, batch, plan)
+    if keys is not None and batch.length:
         names, keyset = keys
-        slots = [plan.slot_by_name[name] for name in names]
-        rows = [
-            row
-            for row in rows
-            if tuple(row[slot] for slot in slots) in keyset
-        ]
-    return rows
+        key_columns = [batch.columns[plan.slot_by_name[n]] for n in names]
+        batch = batch.gather(
+            [i for i, key in enumerate(zip(*key_columns)) if key in keyset]
+        )
+    return batch
 
 
 def _shard_task(
@@ -315,15 +345,15 @@ def _shard_task(
     keys=None,
     token=None,
 ) -> tuple[int, int, bytes, bool]:
-    """Run ``query`` against one shard; return packed id rows.
+    """Run ``query`` against one shard; return its packed batch.
 
     The return value is ``(shard_index, row_count, bytes, cache_hit)``
-    where the bytes are the rows' ids flattened into an ``array('q')`` —
-    compact to pickle back across the process boundary, and cast straight
-    back to int64 columns on the coordinator.  ``token`` (when not
-    ``None``) stamps this worker's per-shard result cache; a stale stamp
-    — the coordinator bumps it on every hot KB reload — empties the
-    cache before lookup.
+    where the bytes are the batch's id columns laid end to end
+    (column-major) in one ``array('q')`` — compact to pickle back across
+    the process boundary, and sliced straight back into columns on the
+    coordinator.  ``token`` (when not ``None``) stamps this worker's
+    per-shard result cache; a stale stamp — the coordinator bumps it on
+    every hot KB reload — empties the cache before lookup.
     """
     backend = _worker_backend(path)
     cache = None
@@ -339,24 +369,23 @@ def _shard_task(
             count, blob = cached
             return shard_index, count, blob, True
     plan = _worker_plan(path, backend, query)
-    rows = _execute_shard(
+    batch = _execute_shard(
         plan, backend.partition_view(kind, shard_index), seeds, keys
     )
-    packed = array("q", chain.from_iterable(rows))
-    blob = packed.tobytes()
+    blob = array("q", chain.from_iterable(batch.columns)).tobytes()
     if cache is not None:
-        cache.put(token, cache_key, (len(rows), blob))
-    return shard_index, len(rows), blob, False
+        cache.put(token, cache_key, (batch.length, blob))
+    return shard_index, batch.length, blob, False
 
 
-def _unpack_rows(count: int, blob: bytes, width: int) -> list:
-    if not count:
-        return []
-    ids = memoryview(blob).cast("q")
-    return [
-        tuple(ids[start : start + width])
-        for start in range(0, count * width, width)
-    ]
+def _unpack_batch(count: int, blob: bytes, width: int) -> ColumnBatch:
+    ids = array("q")
+    ids.frombytes(blob)
+    return ColumnBatch(
+        width,
+        [ids[slot * count : (slot + 1) * count] for slot in range(width)],
+        count,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +399,8 @@ class ScatterGatherExecutor:
     Install on an engine with
     :meth:`repro.sparql.SparqlEngine.install_scatter`; the engine then
     offers every plan via :meth:`maybe_execute`, which either answers it
-    (partitionable queries) or returns ``None`` (engine falls back to
-    ordinary full-view execution).
+    (partitionable queries large enough to fan out) or returns ``None``
+    (engine falls back to ordinary full-view execution).
 
     ``processes=0`` runs shard tasks inline in the calling process —
     fully deterministic, no pool, the mode the differential tests pin
@@ -405,7 +434,7 @@ class ScatterGatherExecutor:
         self._start_method = start_method
         self._shard_cache_size = shard_cache_size
         self._pool = None
-        self._plans: dict = {}
+        self._plans = LRUCache(DEFAULT_CACHE_SIZE)
         self._caches: dict = {}
         self._generation = 0
         self._lock = threading.Lock()
@@ -526,13 +555,31 @@ class ScatterGatherExecutor:
                 self._caches[(kind, index)] = cache
             return cache
 
+    def _local_plan(self, query) -> ColumnarQuery:
+        """The coordinator's columnar plan for a query AST, compiled once
+        per distinct query (bounded LRU).  Star subqueries built by
+        :func:`slice_two_star` compile here too."""
+        plan = self._plans.get(query)
+        if plan is None:
+            plan = ColumnarQuery(query, self._backend.graph_view())
+            self._plans.put(query, plan)
+        return plan
+
+    def _columnar(self, plan: CompiledQuery) -> ColumnarQuery:
+        """``plan`` itself, or behind a row engine its columnar twin
+        (same AST, so the same slot layout)."""
+        if isinstance(plan, ColumnarQuery):
+            return plan
+        return self._local_plan(plan.query)
+
     # -- execution -----------------------------------------------------
 
     def maybe_execute(
         self, plan: CompiledQuery, context: ExecContext
     ) -> SelectResult | AskResult | None:
-        """Answer ``plan`` by scatter-gather, or ``None`` if it is not
-        shard-partitionable (the caller then executes it normally)."""
+        """Answer ``plan`` by scatter-gather, or ``None`` when it is not
+        shard-partitionable or too small to fan out (the caller then
+        executes it normally)."""
         stats = context.stats if context.stats is not None else self._stats
         graph_backend = getattr(context.graph, "backend", None)
         if graph_backend is not None and graph_backend is not self._backend:
@@ -549,101 +596,105 @@ class ScatterGatherExecutor:
             if stats is not None:
                 stats.increment("sparql.scatter.fallback_queries")
             return None
+        if _min_pattern_count(context.graph, plan) < FANOUT_MIN_ROWS:
+            if stats is not None:
+                stats.increment("sparql.scatter.local_queries")
+            return None
         kind, payload = spec
         if stats is not None:
             stats.increment("sparql.scatter.queries")
+        # One filter-verdict memo for every shard of this gather.
+        memo: dict = {}
         if kind == "twostar":
-            return self._execute_semijoin(plan, payload, context, stats)
+            return self._execute_semijoin(plan, payload, context, stats, memo)
         if stats is not None and kind == "object":
             stats.increment("sparql.scatter.object_queries")
-        rows = self._gather_rows(
-            plan.query, kind, stats=stats, ask=plan.is_ask, plan=plan
+        local = self._columnar(plan)
+        batch = self._gather(
+            local, kind, stats=stats, ask=plan.is_ask, memo=memo
         )
         if stats is not None:
-            stats.increment("sparql.scatter.rows_gathered", len(rows))
+            stats.increment("sparql.scatter.rows_gathered", batch.length)
         if plan.is_ask:
-            return AskResult(bool(rows))
+            return AskResult(batch.length > 0)
         # Global shaping on the coordinator: ORDER BY sorts the complete
-        # row set under the engine's deterministic id-tuple tie-break
+        # batch under the engine's deterministic id-tuple tie-break
         # (byte-identical to single-process), DISTINCT/OFFSET/LIMIT and
         # aggregates see every shard's solutions.
-        plan._resolve(context.graph)
-        return plan._shape_select(rows, context)
+        local._resolve(context.graph)
+        return local._shape_select_batch(batch, context)
 
     # -- star gathering ------------------------------------------------
 
-    def _gather_rows(
+    def _gather(
         self,
-        query,
+        plan: ColumnarQuery,
         kind: str,
         seeds_by_shard: dict | None = None,
         keys=None,
         stats: PerfStats | None = None,
         ask: bool = False,
-        plan: CompiledQuery | None = None,
-    ) -> list:
-        """Rows of ``query`` over every shard of one partition (or just
-        the seeded shards), in shard order, slot-aligned to the local row
-        plan for ``query``."""
+        memo: dict | None = None,
+    ) -> ColumnBatch:
+        """The batch of ``plan`` over every shard of one partition (or
+        just the seeded shards), concatenated in shard order."""
         if seeds_by_shard is not None:
             indices = sorted(seeds_by_shard)
         else:
             indices = list(range(self._backend.partition_count(kind)))
         if stats is not None:
             stats.increment("sparql.scatter.shards_scanned", len(indices))
-        if not indices:
-            return []
-        local = (
-            plan
-            if plan is not None and type(plan) is CompiledQuery
-            else self._local_plan(query)
-        )
         if self._effective_processes() == 0:
-            return self._gather_inline(
-                local, query, kind, indices, seeds_by_shard, keys, stats, ask
+            batches = self._gather_inline(
+                plan, kind, indices, seeds_by_shard, keys, stats, ask, memo
             )
-        return self._gather_pool(
-            local, query, kind, indices, seeds_by_shard, keys, stats
-        )
+        else:
+            batches = self._gather_pool(
+                plan, kind, indices, seeds_by_shard, keys, stats
+            )
+        if len(batches) == 1:
+            return batches[0]
+        return columnar.concat(batches, plan.width)
 
     def _gather_inline(
-        self, local, query, kind, indices, seeds_by_shard, keys, stats, ask
+        self, plan, kind, indices, seeds_by_shard, keys, stats, ask, memo
     ) -> list:
         token = self._cache_token()
-        rows: list = []
+        keys_token = _keys_token(keys) if token is not None else None
+        batches: list = []
         for index in indices:
             seeds = (
                 None if seeds_by_shard is None else seeds_by_shard[index]
             )
+            batch = cache = None
             if token is not None:
                 cache = self._cache_for(kind, index)
-                cache_key = (query, seeds, _keys_token(keys))
-                cached = cache.get(token, cache_key)
-                if cached is not None:
-                    if stats is not None:
-                        stats.increment("kb.shard_cache.hits")
-                    rows.extend(cached)
-                    if ask and rows:
-                        break
-                    continue
+                cache_key = (plan.query, seeds, keys_token)
+                batch = cache.get(token, cache_key)
                 if stats is not None:
-                    stats.increment("kb.shard_cache.misses")
-            shard_rows = _execute_shard(
-                local,
-                self._backend.partition_view(kind, index),
-                seeds,
-                keys,
-                stats,
-            )
-            if token is not None:
-                cache.put(token, cache_key, tuple(shard_rows))
-            rows.extend(shard_rows)
-            if ask and rows:
+                    stats.increment(
+                        "kb.shard_cache.misses"
+                        if batch is None
+                        else "kb.shard_cache.hits"
+                    )
+            if batch is None:
+                batch = _execute_shard(
+                    plan,
+                    self._backend.partition_view(kind, index),
+                    seeds,
+                    keys,
+                    stats,
+                    memo,
+                )
+                if cache is not None:
+                    cache.put(token, cache_key, batch)
+            batches.append(batch)
+            if ask and batch.length:
                 break  # ASK short-circuits at the first witness
-        return rows
+        return batches
 
     def _gather_pool(
-        self, local, query, kind, indices, seeds_by_shard, keys, stats
+        self, plan, kind, indices, seeds_by_shard, keys, stats
     ) -> list:
         token = self._cache_token()
         path = self._backend.path
@@ -652,7 +703,7 @@ class ScatterGatherExecutor:
                 path,
                 kind,
                 index,
-                query,
+                plan.query,
                 None if seeds_by_shard is None else seeds_by_shard[index],
                 keys,
                 token,
@@ -661,8 +712,7 @@ class ScatterGatherExecutor:
         ]
         results = self._run_tasks(tasks)
         results.sort(key=lambda item: item[0])  # deterministic shard order
-        width = local.width
-        rows: list = []
+        batches: list = []
         for __, count, blob, cache_hit in results:
             if stats is not None:
                 stats.increment(
@@ -670,43 +720,10 @@ class ScatterGatherExecutor:
                     if cache_hit
                     else "kb.shard_cache.misses"
                 )
-            rows.extend(_unpack_rows(count, blob, width))
-        return rows
-
-    def _local_plan(self, query) -> CompiledQuery:
-        """The coordinator's row plan for a query AST.
-
-        The engine's plan may be columnar; per-shard execution reuses the
-        row operator tree (identical slot layout — both derive it from
-        the same frozen AST), compiled once per distinct query.  Star
-        subqueries built by :func:`slice_two_star` compile here too.
-        """
-        with self._lock:
-            cached = self._plans.get(query)
-        if cached is None:
-            cached = CompiledQuery(query, self._backend.graph_view())
-            with self._lock:
-                self._plans[query] = cached
-        return cached
+            batches.append(_unpack_batch(count, blob, plan.width))
+        return batches
 
     # -- semi-join shipping --------------------------------------------
-
-    def _estimate_star(self, star, graph) -> int:
-        """Selectivity estimate: the smallest pattern cardinality in the
-        star (coordinator-side counts over the full backend view)."""
-        estimate = None
-        for triple in star.query.where.patterns[0].triples:
-            s = p = o = None
-            if not isinstance(triple.subject, Variable):
-                s = graph.lookup_id(triple.subject)
-            if not isinstance(triple.predicate, Variable):
-                p = graph.lookup_id(triple.predicate)
-            if not isinstance(triple.object, Variable):
-                o = graph.lookup_id(triple.object)
-            count = graph.count_ids(s, p, o)
-            if estimate is None or count < estimate:
-                estimate = count
-        return 0 if estimate is None else estimate
 
     def _execute_semijoin(
         self,
@@ -714,38 +731,34 @@ class ScatterGatherExecutor:
         sliced: TwoStarSlice,
         context: ExecContext,
         stats: PerfStats | None,
+        memo: dict,
     ) -> SelectResult | AskResult:
         if stats is not None:
             stats.increment("sparql.scatter.semijoin.queries")
         graph = context.graph
-        estimates = [
-            self._estimate_star(star, graph) for star in sliced.stars
-        ]
+        star_plans = [self._local_plan(star.query) for star in sliced.stars]
+        estimates = [_min_pattern_count(graph, star) for star in star_plans]
         lead = 0 if estimates[0] <= estimates[1] else 1
-        star_lead = sliced.stars[lead]
         star_trail = sliced.stars[1 - lead]
+        plan_lead, plan_trail = star_plans[lead], star_plans[1 - lead]
         join_names = sliced.join_names
 
-        plan_lead = self._local_plan(star_lead.query)
-        plan_trail = self._local_plan(star_trail.query)
-
         # Phase 1: the more selective star, full fan-out.
-        rows_lead = self._gather_rows(
-            star_lead.query, "subject", stats=stats, plan=plan_lead
+        batch_lead = self._gather(plan_lead, "subject", stats=stats, memo=memo)
+        keys_lead = list(
+            zip(*(batch_lead.columns[plan_lead.slot_by_name[name]]
+                  for name in join_names))
         )
-        slots_lead = [plan_lead.slot_by_name[n] for n in join_names]
-        keyset = {
-            tuple(row[slot] for slot in slots_lead) for row in rows_lead
-        }
+        keyset = set(keys_lead)
         if stats is not None:
-            stats.increment("sparql.scatter.rows_gathered", len(rows_lead))
+            stats.increment("sparql.scatter.rows_gathered", batch_lead.length)
             stats.increment(
                 "sparql.scatter.semijoin.keys_shipped", len(keyset)
             )
 
         # Phase 2: ship the distinct join keys to the trailing star.
         if not keyset:
-            rows_trail: list = []
+            batch_trail = ColumnBatch.empty(plan_trail.width)
         elif star_trail.variable.name in join_names:
             # The trailing star's subject is itself a join variable:
             # route each candidate subject id to its one owning shard and
@@ -767,12 +780,12 @@ class ScatterGatherExecutor:
                 stats.increment(
                     "sparql.scatter.semijoin.shipped_ids", len(subject_ids)
                 )
-            rows_trail = self._gather_rows(
-                star_trail.query,
+            batch_trail = self._gather(
+                plan_trail,
                 "subject",
                 seeds_by_shard=seeds_by_shard,
                 stats=stats,
-                plan=plan_trail,
+                memo=memo,
             )
         else:
             # The join variables are all non-subject positions of the
@@ -780,66 +793,60 @@ class ScatterGatherExecutor:
             # per-shard semi-join filter.
             if stats is not None:
                 stats.increment("sparql.scatter.semijoin.broadcasts")
-            rows_trail = self._gather_rows(
-                star_trail.query,
+            batch_trail = self._gather(
+                plan_trail,
                 "subject",
                 keys=(join_names, frozenset(keyset)),
                 stats=stats,
-                plan=plan_trail,
+                memo=memo,
             )
-        if stats is not None:
-            stats.increment("sparql.scatter.rows_gathered", len(rows_trail))
-
-        # Phase 3: coordinator hash join into the full plan's slot layout.
-        plan._resolve(graph)
-        slots_trail = [plan_trail.slot_by_name[n] for n in join_names]
-        buckets: dict = {}
-        for row in rows_trail:
-            buckets.setdefault(
-                tuple(row[slot] for slot in slots_trail), []
-            ).append(row)
-        map_lead = [
-            (plan.slot_by_name[name], plan_lead.slot_by_name[name])
-            for name in star_lead.names
-        ]
-        map_trail = [
-            (plan.slot_by_name[name], plan_trail.slot_by_name[name])
-            for name in star_trail.names
-        ]
-        width = plan.width
-        joined: list = []
-        for row_lead in rows_lead:
-            key = tuple(row_lead[slot] for slot in slots_lead)
-            matches = buckets.get(key)
-            if not matches:
-                continue
-            for row_trail in matches:
-                merged = [UNBOUND] * width
-                for target, source in map_lead:
-                    merged[target] = row_lead[source]
-                for target, source in map_trail:
-                    merged[target] = row_trail[source]
-                joined.append(tuple(merged))
-
-        # Phase 4: the full plan's FILTER closures, group-level semantics
-        # (every filter sees the whole conjunction's bindings — exactly
-        # what CompiledGroup.run applies after its children).
-        if plan.root.filters and joined:
-            passing = []
-            for row in joined:
-                for constraint in plan.root.filters:
-                    try:
-                        if not effective_boolean(constraint(row)):
-                            break
-                    except SparqlTypeError:
-                        break
-                else:
-                    passing.append(row)
-            joined = passing
         if stats is not None:
             stats.increment(
-                "sparql.scatter.semijoin.rows_joined", len(joined)
+                "sparql.scatter.rows_gathered", batch_trail.length
+            )
+
+        # Phase 3: hash join, gathering columns into the full plan's slot
+        # layout (a flat two-star query binds no variable outside its
+        # stars, so every slot comes from one side).
+        buckets: dict = {}
+        trail_keys = zip(
+            *(batch_trail.columns[plan_trail.slot_by_name[name]]
+              for name in join_names)
+        )
+        for j, key in enumerate(trail_keys):
+            buckets.setdefault(key, []).append(j)
+        lead_idx: list[int] = []
+        trail_idx: list[int] = []
+        for i, key in enumerate(keys_lead):
+            bucket = buckets.get(key)
+            if bucket:
+                lead_idx.extend([i] * len(bucket))
+                trail_idx.extend(bucket)
+        columns: list = [None] * plan.width
+        for star_plan, side, idx in (
+            (plan_lead, batch_lead, lead_idx),
+            (plan_trail, batch_trail, trail_idx),
+        ):
+            gathered = side.gather(idx)
+            for name, slot in star_plan.slot_by_name.items():
+                columns[plan.slot_by_name[name]] = gathered.columns[slot]
+        joined = ColumnBatch(plan.width, columns, len(lead_idx))
+
+        # Phase 4: only the residual filters — every pushed filter
+        # already held on these bindings per shard.
+        if sliced.residual and joined.length:
+            joined = columnar.apply_filters(
+                [plan.root.filters[index] for index in sliced.residual],
+                joined,
+                plan.width,
+                stats,
+            )
+        if stats is not None:
+            stats.increment(
+                "sparql.scatter.semijoin.rows_joined", joined.length
             )
         if plan.is_ask:
-            return AskResult(bool(joined))
-        return plan._shape_select(joined, context)
+            return AskResult(joined.length > 0)
+        shaper = self._columnar(plan)
+        shaper._resolve(graph)
+        return shaper._shape_select_batch(joined, context)

@@ -16,8 +16,15 @@ from repro.rdf import Triple, Variable
 from repro.serve.errors import SnapshotError
 from repro.serve.server import ResilientServer, ServerConfig
 from repro.serve.soak import run_soak
-from repro.sparql import SparqlEngine
+from repro.sparql import SparqlEngine, scatter
 from repro.sparql.ast import BGP, Group, OrderCondition, SelectQuery, TermExpr
+
+
+@pytest.fixture(autouse=True)
+def force_fanout(monkeypatch):
+    """The curated KB is tiny: keep these queries on the fan-out path
+    instead of under the scatter's cardinality gate."""
+    monkeypatch.setattr(scatter, "FANOUT_MIN_ROWS", 0)
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,10 @@ inside the ordinary suite with a few seconds of load.
 
 import pytest
 
-from repro.serve.soak import answer_signature, run_soak
+import json
+
+from repro.cli import main
+from repro.serve.soak import SoakReport, answer_signature, run_soak
 
 
 @pytest.mark.slow
@@ -33,3 +36,28 @@ def test_quick_soak_holds_every_invariant(kb, tmp_path):
 def test_answer_signature_is_byte_stable(qa):
     text = "Which book is written by Orhan Pamuk?"
     assert answer_signature(qa.answer(text)) == answer_signature(qa.answer(text))
+
+
+def test_summary_states_scatter_traffic():
+    report = SoakReport(
+        duration_s=1.0, scatter_queries=2, scatter_local_queries=5
+    )
+    assert (
+        "scatter queries: 2 fanned out, 5 run single-process below the "
+        "fan-out gate" in report.summary()
+    )
+
+
+@pytest.mark.slow
+def test_segmented_soak_json_reports_scatter_traffic(tmp_path, capfd):
+    path = tmp_path / "soak.json"
+    code = main(
+        ["soak", "--duration", "1", "--quick", "--segmented",
+         "--json", str(path)]
+    )
+    assert code == 0
+    document = json.loads(path.read_text())
+    assert document["shared_segments"] is True
+    for key in ("scatter_queries", "scatter_local_queries"):
+        assert isinstance(document[key], int) and document[key] >= 0
+    assert "scatter queries:" in capfd.readouterr().out

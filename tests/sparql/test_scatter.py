@@ -20,6 +20,7 @@ from repro.sparql import (
     SparqlEngine,
     partition_spec,
     partition_variable,
+    scatter,
 )
 from repro.sparql.ast import (
     BGP,
@@ -34,6 +35,14 @@ from repro.sparql.ast import (
 )
 
 from tests.sparql import querygen
+
+
+@pytest.fixture(autouse=True)
+def force_fanout(monkeypatch):
+    """These KBs are tiny: without this every plan would fall under the
+    fan-out gate and run single-process (the gate itself is covered in
+    tests/sparql/test_scatter_coordinator.py)."""
+    monkeypatch.setattr(scatter, "FANOUT_MIN_ROWS", 0)
 
 
 def _segmented(graph, tmp_path, shards=4):
