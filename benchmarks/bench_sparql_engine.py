@@ -172,7 +172,7 @@ def test_big_scale_count(benchmark, big_kb):
 
 
 # ---------------------------------------------------------------------------
-# Script mode: term-space oracle vs row id-space vs columnar id-space
+# Script mode: term-space oracle vs columnar id-space
 # ---------------------------------------------------------------------------
 
 #: The join-heavy comparison workload.  Multi-pattern joins are where the
@@ -216,12 +216,11 @@ WORKLOAD = [
 ]
 
 #: (mode key, engine constructor kwargs).  ``term`` is the original
-#: term-space evaluator, ``row`` the row-tuple id-space engine, and
-#: ``columnar`` the batch engine (the production default).
+#: term-space evaluator (the reference oracle) and ``columnar`` the
+#: production id-space engine.
 MODES = [
     ("term", {"idspace": False}),
-    ("row", {"idspace": True, "columnar": False}),
-    ("columnar", {"idspace": True, "columnar": True}),
+    ("columnar", {"idspace": True}),
 ]
 
 
@@ -295,12 +294,7 @@ def run_comparison(scale: int, repeats: int) -> dict:
             "join_heavy": join_heavy,
             "rows": len(reference.rows),
             "termspace_seconds": round(timings["term"], 4),
-            "rowspace_seconds": round(timings["row"], 4),
             "columnar_seconds": round(timings["columnar"], 4),
-            "row_vs_term_speedup": ratio(timings["term"], timings["row"]),
-            "columnar_vs_row_speedup": ratio(
-                timings["row"], timings["columnar"]
-            ),
             "columnar_vs_term_speedup": ratio(
                 timings["term"], timings["columnar"]
             ),
@@ -316,13 +310,11 @@ def run_comparison(scale: int, repeats: int) -> dict:
         "scale": scale,
         "repeats": repeats,
         "identical_answers": identical,
-        "join_heavy_speedup_row_vs_term": aggregate("term", "row"),
-        "join_heavy_speedup_columnar_vs_row": aggregate("row", "columnar"),
         "join_heavy_speedup_columnar_vs_term": aggregate("term", "columnar"),
         # Backward-compatible key: best engine vs the term-space oracle.
         "join_heavy_speedup": aggregate("term", "columnar"),
-        "columnar_not_slower_than_row": (
-            join_totals["columnar"] <= join_totals["row"]
+        "columnar_not_slower_than_term": (
+            join_totals["columnar"] <= join_totals["term"]
         ),
         "queries": queries,
     }
@@ -330,8 +322,8 @@ def run_comparison(scale: int, repeats: int) -> dict:
 
 def _print_table(report: dict) -> None:
     header = (
-        f"{'query':<20} {'rows':>6} {'term (s)':>9} {'row (s)':>9} "
-        f"{'col (s)':>9} {'col/row':>8} {'col/term':>9}  ok"
+        f"{'query':<20} {'rows':>6} {'term (s)':>9} {'col (s)':>9} "
+        f"{'col/term':>9}  ok"
     )
     print(header)
     print("-" * len(header))
@@ -339,23 +331,19 @@ def _print_table(report: dict) -> None:
         print(
             f"{entry['query']:<20} {entry['rows']:>6} "
             f"{entry['termspace_seconds']:>9.4f} "
-            f"{entry['rowspace_seconds']:>9.4f} "
             f"{entry['columnar_seconds']:>9.4f} "
-            f"{entry['columnar_vs_row_speedup']:>7.2f}x "
             f"{entry['columnar_vs_term_speedup']:>8.2f}x  "
             f"{'yes' if entry['identical'] else 'NO'}"
         )
     print(
-        "join-heavy aggregate: "
-        f"row {report['join_heavy_speedup_row_vs_term']:.2f}x over term, "
-        f"columnar {report['join_heavy_speedup_columnar_vs_row']:.2f}x over row, "
+        "join-heavy aggregate: columnar "
         f"{report['join_heavy_speedup_columnar_vs_term']:.2f}x over term"
     )
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Compare the term-space, row id-space, and columnar engines."
+        description="Compare the term-space oracle and the columnar engine."
     )
     parser.add_argument("--scale", type=int, default=16,
                         help="synthetic KB scale factor (default 16)")
@@ -382,9 +370,9 @@ def main(argv: list[str] | None = None) -> int:
     if not report["identical_answers"]:
         print("ANSWER MISMATCH between engines", file=sys.stderr)
         return 1
-    if not report["columnar_not_slower_than_row"]:
+    if not report["columnar_not_slower_than_term"]:
         print(
-            "REGRESSION: columnar slower than the row engine on the "
+            "REGRESSION: columnar slower than the term-space oracle on the "
             "join-heavy group",
             file=sys.stderr,
         )

@@ -1,11 +1,10 @@
 """Structured explanations: what the pipeline did for one question.
 
-Replaces the old string-returning ``Answer.explain()`` with a structured
-:class:`Explanation` — stage spans (when tracing was on), the candidate
-table with per-candidate ranking scores, and the rejection reason for every
-candidate the executor looked at.  :meth:`Explanation.render` (also
-``str()``) reproduces the legacy text byte for byte, so the deprecated
-``Answer.explain()`` shim can keep old callers working for one release.
+:class:`Explanation` holds stage spans (when tracing was on), the
+candidate table with per-candidate ranking scores, and the rejection
+reason for every candidate the executor looked at.
+:meth:`Explanation.render` (also ``str()``) gives the one-line-per-stage
+text.
 
 The dominant error class in the paper's Table 2 — a question mapping to
 the wrong property — is exactly what the candidate table makes visible:
@@ -110,11 +109,9 @@ class Explanation:
     # ------------------------------------------------------------------
 
     def render(self) -> str:
-        """The legacy ``Answer.explain()`` text, reproduced exactly.
-
-        One line per stage: rewrite, extracted patterns, candidate-query
-        count, the winning query, the expected-type filter, and the final
-        verdict.
+        """The plain-text explanation, one line per stage: rewrite,
+        extracted patterns, candidate-query count, the winning query, the
+        expected-type filter, and the final verdict.
         """
         lines = [f"question: {self.question}"]
         if self.rewritten_question is not None:
@@ -157,7 +154,7 @@ class Explanation:
         return "\n".join(lines)
 
     def render_tree(self) -> str:
-        """The full diagnostic view: legacy text + candidate table + spans.
+        """The full diagnostic view: plain text + candidate table + spans.
 
         This is what the redesigned ``repro explain`` command prints.
         """

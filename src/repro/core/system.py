@@ -24,7 +24,6 @@ over the survivors.  Budgets (``PipelineConfig.max_candidates`` /
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -113,26 +112,11 @@ class Answer:
         stage spans (under tracing), the ranked candidate table with
         per-candidate scores and evidence sources, and rejection reasons.
 
-        ``str(answer.explanation())`` reproduces the legacy ``explain()``
-        text; ``explanation().render_tree()`` adds the candidate table and
-        the span tree (what ``python -m repro explain`` prints).
+        ``str(answer.explanation())`` is the one-line-per-stage text;
+        ``explanation().render_tree()`` adds the candidate table and the
+        span tree (what ``python -m repro explain`` prints).
         """
         return Explanation.from_answer(self)
-
-    def explain(self) -> str:
-        """Deprecated: use :meth:`explanation` (``str()`` of it is this text).
-
-        Kept for one release as a shim over the structured
-        :class:`Explanation` API; the returned text is unchanged.
-        """
-        warnings.warn(
-            "Answer.explain() is deprecated; use Answer.explanation() "
-            "(str() of it yields this exact text, .render_tree() the full "
-            "diagnostic view)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.explanation().render()
 
 
 class QuestionAnsweringSystem:
@@ -875,7 +859,7 @@ class QuestionAnsweringSystem:
         (as ``stage.<name>.seconds`` histograms), every pipeline counter —
         including the whole ``reliability.*`` family — the SPARQL engine's
         counters and cache gauges, and the ``trace.*`` aggregates of every
-        traced question.  Supersedes the deprecated :meth:`perf_report`.
+        traced question.
         """
         registry = MetricsRegistry()
         registry.absorb_perf_stats(self._stats)
@@ -891,18 +875,3 @@ class QuestionAnsweringSystem:
             registry.absorb_perf_stats(backend_perf)
         registry.merge(self._trace_metrics)
         return registry.snapshot()
-
-    def perf_report(self) -> dict:
-        """Deprecated: use :meth:`metrics` (one schema for perf +
-        reliability + trace).  Returns the legacy ad-hoc shape unchanged."""
-        warnings.warn(
-            "QuestionAnsweringSystem.perf_report() is deprecated; use "
-            "QuestionAnsweringSystem.metrics() for the unified "
-            "repro.metrics/v1 document",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        report = self._stats.snapshot()
-        report["sparql"] = self._kb.engine.cache_stats()
-        report["sparql"]["engine_counters"] = self._kb.engine.stats.snapshot()["counters"]
-        return report

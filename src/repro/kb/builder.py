@@ -10,7 +10,6 @@ The builder materialises, exactly once and from a single source of truth:
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterable, Sequence
 
 from repro.kb.backend import InMemoryBackend, KBBackend
@@ -19,7 +18,6 @@ from repro.kb.ontology import Ontology, PropertyDef, PropertyKind
 from repro.kb.pagelinks import PageLinkGraph, WIKI_PAGE_LINK
 from repro.kb.records import EntityRecord
 from repro.rdf.datatypes import make_literal
-from repro.rdf.graph import Graph
 from repro.rdf.namespaces import DBO, DBR, RDF, RDFS
 from repro.rdf.terms import IRI, Literal, Triple
 from repro.sparql.engine import SparqlEngine
@@ -47,21 +45,9 @@ class KnowledgeBase:
     def __init__(
         self,
         ontology: Ontology,
-        graph: Graph | None = None,
         backend: KBBackend | None = None,
     ) -> None:
         self.ontology = ontology
-        if graph is not None:
-            if backend is not None:
-                raise ValueError("pass either graph= or backend=, not both")
-            warnings.warn(
-                "KnowledgeBase(graph=...) is deprecated; wrap the graph in "
-                "repro.kb.InMemoryBackend and pass backend=, or use "
-                "KnowledgeBase.from_backend()",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            backend = InMemoryBackend(graph)
         self.backend = backend if backend is not None else InMemoryBackend()
         self.backend.open()
         self.graph = self.backend.graph_view()

@@ -36,6 +36,7 @@ import hashlib
 import json
 import mmap
 import os
+import threading
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -304,9 +305,10 @@ class SegmentShard:
     """One mmap-loaded shard: sorted SPO/POS/OSP column views + scans.
 
     Opened lazily (the first scan or count maps the file and validates the
-    checksum); every pattern scan narrows a binary-search range over the
-    ordering that serves the bound prefix, mirroring the in-memory graph's
-    index choice table (:mod:`repro.rdf.graph`):
+    checksum — once, however many threads touch the shard first); every
+    pattern scan narrows a binary-search range over the ordering that
+    serves the bound prefix, mirroring the in-memory graph's index choice
+    table (:mod:`repro.rdf.graph`):
 
     ====================  =========  =================
     bound slots           ordering   emit order
@@ -322,7 +324,7 @@ class SegmentShard:
     (:func:`scan_order_key`).
     """
 
-    __slots__ = ("_path", "_shard", "_mapped", "_triples", "_cols")
+    __slots__ = ("_path", "_shard", "_mapped", "_triples", "_cols", "_lock")
 
     def __init__(self, path: str, shard: int) -> None:
         self._path = path
@@ -330,14 +332,23 @@ class SegmentShard:
         self._mapped: _MappedFile | None = None
         self._triples = -1
         self._cols: dict[int, tuple] = {}
+        self._lock = threading.Lock()
 
     @property
     def path(self) -> str:
         return self._path
 
     def open(self) -> "SegmentShard":
+        # scan/count call this on every use: once mapped, it is one
+        # attribute check and no lock.
         if self._mapped is not None:
             return self
+        with self._lock:
+            if self._mapped is None:
+                self._map()
+        return self
+
+    def _map(self) -> None:
         mapped = _MappedFile(self._path, _SHARD_MAGIC)
         try:
             if mapped.header.get("shard") != self._shard:
@@ -354,23 +365,27 @@ class SegmentShard:
         except Exception:
             mapped.close()
             raise
-        self._mapped = mapped
-        self._triples = triples
         whole = mapped.body.cast("q")
+        cols: dict[int, tuple] = {}
         for block, ordering in enumerate((_SPO, _POS, _OSP)):
             base = block * 3 * triples
-            self._cols[ordering] = tuple(
+            cols[ordering] = tuple(
                 whole[base + column * triples: base + (column + 1) * triples]
                 for column in range(3)
             )
-        return self
+        self._triples = triples
+        self._cols = cols
+        # Published last: a thread that passes the unlocked check in
+        # open() must find the columns already filled.
+        self._mapped = mapped
 
     def close(self) -> None:
-        if self._mapped is None:
-            return
-        self._cols.clear()
-        self._mapped.close()
-        self._mapped = None
+        with self._lock:
+            if self._mapped is None:
+                return
+            self._cols = {}
+            self._mapped.close()
+            self._mapped = None
 
     def __len__(self) -> int:
         self.open()

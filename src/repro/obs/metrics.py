@@ -9,9 +9,8 @@ three into one JSON-exportable document under the :data:`METRICS_SCHEMA`
 schema; ``QuestionAnsweringSystem.metrics()`` is the one call that builds
 it, and ``repro eval --metrics-out`` writes it to disk.
 
-The absorbed surfaces are *deprecated as public APIs* (use ``metrics()``
-instead of ``perf_report()``), but their internals keep working unchanged —
-the registry reads their snapshots, it does not replace their plumbing.
+The registry reads the absorbed surfaces' snapshots; it does not replace
+their plumbing.
 
 >>> registry = MetricsRegistry()
 >>> registry.inc("questions")

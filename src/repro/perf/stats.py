@@ -15,8 +15,7 @@ This is the low-level accumulator, not the reporting surface: the unified
 ``repro.metrics/v1`` schema of :class:`repro.obs.metrics.MetricsRegistry`
 absorbs every snapshot here (timers become ``stage.<name>.seconds``
 histograms, counters keep their names) via
-``QuestionAnsweringSystem.metrics()``, which supersedes the deprecated
-``perf_report()``.
+``QuestionAnsweringSystem.metrics()``.
 """
 
 from __future__ import annotations

@@ -12,9 +12,11 @@ useful margin beyond it:
   ``LANG``, ``DATATYPE``, ``BOUND``, ``CONTAINS``, ``STRSTARTS``,
   ``LCASE``/``UCASE``, ``isIRI``/``isLiteral``
 
-Queries are parsed to an AST (:mod:`repro.sparql.ast`), compiled to algebra
-with a selectivity-ordered join plan (:mod:`repro.sparql.planner`) and
-evaluated by an iterator executor (:mod:`repro.sparql.executor`).
+Queries are parsed to an AST (:mod:`repro.sparql.ast`), compiled to an
+id-space plan with a selectivity-ordered join order
+(:mod:`repro.sparql.compiler`, :mod:`repro.sparql.planner`) and executed
+on column batches (:mod:`repro.sparql.columnar`); the term-space iterator
+executor (:mod:`repro.sparql.executor`) is the reference oracle.
 """
 
 from repro.sparql.ast import (

@@ -1,11 +1,11 @@
 """Columnar batch execution for compiled id-space plans.
 
-The row engine (:mod:`repro.sparql.compiler`) joins python tuples one row
-at a time: every pattern extension copies a tuple, every filter and ORDER
-key closure runs once per row.  This module keeps the *compilation* layer
-unchanged — the same slot layout, planned pattern order, expression
-closures and prefix memo — and swaps the operator implementations for
-batch-at-a-time ones:
+:mod:`repro.sparql.compiler` turns a query into a pattern tree over
+dense variable slots — slot layout, planned pattern order, expression
+closures, prefix-memo keys.  This module executes that tree, batch at a
+time, and is the only executor of id-space plans (the term-space
+evaluator in :mod:`repro.sparql.executor` remains as the reference
+oracle):
 
 * a solution set is a :class:`ColumnBatch`: one ``array('q')`` id column
   per variable slot, with :data:`~repro.sparql.compiler.UNBOUND` (-1)
@@ -22,8 +22,7 @@ batch-at-a-time ones:
   value combination of the slots the expression actually reads
   (``closure.slots_used``), so a filter runs once per distinct key, not
   once per row — the same memo drives ORDER BY key evaluation;
-* ids decode to Terms only at final projection, exactly like the row
-  engine.
+* ids decode to Terms only at final projection, once per distinct id.
 
 The operator boundary is explicit — batch in, batch out, each operator a
 pure function of ``(graph, batch, pattern)`` — so a native (C/Rust)
@@ -40,11 +39,11 @@ module's ``_np`` attribute to ``None``.
 hits) through the shared :class:`repro.perf.stats.PerfStats`; see
 docs/observability.md.
 
-Correctness is pinned by the three-way differential harness
-(``tests/sparql/test_threeway_differential.py``): term-space oracle vs
-row id-space vs columnar, over seeded random queries, with identical
-decoded solutions — ORDER BY ties are deterministic across all three
-engines (stable sort + id-order tie-break, see docs/performance.md).
+Correctness is pinned by the differential harness
+(``tests/sparql/test_columnar_differential.py``): term-space oracle vs
+columnar, over seeded random queries, with identical decoded solutions —
+ORDER BY ties are deterministic across both engines (stable sort +
+id-order tie-break, see docs/performance.md).
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ from repro.rdf.graph import Graph
 from repro.rdf.terms import Literal, Variable
 from repro.sparql import compiler as _compiler
 from repro.sparql import planner as _planner
-from repro.sparql.ast import CountAggregate, SelectQuery
+from repro.sparql.ast import AskQuery, CountAggregate, SelectQuery
 from repro.sparql.compiler import (
     UNBOUND,
     CompiledBGP,
@@ -188,7 +187,7 @@ def column_state(column: array, length: int) -> str:
     The batch operators require homogeneous boundness per column (the
     conjunctive hot path always is); a mixed column — possible below
     OPTIONAL/UNION — routes the whole batch through the row-at-a-time
-    fallback, which keeps semantics identical to the row engine.
+    fallback (:meth:`CompiledPattern.extend`), which handles any boundness.
     """
     if length == 0:
         return UNBOUND_COL
@@ -296,8 +295,8 @@ def _assemble(
 def extend_index_loop(
     graph: Graph, batch: ColumnBatch, pattern: CompiledPattern
 ) -> ColumnBatch:
-    """Row-at-a-time fallback: identical semantics to the row engine's
-    nested-index-loop join, re-batched at the boundary."""
+    """Row-at-a-time fallback: the nested-index-loop join of
+    :meth:`CompiledPattern.extend`, re-batched at the boundary."""
     rows = pattern.extend(batch.rows(), graph)
     return ColumnBatch.from_rows(rows, batch.width)
 
@@ -519,10 +518,11 @@ def join_pattern(
 ) -> ColumnBatch:
     """Join one compiled pattern into the batch, picking the operator.
 
-    Mirrors the row engine's admission logic — per-row index lookups for
-    small batches or oversized scans, a batch join otherwise — and then
-    lets :func:`repro.sparql.planner.choose_batch_join` select hash,
-    merge, or radix.
+    Admission: per-row index lookups for batches below
+    ``HASH_JOIN_MIN_ROWS`` or scans larger than
+    ``HASH_JOIN_MAX_SCAN_FACTOR`` times the batch, a batch join otherwise
+    — and then :func:`repro.sparql.planner.choose_batch_join` selects
+    hash, merge, or radix.
     """
     graph = context.graph
     stats = context.stats
@@ -733,8 +733,8 @@ def _run_group(
 def _run_optional(
     node: CompiledOptional, context: ExecContext, batch: ColumnBatch, plan
 ) -> ColumnBatch:
-    # Left join, one input row at a time (exact row-engine semantics): a
-    # row keeps its extensions when the subgroup matches, itself otherwise.
+    # Left join, one input row at a time: a row keeps its extensions
+    # when the subgroup matches, itself otherwise.
     pieces: list[ColumnBatch] = []
     for i in range(batch.length):
         single = batch.gather((i,))
@@ -746,9 +746,8 @@ def _run_optional(
 def _resume_from_memo_batch(
     node: CompiledBGP, context: ExecContext, memo, keys: list[tuple], plan
 ) -> tuple[ColumnBatch | None, int]:
-    """Columnar twin of :meth:`CompiledBGP._resume_from_memo`: rebuild the
-    longest memoized prefix straight into columns, skipping the row-tuple
-    round trip the row engine pays."""
+    """Resume from the longest memoized prefix, rebuilt straight into
+    columns; ``(None, 0)`` when no prefix is memoized."""
     stats = context.stats
     for length in range(len(node.patterns) - 1, 0, -1):
         hit = memo.get(tuple(keys[:length]))
@@ -772,26 +771,39 @@ def _resume_from_memo_batch(
     return None, 0
 
 
-def _store_prefix_batch(
-    memo, key: tuple, batch: ColumnBatch, plan, prefix_keys: tuple
-) -> None:
-    """Columnar twin of :meth:`CompiledBGP._store_prefix`: project the
-    prefix's bound columns and zip them into the memo's row format."""
-    bound_names = sorted(
-        {
-            name
-            for pattern_key in prefix_keys
-            for position in pattern_key
-            if isinstance(position, tuple)
-            for name in (position[1],)
-        }
+def _prefix_names(prefix_keys: tuple) -> tuple[str, ...]:
+    """The name-sorted variables a memoized prefix binds."""
+    return tuple(
+        sorted(
+            {
+                position[1]
+                for pattern_key in prefix_keys
+                for position in pattern_key
+                if isinstance(position, tuple)
+            }
+        )
     )
-    slots = [plan.slot_by_name[name] for name in bound_names]
+
+
+def _store_prefix(memo, key: tuple, rows: list[Row], plan) -> None:
+    """Store a row-carrier prefix's rows projected to its own bound
+    variables."""
+    names = _prefix_names(key)
+    slots = [plan.slot_by_name[name] for name in names]
+    projected = tuple(tuple(row[slot] for slot in slots) for row in rows)
+    memo.put(key, names, projected)
+
+
+def _store_prefix_batch(memo, key: tuple, batch: ColumnBatch, plan) -> None:
+    """Batch form of :func:`_store_prefix`: project the prefix's bound
+    columns and zip them into the memo's row format."""
+    names = _prefix_names(key)
+    slots = [plan.slot_by_name[name] for name in names]
     if slots:
         projected = tuple(zip(*(batch.columns[slot] for slot in slots)))
     else:
         projected = ((),) * batch.length
-    memo.put(key, tuple(bound_names), projected)
+    memo.put(key, names, projected)
 
 
 def _has_bound_cell(batch: ColumnBatch) -> bool:
@@ -847,9 +859,9 @@ def _run_bgp(
         ):
             prefix = tuple(keys[: index + 1])
             if rows is not None:
-                node._store_prefix(memo, prefix, rows, plan, prefix)
+                _store_prefix(memo, prefix, rows, plan)
             else:
-                _store_prefix_batch(memo, prefix, batch, plan, prefix)
+                _store_prefix_batch(memo, prefix, batch, plan)
         if length == 0:
             break
     if rows is not None:
@@ -866,8 +878,9 @@ class ColumnarQuery(CompiledQuery):
     """A compiled id-space plan executed over :class:`ColumnBatch` objects.
 
     Compilation (slot layout, planned pattern order, expression closures,
-    constant resolution, prefix-memo keys) is inherited unchanged from
-    :class:`~repro.sparql.compiler.CompiledQuery`; only execution differs.
+    constant resolution, prefix-memo keys) is inherited from
+    :class:`~repro.sparql.compiler.CompiledQuery`; this class adds
+    execution and result shaping.
     """
 
     def execute(self, context: ExecContext) -> SelectResult | AskResult:
@@ -1051,3 +1064,10 @@ class ColumnarQuery(CompiledQuery):
         out_variable = aggregate.alias or Variable("count")
         row = (Literal(str(count), datatype=XSD_INTEGER),)
         return SelectResult(variables=(out_variable,), rows=(row,))
+
+
+def compile_query(query: SelectQuery | AskQuery, graph: Graph) -> ColumnarQuery:
+    """Compile a parsed query into its executable id-space plan."""
+    if not isinstance(query, (SelectQuery, AskQuery)):
+        raise SparqlError(f"unsupported query type {type(query).__name__}")
+    return ColumnarQuery(query, graph)

@@ -5,24 +5,26 @@ matched triple back into :class:`~repro.rdf.terms.Term` objects and copies
 a ``dict[Variable, Term]`` per extension — encode/decode and dict-churn
 costs on every row of every join of every candidate query.  This module
 compiles a :class:`~repro.sparql.ast.SelectQuery`/:class:`~repro.sparql.ast.AskQuery`
-once into an executable plan that runs entirely in the integer id space the
-dictionary-encoded :class:`~repro.rdf.Graph` already maintains:
+once into a plan over the integer id space the dictionary-encoded
+:class:`~repro.rdf.Graph` already maintains:
 
 * every variable of the query maps to a dense **slot index**; a partial
   solution is a flat tuple of ids with :data:`UNBOUND` (-1) holes — no
   dictionaries, no Term objects;
 * triple patterns resolve their constants to dictionary ids at bind time
   (ids are append-only, so resolved constants survive graph mutations; an
-  absent constant re-resolves on the next generation) and join through
+  absent constant re-resolves on the next generation), join in the order
+  :func:`repro.sparql.planner.plan_bgp` picks, and match through
   :meth:`~repro.rdf.Graph.match_ids`;
-* a **hash-join operator** takes over from the nested index loop when the
-  intermediate row set is large enough that one scan of the pattern plus a
-  hash probe per row beats per-row index lookups;
 * FILTER / ORDER BY expressions compile once into closures over slot
   indices (:func:`compile_expression`) instead of re-walking the AST per
   solution, with an id-level fast path for ``?var = <iri>`` equality;
 * ids decode to Terms only at final projection, after DISTINCT collapsed
   duplicate id rows.
+
+This module only compiles.  Execution lives in :mod:`repro.sparql.columnar`,
+whose :class:`~repro.sparql.columnar.ColumnarQuery` runs the compiled
+pattern tree over whole id-column batches.
 
 The engine caches compiled plans keyed on the (structurally hashable) AST
 and shares a **prefix memo** across plans: the near-identical candidate
@@ -34,18 +36,16 @@ the prefix's id-level solution set within a graph generation — see
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro.perf.stats import PerfStats
-from repro.rdf.datatypes import XSD_INTEGER
 from repro.rdf.graph import Graph
-from repro.rdf.terms import BNode, IRI, Literal, Term, Triple, Variable
+from repro.rdf.terms import BNode, IRI, Term, Triple, Variable
 from repro.sparql.ast import (
     AskQuery,
     BGP,
     BooleanOp,
     Comparison,
-    CountAggregate,
     Expression,
     Filter,
     FunctionCall,
@@ -61,11 +61,8 @@ from repro.sparql.functions import (
     apply_builtin,
     compare_values,
     effective_boolean,
-    invert_order,
-    order_key,
 )
-from repro.sparql.planner import BOUND_VARIABLE_FACTOR
-from repro.sparql.results import AskResult, SelectResult
+from repro.sparql.planner import plan_bgp
 
 #: Slot value marking "this variable is not bound in this row".  Real
 #: dictionary ids are non-negative; the graph's own ``-1`` ("constant not
@@ -133,10 +130,9 @@ class PrefixMemo:
 class ExecContext:
     """Per-execution plumbing handed through the operator tree.
 
-    ``filter_memo`` (columnar engine only) maps a compiled filter closure
-    to its verdicts per distinct id combination; executions that share one
-    dict — every shard of one scatter gather — evaluate each combination
-    once.
+    ``filter_memo`` maps a compiled filter closure to its verdicts per
+    distinct id combination; executions that share one dict — every shard
+    of one scatter gather — evaluate each combination once.
     """
 
     __slots__ = ("graph", "stats", "prefix_memo", "filter_memo")
@@ -249,95 +245,6 @@ class CompiledPattern:
                 ):
                     if slot is None:
                         continue
-                    current = extended[slot]
-                    if current == UNBOUND:
-                        extended[slot] = value
-                    elif current != value:
-                        ok = False
-                        break
-                if ok:
-                    append(tuple(extended))
-        return out
-
-    def extend_hash(self, rows: list[Row], graph: Graph) -> list[Row]:
-        """Hash join: one scan of the pattern, a hash probe per row.
-
-        The first row's boundness decides the join key: its bound variable
-        positions key the hash table; the remaining (free) positions are
-        filled from each matching scan triple.  BGP streams are usually
-        homogeneous, so this signature almost always covers every row;
-        a row that deviates (heterogeneous OPTIONAL/UNION streams) falls
-        back to the per-row index lookup, which keeps the semantics
-        identical to :meth:`extend` in all cases.  With no bound positions
-        this degrades gracefully to a materialised cartesian product — one
-        scan shared by all rows instead of one scan per row.
-        """
-        s_slot, p_slot, o_slot = self.s_slot, self.p_slot, self.o_slot
-        var_items = [
-            (position, slot)
-            for position, slot in ((0, s_slot), (1, p_slot), (2, o_slot))
-            if slot is not None
-        ]
-        first = rows[0]
-        bound_items = [
-            (position, slot) for position, slot in var_items
-            if first[slot] != UNBOUND
-        ]
-        free_items = [
-            (position, slot) for position, slot in var_items
-            if first[slot] == UNBOUND
-        ]
-        bound_slots = tuple(slot for __, slot in bound_items)
-        free_slots = tuple(slot for __, slot in free_items)
-
-        # One scan with only the constants bound, grouped by the values at
-        # the bound variable positions.
-        table: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
-        for match in graph.match_ids(self.s_id, self.p_id, self.o_id):
-            key = tuple(match[position] for position, __ in bound_items)
-            table.setdefault(key, []).append(match)
-        if not table:
-            return []
-
-        out: list[Row] = []
-        append = out.append
-        for row in rows:
-            if any(row[slot] == UNBOUND for slot in bound_slots) or any(
-                row[slot] != UNBOUND for slot in free_slots
-            ):
-                # Boundness differs from the first row: per-row lookup.
-                s, p, o = self.bound_ids(row)
-                for ms, mp, mo in graph.match_ids(s, p, o):
-                    extended = list(row)
-                    ok = True
-                    for slot, value in ((s_slot, ms), (p_slot, mp), (o_slot, mo)):
-                        if slot is None:
-                            continue
-                        current = extended[slot]
-                        if current == UNBOUND:
-                            extended[slot] = value
-                        elif current != value:
-                            ok = False
-                            break
-                    if ok:
-                        append(tuple(extended))
-                continue
-            bucket = table.get(tuple(row[slot] for slot in bound_slots))
-            if bucket is None:
-                continue
-            if not free_items:
-                # Pure existence/multiplicity join: the row extends as-is,
-                # once per matching triple.
-                for __ in bucket:
-                    append(row)
-                continue
-            for match in bucket:
-                extended = list(row)
-                ok = True
-                # Repeated free variables (``?x ?p ?x``) hit the same slot
-                # twice: the first write binds, the second must agree.
-                for position, slot in free_items:
-                    value = match[position]
                     current = extended[slot]
                     if current == UNBOUND:
                         extended[slot] = value
@@ -530,119 +437,23 @@ def _compile_id_equality(
 
 
 # ---------------------------------------------------------------------------
-# Pattern-tree operators
+# Pattern-tree nodes (executed by repro.sparql.columnar)
 # ---------------------------------------------------------------------------
 
 
 class CompiledBGP:
-    """A basic graph pattern: planned pattern order + join operators."""
+    """A basic graph pattern: its patterns in planned join order.
+
+    ``memo_eligible`` marks the first BGP of the top-level group, the one
+    whose join prefixes the engine's :class:`PrefixMemo` shares across
+    candidate queries.
+    """
 
     __slots__ = ("patterns", "memo_eligible")
 
     def __init__(self, patterns: list[CompiledPattern], memo_eligible: bool) -> None:
         self.patterns = patterns
         self.memo_eligible = memo_eligible
-
-    def run(
-        self, context: ExecContext, rows: list[Row], plan: "CompiledQuery"
-    ) -> list[Row]:
-        if not rows:
-            return []
-        memo = context.prefix_memo if self.memo_eligible else None
-        start = 0
-        if memo is not None and len(rows) == 1 and len(self.patterns) > 1:
-            keys = [
-                pattern.memo_key(plan.slot_names) for pattern in self.patterns
-            ]
-            rows, start = self._resume_from_memo(context, memo, keys, rows, plan)
-            for index in range(start, len(self.patterns)):
-                rows = self._join(context, rows, self.patterns[index])
-                if index + 1 < len(self.patterns):
-                    self._store_prefix(
-                        memo, tuple(keys[: index + 1]), rows, plan,
-                        tuple(keys[: index + 1]),
-                    )
-                if not rows:
-                    break
-            return rows
-        for pattern in self.patterns:
-            rows = self._join(context, rows, pattern)
-            if not rows:
-                break
-        return rows
-
-    # -- joins ---------------------------------------------------------
-
-    def _join(
-        self, context: ExecContext, rows: list[Row], pattern: CompiledPattern
-    ) -> list[Row]:
-        if len(rows) >= HASH_JOIN_MIN_ROWS and pattern.variables:
-            scan = context.graph.count_ids(
-                pattern.s_id, pattern.p_id, pattern.o_id
-            )
-            if scan <= len(rows) * HASH_JOIN_MAX_SCAN_FACTOR:
-                if context.stats is not None:
-                    context.stats.increment("sparql.joins.hash")
-                return pattern.extend_hash(rows, context.graph)
-        if context.stats is not None:
-            context.stats.increment("sparql.joins.index_loop")
-        return pattern.extend(rows, context.graph)
-
-    # -- prefix memo ---------------------------------------------------
-
-    def _resume_from_memo(
-        self,
-        context: ExecContext,
-        memo: PrefixMemo,
-        keys: list[tuple],
-        rows: list[Row],
-        plan: "CompiledQuery",
-    ) -> tuple[list[Row], int]:
-        """Resume from the longest memoized prefix, if any."""
-        stats = context.stats
-        for length in range(len(self.patterns) - 1, 0, -1):
-            hit = memo.get(tuple(keys[:length]))
-            if hit is None:
-                continue
-            if stats is not None:
-                stats.increment("sparql.prefix_memo.hits")
-            names, stored = hit
-            slots = [plan.slot_by_name[name] for name in names]
-            width = plan.width
-            resumed: list[Row] = []
-            for stored_row in stored:
-                row = [UNBOUND] * width
-                for slot, value in zip(slots, stored_row):
-                    row[slot] = value
-                resumed.append(tuple(row))
-            return resumed, length
-        if stats is not None:
-            stats.increment("sparql.prefix_memo.misses")
-        return rows, 0
-
-    def _store_prefix(
-        self,
-        memo: PrefixMemo,
-        key: tuple,
-        rows: list[Row],
-        plan: "CompiledQuery",
-        prefix_keys: tuple,
-    ) -> None:
-        """Store a prefix's rows projected to its own bound variables."""
-        bound_names = sorted(
-            {
-                name
-                for pattern_key in prefix_keys
-                for position in pattern_key
-                if isinstance(position, tuple)
-                for name in (position[1],)
-            }
-        )
-        slots = [plan.slot_by_name[name] for name in bound_names]
-        projected = tuple(
-            tuple(row[slot] for slot in slots) for row in rows
-        )
-        memo.put(key, tuple(bound_names), projected)
 
 
 class CompiledOptional:
@@ -653,18 +464,6 @@ class CompiledOptional:
     def __init__(self, group: "CompiledGroup") -> None:
         self.group = group
 
-    def run(
-        self, context: ExecContext, rows: list[Row], plan: "CompiledQuery"
-    ) -> list[Row]:
-        out: list[Row] = []
-        for row in rows:
-            extended = self.group.run(context, [row], plan)
-            if extended:
-                out.extend(extended)
-            else:
-                out.append(row)
-        return out
-
 
 class CompiledUnion:
     """UNION: concatenation of both branches over the same input."""
@@ -674,13 +473,6 @@ class CompiledUnion:
     def __init__(self, left: "CompiledGroup", right: "CompiledGroup") -> None:
         self.left = left
         self.right = right
-
-    def run(
-        self, context: ExecContext, rows: list[Row], plan: "CompiledQuery"
-    ) -> list[Row]:
-        return self.left.run(context, rows, plan) + self.right.run(
-            context, rows, plan
-        )
 
 
 class CompiledGroup:
@@ -696,28 +488,6 @@ class CompiledGroup:
         self.children = children
         self.filters = filters
 
-    def run(
-        self, context: ExecContext, rows: list[Row], plan: "CompiledQuery"
-    ) -> list[Row]:
-        for child in self.children:
-            rows = child.run(context, rows, plan)
-            if not rows:
-                break
-        if rows and self.filters:
-            passing: list[Row] = []
-            for row in rows:
-                for constraint in self.filters:
-                    try:
-                        if not effective_boolean(constraint(row)):
-                            break
-                    except SparqlTypeError:
-                        # Per SPARQL semantics a type error fails the filter.
-                        break
-                else:
-                    passing.append(row)
-            rows = passing
-        return rows
-
 
 # ---------------------------------------------------------------------------
 # Whole-query plans
@@ -725,12 +495,13 @@ class CompiledGroup:
 
 
 class CompiledQuery:
-    """An executable id-space plan for one SELECT or ASK query.
+    """The compiled id-space form of one SELECT or ASK query.
 
     Compiled once per structurally distinct AST (the engine caches plans on
-    the frozen AST's own hash) and executed many times; the only per-
-    generation work is re-resolving constants that were absent from the
-    dictionary when the plan was built.
+    the frozen AST's own hash) and executed many times by its subclass
+    :class:`repro.sparql.columnar.ColumnarQuery`; the only per-generation
+    work is re-resolving constants that were absent from the dictionary
+    when the plan was built.
     """
 
     def __init__(self, query: SelectQuery | AskQuery, graph: Graph) -> None:
@@ -747,8 +518,8 @@ class CompiledQuery:
         }
         # ORDER BY tie-break order (docs/performance.md, "Deterministic
         # ordering"): rows with equal sort keys fall back to their id
-        # tuple over all slots, taken in variable-name order so every
-        # engine — term-space, row, columnar — agrees on the total order.
+        # tuple over all slots, taken in variable-name order so both
+        # engines — term-space and columnar — agree on the total order.
         self.tiebreak_slots = tuple(
             slot for __, slot in sorted(self.slot_by_name.items())
         )
@@ -857,7 +628,7 @@ class CompiledQuery:
         bound: set[Variable],
         memo_eligible: bool,
     ) -> CompiledBGP:
-        ordered = _plan_patterns(graph, list(bgp.triples), set(bound))
+        ordered = plan_bgp(graph, bgp.triples, bound)
         compiled = [CompiledPattern(triple, self.slot_of) for triple in ordered]
         self._patterns.extend(compiled)
         return CompiledBGP(compiled, memo_eligible)
@@ -887,171 +658,6 @@ class CompiledQuery:
             if box[0] == UNBOUND:
                 box[0] = graph.lookup_id(closure.constant)
         self._resolved_generation = generation
-
-    # -- execution -----------------------------------------------------
-
-    def execute(self, context: ExecContext) -> SelectResult | AskResult:
-        self._resolve(context.graph)
-        seed: list[Row] = [(UNBOUND,) * self.width]
-        rows = self.root.run(context, seed, self)
-        if self.is_ask:
-            return AskResult(bool(rows))
-        return self._shape_select(rows, context)
-
-    def _shape_select(
-        self, rows: list[Row], context: ExecContext
-    ) -> SelectResult:
-        query = self.query
-        assert isinstance(query, SelectQuery)
-        decode = self._decode
-
-        if query.is_aggregate:
-            return self._aggregate(query, rows)
-
-        if query.select_all:
-            seen_slots = set()
-            for row in rows:
-                for slot, value in enumerate(row):
-                    if value != UNBOUND:
-                        seen_slots.add(slot)
-            variables = tuple(
-                sorted(
-                    (
-                        variable
-                        for variable, slot in self.slot_of.items()
-                        if slot in seen_slots
-                    ),
-                    key=lambda v: v.name,
-                )
-            )
-        else:
-            variables = tuple(
-                p for p in query.projection if isinstance(p, Variable)
-            )
-
-        if query.order_by:
-            tiebreak_slots = self.tiebreak_slots
-
-            def sort_key(row: Row):
-                keys = []
-                for closure, descending in self._order_keys:
-                    try:
-                        value = closure(row)
-                    except SparqlTypeError:
-                        value = None
-                    kind, within = order_key(value)
-                    if descending:
-                        keys.append((-kind, invert_order(within)))
-                    else:
-                        keys.append((kind, within))
-                # Deterministic tie-break: id order over all slots, never
-                # inverted — every engine sorts ties identically.
-                keys.append(tuple(row[slot] for slot in tiebreak_slots))
-                return tuple(keys)
-
-            rows = sorted(rows, key=sort_key)
-
-        slots = [self.slot_of.get(variable) for variable in variables]
-        id_rows: list[tuple[int, ...]] = [
-            tuple(
-                UNBOUND if slot is None else row[slot] for slot in slots
-            )
-            for row in rows
-        ]
-        if query.distinct:
-            id_rows = list(dict.fromkeys(id_rows))
-        if query.offset:
-            id_rows = id_rows[query.offset:]
-        if query.limit is not None:
-            id_rows = id_rows[: query.limit]
-
-        term_rows = tuple(
-            tuple(
-                None if term_id == UNBOUND else decode(term_id)
-                for term_id in id_row
-            )
-            for id_row in id_rows
-        )
-        return SelectResult(variables=variables, rows=term_rows)
-
-    def _aggregate(self, query: SelectQuery, rows: list[Row]) -> SelectResult:
-        if len(query.projection) != 1:
-            raise SparqlError("COUNT cannot be mixed with other projections")
-        aggregate = query.projection[0]
-        assert isinstance(aggregate, CountAggregate)
-        if aggregate.variable is None:
-            # Row tuples are slot-aligned, so tuple equality is exactly
-            # bound-variable-set equality — COUNT(DISTINCT *) needs no
-            # decode.
-            count = len(set(rows)) if aggregate.distinct else len(rows)
-        else:
-            slot = self.slot_of.get(aggregate.variable)
-            if slot is None:
-                count = 0
-            else:
-                values = [row[slot] for row in rows if row[slot] != UNBOUND]
-                count = len(set(values)) if aggregate.distinct else len(values)
-        out_variable = aggregate.alias or Variable("count")
-        row = (Literal(str(count), datatype=XSD_INTEGER),)
-        return SelectResult(variables=(out_variable,), rows=(row,))
-
-
-# ---------------------------------------------------------------------------
-# Join-order planning (id-level twin of repro.sparql.planner)
-# ---------------------------------------------------------------------------
-
-
-def _plan_patterns(
-    graph: Graph, triples: list[Triple], bound: set[Variable]
-) -> list[Triple]:
-    """Greedy selectivity ordering, identical heuristics to
-    :func:`repro.sparql.planner.plan_bgp` but fed by compile-time
-    ``definitely_bound`` sets (intersection semantics) instead of a sample
-    of the runtime solution stream."""
-    remaining = list(triples)
-    ordered: list[Triple] = []
-    while remaining:
-        best_index = 0
-        best_key: tuple[int, float] | None = None
-        for index, pattern in enumerate(remaining):
-            variables = pattern.variables()
-            disconnected = int(bool(ordered) and bound.isdisjoint(variables))
-            estimate = float(
-                graph.count(
-                    None if isinstance(pattern.subject, Variable) else pattern.subject,
-                    None if isinstance(pattern.predicate, Variable) else pattern.predicate,
-                    None if isinstance(pattern.object, Variable) else pattern.object,
-                )
-            )
-            for slot in (pattern.subject, pattern.predicate, pattern.object):
-                if isinstance(slot, Variable) and slot in bound:
-                    estimate /= BOUND_VARIABLE_FACTOR
-            key = (disconnected, estimate)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_index = index
-        chosen = remaining.pop(best_index)
-        ordered.append(chosen)
-        bound |= chosen.variables()
-    return ordered
-
-
-def compile_query(
-    query: SelectQuery | AskQuery, graph: Graph, columnar: bool = False
-) -> CompiledQuery:
-    """Compile a parsed query into an executable id-space plan.
-
-    With ``columnar=True`` the plan executes on whole id-column batches
-    (:class:`repro.sparql.columnar.ColumnarQuery`) instead of row tuples;
-    the compiled pattern tree, slot layout and expression closures are
-    identical either way, only the operator implementations differ.
-    """
-    if not isinstance(query, (SelectQuery, AskQuery)):
-        raise SparqlError(f"unsupported query type {type(query).__name__}")
-    if columnar:
-        from repro.sparql.columnar import ColumnarQuery
-        return ColumnarQuery(query, graph)
-    return CompiledQuery(query, graph)
 
 
 # ---------------------------------------------------------------------------

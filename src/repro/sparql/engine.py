@@ -26,12 +26,10 @@ All caches are thread-safe and both result types
 :class:`~repro.sparql.results.AskResult`) are immutable, so cached objects
 are shared between callers without copying.
 
-By default queries execute on the compiled id-space engine with the
-columnar batch operators (:mod:`repro.sparql.columnar`).  Pass
-``columnar=False`` for the row-tuple id-space operators, or
-``idspace=False`` for the original term-space evaluator
-(:mod:`repro.sparql.executor`) — both are retained as oracles for the
-three-way differential tests and benchmarks.
+Queries execute as compiled id-space plans on the columnar batch
+operators (:mod:`repro.sparql.columnar`).  Pass ``idspace=False`` for the
+original term-space evaluator (:mod:`repro.sparql.executor`), retained as
+the reference oracle for the differential tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -49,12 +47,8 @@ from repro.sparql.ast import (
     CountAggregate,
     SelectQuery,
 )
-from repro.sparql.compiler import (
-    CompiledQuery,
-    ExecContext,
-    PrefixMemo,
-    compile_query,
-)
+from repro.sparql.columnar import ColumnarQuery, compile_query
+from repro.sparql.compiler import ExecContext, PrefixMemo
 from repro.sparql.errors import SparqlError, SparqlTypeError
 from repro.sparql.executor import Solution, evaluate_group
 from repro.sparql.functions import Inverted as _Inverted
@@ -97,7 +91,6 @@ class SparqlEngine:
         cache_size: int = DEFAULT_CACHE_SIZE,
         stats: PerfStats | None = None,
         idspace: bool = True,
-        columnar: bool = True,
     ) -> None:
         self._graph = graph
         self._stats = stats if stats is not None else PerfStats()
@@ -113,10 +106,6 @@ class SparqlEngine:
         self._cached_generation = graph.generation
         self.cache_enabled = cache_size > 0
         self.idspace = idspace
-        # Columnar batch execution (repro.sparql.columnar) is the default
-        # operator backend for id-space plans; columnar=False keeps the
-        # row-tuple operators, retained for differential testing.
-        self.columnar = bool(idspace and columnar)
         # Observability hook (docs/observability.md): tracing systems
         # install their tracers via add_tracer(); see _trace_event.
         self._tracers: tuple = ()
@@ -216,10 +205,7 @@ class SparqlEngine:
         plans = 0
         for ast in state["plan_keys"]:
             if self._plan_cache.get(ast) is None:
-                self._plan_cache.put(
-                    ast,
-                    compile_query(ast, self._graph, columnar=self.columnar),
-                )
+                self._plan_cache.put(ast, compile_query(ast, self._graph))
                 plans += 1
         results = 0
         self._validate_result_cache()
@@ -266,7 +252,7 @@ class SparqlEngine:
         self._result_cache.put(query, result)
         return result
 
-    def _plan(self, query: SelectQuery | AskQuery) -> CompiledQuery:
+    def _plan(self, query: SelectQuery | AskQuery) -> ColumnarQuery:
         """Fetch or compile the id-space plan for a query AST."""
         plan = self._plan_cache.get(query)
         if plan is not None:
@@ -277,7 +263,7 @@ class SparqlEngine:
         self._stats.increment("sparql.plan_cache.misses")
         if self._tracers:
             self._trace_event("sparql.plan_cache", outcome="miss")
-        plan = compile_query(query, self._graph, columnar=self.columnar)
+        plan = compile_query(query, self._graph)
         self._plan_cache.put(query, plan)
         return plan
 
@@ -324,7 +310,7 @@ class SparqlEngine:
     def _evaluate(
         self,
         query: SelectQuery | AskQuery,
-        plan: CompiledQuery | None = None,
+        plan: ColumnarQuery | None = None,
     ) -> SelectResult | AskResult:
         if plan is not None:
             return self._execute_plan(plan)
@@ -332,7 +318,7 @@ class SparqlEngine:
             return self._run_select(query)
         return self._run_ask(query)
 
-    def _execute_plan(self, plan: CompiledQuery) -> SelectResult | AskResult:
+    def _execute_plan(self, plan: ColumnarQuery) -> SelectResult | AskResult:
         # The prefix memo lives outside the result cache (it must also
         # serve cache-disabled engines), so it checks the generation here
         # on every execution rather than in _validate_result_cache.

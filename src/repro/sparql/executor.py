@@ -5,14 +5,14 @@ Groups evaluate their children in order: BGPs join (with planned triple
 order), OPTIONAL left-joins, UNION concatenates, and FILTERs collected in
 the group apply to the group's final solutions (SPARQL filter scoping).
 
-This is the slowest and simplest of the three engines — the reference
-the others are checked against.  The row id-space engine
-(:mod:`repro.sparql.compiler`) and the columnar batch engine
-(:mod:`repro.sparql.columnar`) must produce identical decoded solutions
-to this evaluator; the three-way differential harness
-(``tests/sparql/test_threeway_differential.py``) drives all three over
-seeded random queries, and ordered results compare byte-for-byte thanks
-to the shared deterministic ORDER BY tie-break (docs/performance.md,
+This is the slower and simpler of the two engines — the reference the
+production one is checked against.  The columnar id-space engine
+(:mod:`repro.sparql.columnar`, over plans from
+:mod:`repro.sparql.compiler`) must produce identical decoded solutions to
+this evaluator; the differential harness
+(``tests/sparql/test_columnar_differential.py``) drives both over seeded
+random queries, and ordered results compare byte-for-byte thanks to the
+shared deterministic ORDER BY tie-break (docs/performance.md,
 "Deterministic ordering").
 """
 

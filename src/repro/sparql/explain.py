@@ -19,7 +19,8 @@ from repro.sparql.ast import (
     SelectQuery,
     UnionPattern,
 )
-from repro.sparql.compiler import HASH_JOIN_MIN_ROWS, compile_query
+from repro.sparql.columnar import compile_query
+from repro.sparql.compiler import HASH_JOIN_MIN_ROWS
 from repro.sparql.parser import parse_query
 from repro.sparql.planner import estimate_cardinality, plan_bgp
 from repro.sparql.serializer import serialize_expression, serialize_term
@@ -57,7 +58,7 @@ def explain(graph: Graph, query: str | SelectQuery | AskQuery) -> str:
             )
     # Execution detail (docs/performance.md, "Engine architecture"):
     # compiling is cheap and observational — it never runs the query.
-    compiled = compile_query(query, graph, columnar=True)
+    compiled = compile_query(query, graph)
     slots = " ".join(
         f"?{compiled.slot_names[slot]}" for slot in sorted(compiled.slot_names)
     )

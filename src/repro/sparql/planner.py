@@ -1,8 +1,10 @@
 """Join-order planning for basic graph patterns.
 
-The executor evaluates a BGP as a left-deep nested-index-loop join.  The
-order of the triple patterns dominates the cost, so the planner orders them
-greedily by estimated cardinality:
+Both engines evaluate a BGP as a left-deep join, so the order of the
+triple patterns dominates the cost.  :func:`plan_bgp` orders them greedily
+by estimated cardinality — for the term-space executor at run time, and
+for the id-space compiler (:mod:`repro.sparql.compiler`) once per plan,
+from the variables definitely bound when the BGP starts:
 
 * a slot holding a constant restricts via the store's exact statistics
   (:meth:`repro.rdf.Graph.count`);
@@ -48,11 +50,10 @@ def choose_batch_join(
 ) -> str:
     """Pick the columnar join operator for one pattern.
 
-    Called only after the existing hash-join admission test
-    (``HASH_JOIN_MIN_ROWS`` / ``HASH_JOIN_MAX_SCAN_FACTOR`` in
-    :mod:`repro.sparql.compiler`) has already decided that a batch join
-    beats per-row index lookups; this function only chooses *which* batch
-    join:
+    Called by :func:`repro.sparql.columnar.join_pattern` only after its
+    admission test (``HASH_JOIN_MIN_ROWS`` / ``HASH_JOIN_MAX_SCAN_FACTOR``
+    in :mod:`repro.sparql.compiler`) has decided that a batch join beats
+    per-row index lookups; this function only chooses *which* batch join:
 
     * ``merge`` — single join key, both sides large, and a vectorized
       backend (numpy) is available: sort the scan side once, then binary-

@@ -95,7 +95,6 @@ from repro.sparql.columnar import ColumnarQuery, ColumnBatch
 from repro.sparql.compiler import (
     HASH_JOIN_MIN_ROWS,
     UNBOUND,
-    CompiledQuery,
     ExecContext,
     TwoStarSlice,
     slice_two_star,
@@ -222,7 +221,7 @@ def partition_spec(query, object_shards: bool = True):
     return None
 
 
-def _min_pattern_count(graph, plan: CompiledQuery) -> int:
+def _min_pattern_count(graph, plan: ColumnarQuery) -> int:
     """Matches of the plan's most selective triple pattern: ``count_ids``
     over its already-resolved pattern ids, no dictionary lookups (an
     absent constant resolves to -1 and counts zero).  Sizes both the
@@ -298,7 +297,7 @@ def _worker_plan(path: str, backend: SegmentedBackend, query) -> ColumnarQuery:
 
 
 def _execute_shard(
-    plan: CompiledQuery,
+    plan: ColumnarQuery,
     view,
     seeds=None,
     keys=None,
@@ -565,17 +564,10 @@ class ScatterGatherExecutor:
             self._plans.put(query, plan)
         return plan
 
-    def _columnar(self, plan: CompiledQuery) -> ColumnarQuery:
-        """``plan`` itself, or behind a row engine its columnar twin
-        (same AST, so the same slot layout)."""
-        if isinstance(plan, ColumnarQuery):
-            return plan
-        return self._local_plan(plan.query)
-
     # -- execution -----------------------------------------------------
 
     def maybe_execute(
-        self, plan: CompiledQuery, context: ExecContext
+        self, plan: ColumnarQuery, context: ExecContext
     ) -> SelectResult | AskResult | None:
         """Answer ``plan`` by scatter-gather, or ``None`` when it is not
         shard-partitionable or too small to fan out (the caller then
@@ -609,9 +601,8 @@ class ScatterGatherExecutor:
             return self._execute_semijoin(plan, payload, context, stats, memo)
         if stats is not None and kind == "object":
             stats.increment("sparql.scatter.object_queries")
-        local = self._columnar(plan)
         batch = self._gather(
-            local, kind, stats=stats, ask=plan.is_ask, memo=memo
+            plan, kind, stats=stats, ask=plan.is_ask, memo=memo
         )
         if stats is not None:
             stats.increment("sparql.scatter.rows_gathered", batch.length)
@@ -621,8 +612,8 @@ class ScatterGatherExecutor:
         # batch under the engine's deterministic id-tuple tie-break
         # (byte-identical to single-process), DISTINCT/OFFSET/LIMIT and
         # aggregates see every shard's solutions.
-        local._resolve(context.graph)
-        return local._shape_select_batch(batch, context)
+        plan._resolve(context.graph)
+        return plan._shape_select_batch(batch, context)
 
     # -- star gathering ------------------------------------------------
 
@@ -727,7 +718,7 @@ class ScatterGatherExecutor:
 
     def _execute_semijoin(
         self,
-        plan: CompiledQuery,
+        plan: ColumnarQuery,
         sliced: TwoStarSlice,
         context: ExecContext,
         stats: PerfStats | None,
@@ -847,6 +838,5 @@ class ScatterGatherExecutor:
             )
         if plan.is_ask:
             return AskResult(joined.length > 0)
-        shaper = self._columnar(plan)
-        shaper._resolve(graph)
-        return shaper._shape_select_batch(joined, context)
+        plan._resolve(graph)
+        return plan._shape_select_batch(joined, context)

@@ -14,7 +14,7 @@ from hypothesis import settings
 
 from repro.api import load_curated_kb
 
-# 200 examples: the three-way differential suite's floor per profile.
+# 200 examples: the columnar differential suite's floor per profile.
 settings.register_profile(
     "ci", deadline=None, print_blob=True, max_examples=200
 )

@@ -1,7 +1,5 @@
 """Tests for Answer.explanation() — the structured pipeline report."""
 
-import pytest
-
 from repro.core import Explanation, PipelineConfig, QuestionAnsweringSystem
 
 
@@ -107,11 +105,3 @@ class TestExplanationStructure:
         assert "question:" in text
         assert "candidate ranking" in text
         assert "trace:" not in text
-
-
-class TestExplainShim:
-    def test_explain_warns_and_matches_explanation(self, qa):
-        answer = qa.answer("Which book is written by Orhan Pamuk?")
-        with pytest.warns(DeprecationWarning, match="explanation"):
-            legacy = answer.explain()
-        assert legacy == str(answer.explanation())

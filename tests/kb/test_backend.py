@@ -128,19 +128,6 @@ class TestKnowledgeBaseBackendRouting:
         assert isinstance(kb.backend, InMemoryBackend)
         assert kb.graph is kb.backend.graph_view()
 
-    def test_graph_kwarg_is_deprecated(self):
-        with pytest.deprecated_call():
-            kb = KnowledgeBase(build_dbpedia_ontology(), graph=_sample_graph())
-        assert len(kb) == 5
-
-    def test_graph_and_backend_are_mutually_exclusive(self):
-        with pytest.raises(ValueError):
-            KnowledgeBase(
-                build_dbpedia_ontology(),
-                graph=_sample_graph(),
-                backend=InMemoryBackend(),
-            )
-
     def test_from_backend_rebuilds_lookup_indexes(self):
         kb = KnowledgeBase.from_backend(
             build_dbpedia_ontology(), InMemoryBackend(_sample_graph())

@@ -5,6 +5,8 @@ import itertools
 import json
 import os
 import random
+import sys
+import threading
 
 import pytest
 
@@ -16,8 +18,10 @@ from repro.kb import (
     load_curated_kb,
     shard_of_subject,
 )
+from repro.kb import segment
 from repro.kb.segment import (
     SegmentDictionary,
+    SegmentShard,
     decode_term,
     encode_term,
     read_manifest,
@@ -184,6 +188,59 @@ class TestShardEdgeCases:
     def test_invalid_shard_count_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             build_segments(Graph(), tmp_path, shards=0)
+
+
+class TestConcurrentFirstOpen:
+    THREADS = 8
+    TRIALS = 100
+
+    def test_first_touch_maps_each_shard_once(self, tmp_path, monkeypatch):
+        """Threads that touch a fresh shard together map its file exactly
+        once, and none of them sees a half-opened shard."""
+        build_segments(_random_graph(size=120), tmp_path, shards=2)
+        path = str(tmp_path / shard_filename(0))
+        reference = SegmentShard(path, 0)
+        subject = next(reference.scan(None, None, None))[0]
+        expected = reference.count(subject, None, None)
+        reference.close()
+
+        mapped: list[str] = []
+
+        class CountingMappedFile(segment._MappedFile):
+            def __init__(self, file_path, magic):
+                mapped.append(file_path)
+                super().__init__(file_path, magic)
+
+        monkeypatch.setattr(segment, "_MappedFile", CountingMappedFile)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(self.TRIALS):
+                shard = SegmentShard(path, 0)
+                barrier = threading.Barrier(self.THREADS)
+                outcomes: list = []
+
+                def touch():
+                    barrier.wait()
+                    try:
+                        outcomes.append(shard.count(subject, None, None))
+                    except Exception as error:  # asserted below
+                        outcomes.append(error)
+
+                threads = [
+                    threading.Thread(target=touch)
+                    for __ in range(self.THREADS)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                shard.close()
+                assert outcomes == [expected] * self.THREADS, trial
+                assert len(mapped) == trial + 1, trial
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestCorruption:

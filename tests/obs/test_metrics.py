@@ -164,13 +164,3 @@ class TestSchemaGolden:
         assert "repro.metrics/v1" in text
         assert "questions = 2" in text
         assert "latency" in text
-
-
-class TestDeprecatedPerfReport:
-    def test_perf_report_warns_but_keeps_shape(self, traced_qa):
-        traced_qa.answer("Who is the mayor of Berlin?")
-        with pytest.warns(DeprecationWarning, match="metrics"):
-            report = traced_qa.perf_report()
-        assert "timers" in report
-        assert "counters" in report
-        assert "sparql" in report

@@ -104,8 +104,8 @@ def test_graph_mutation_invalidates_the_snapshot(qa, tmp_path):
 
 def test_restored_plans_are_recompiled_columnar(qa, kb, tmp_path):
     """Snapshots carry plan *keys*, not plans: restore must compile fresh
-    ColumnarQuery objects against the live graph, never reuse pickled or
-    row-engine plans."""
+    ColumnarQuery objects against the live graph, never reuse pickled
+    plans."""
     from repro.api import QuestionAnsweringSystem
     from repro.sparql.columnar import ColumnarQuery
 

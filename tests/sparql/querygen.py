@@ -1,4 +1,4 @@
-"""Seeded random query generation for the three-way differential suite.
+"""Seeded random query generation for the columnar differential suite.
 
 Two generators share one vocabulary:
 

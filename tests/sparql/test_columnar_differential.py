@@ -1,8 +1,7 @@
-"""Three-way differential harness: term-space oracle vs row id-space vs
-columnar id-space.
+"""Differential harness: term-space oracle vs the columnar id-space engine.
 
-Every property executes one generated query on all three engines and
-asserts identical decoded solutions.  Because ORDER BY is deterministic
+Every property executes one generated query on both engines and asserts
+identical decoded solutions.  Because ORDER BY is deterministic
 across engines (stable sort + the id-order tie-break, docs/performance.md)
 ordered results are compared *exactly* — row for row, even under
 LIMIT/OFFSET — with no order-insensitive fallback.  Unordered results are
@@ -32,10 +31,9 @@ from tests.sparql import querygen
 
 
 def _engines(graph):
-    """(oracle, row, columnar) — caches off so every run re-executes."""
+    """(oracle, columnar) — caches off so every run re-executes."""
     return (
         SparqlEngine(graph, cache_size=0, idspace=False),
-        SparqlEngine(graph, cache_size=0, columnar=False),
         SparqlEngine(graph, cache_size=0),
     )
 
@@ -62,30 +60,26 @@ def _assert_select_agrees(query, expected, actual, oracle=None):
 
 
 @given(querygen.graphs, querygen.select_queries)
-def test_three_way_select_agrees(graph, query):
-    oracle, row, col = _engines(graph)
+def test_select_agrees(graph, query):
+    oracle, col = _engines(graph)
     expected = oracle.query(query)
-    for engine in (row, col):
-        _assert_select_agrees(query, expected, engine.query(query), oracle)
+    _assert_select_agrees(query, expected, col.query(query), oracle)
 
 
 @given(querygen.graphs, querygen.conjunctive_queries)
-def test_three_way_conjunctive_agrees(graph, query):
+def test_conjunctive_agrees(graph, query):
     """OPTIONAL/UNION-free shapes: the columnar engine's homogeneous hot
     path, where batch joins never take the mixed-column fallback."""
-    oracle, row, col = _engines(graph)
+    oracle, col = _engines(graph)
     expected = oracle.query(query)
-    for engine in (row, col):
-        _assert_select_agrees(query, expected, engine.query(query), oracle)
+    _assert_select_agrees(query, expected, col.query(query), oracle)
 
 
 @given(querygen.graphs, querygen.groups)
-def test_three_way_ask_agrees(graph, where):
-    oracle, row, col = _engines(graph)
+def test_ask_agrees(graph, where):
+    oracle, col = _engines(graph)
     query = AskQuery(where=where)
-    expected = oracle.query(query).value
-    assert row.query(query).value == expected
-    assert col.query(query).value == expected
+    assert col.query(query).value == oracle.query(query).value
 
 
 @given(
@@ -94,22 +88,20 @@ def test_three_way_ask_agrees(graph, where):
     st.booleans(),
     st.one_of(st.none(), st.sampled_from(querygen.VARIABLES)),
 )
-def test_three_way_count_agrees(graph, where, distinct, variable):
-    oracle, row, col = _engines(graph)
+def test_count_agrees(graph, where, distinct, variable):
+    oracle, col = _engines(graph)
     query = SelectQuery(
         projection=(CountAggregate(variable, distinct, Variable("n")),),
         where=where,
     )
-    expected = oracle.query(query).rows
-    assert row.query(query).rows == expected
-    assert col.query(query).rows == expected
+    assert col.query(query).rows == oracle.query(query).rows
 
 
 @given(querygen.graphs, querygen.conjunctive_queries)
-def test_three_way_agrees_with_batch_joins_forced(graph, query):
+def test_agrees_with_batch_joins_forced(graph, query):
     """Drop the admission thresholds so tiny generated inputs exercise the
     batch join operators (hash/merge/radix) instead of the index loop."""
-    oracle, row, col = _engines(graph)
+    oracle, col = _engines(graph)
     expected = oracle.query(query)
     saved = (
         compiler.HASH_JOIN_MIN_ROWS,
@@ -124,7 +116,6 @@ def test_three_way_agrees_with_batch_joins_forced(graph, query):
             columnar._planner.MERGE_JOIN_MIN_ROWS = merge_min
             columnar._planner.RADIX_JOIN_MIN_ROWS = radix_min
             _assert_select_agrees(query, expected, col.query(query), oracle)
-        _assert_select_agrees(query, expected, row.query(query), oracle)
     finally:
         (
             compiler.HASH_JOIN_MIN_ROWS,
@@ -137,7 +128,7 @@ def test_three_way_agrees_with_batch_joins_forced(graph, query):
 @given(querygen.graphs, querygen.select_queries)
 def test_columnar_agrees_without_numpy(graph, query):
     """The pure-python fallback must be observationally identical."""
-    oracle, __, col = _engines(graph)
+    oracle, col = _engines(graph)
     expected = oracle.query(query)
     saved = columnar._np
     columnar._np = None
@@ -155,16 +146,13 @@ def test_seeded_workload_sweep(seed):
     graph, queries = querygen.random_workload(
         seed, queries=40, graph_size=120
     )
-    oracle, row, col = _engines(graph)
+    oracle, col = _engines(graph)
     saved = compiler.HASH_JOIN_MIN_ROWS
     compiler.HASH_JOIN_MIN_ROWS = 4
     try:
         for query in queries:
             expected = oracle.query(query)
-            for engine in (row, col):
-                _assert_select_agrees(
-                    query, expected, engine.query(query), oracle
-                )
+            _assert_select_agrees(query, expected, col.query(query), oracle)
     finally:
         compiler.HASH_JOIN_MIN_ROWS = saved
 
@@ -191,7 +179,5 @@ def test_mixed_boundness_falls_back_not_fails():
           ?x <http://e/likes> ?z .
         } ORDER BY ?x ?y ?z
     """
-    oracle, row, col = _engines(graph)
-    expected = oracle.query(text)
-    assert row.query(text).rows == expected.rows
-    assert col.query(text).rows == expected.rows
+    oracle, col = _engines(graph)
+    assert col.query(text).rows == oracle.query(text).rows

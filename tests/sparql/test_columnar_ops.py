@@ -2,8 +2,8 @@
 
 Each batch operator — the column filters, the sort-merge join, the
 radix-partitioned join — is exercised standalone against a naive
-row-space reference (the row engine's nested-index-loop ``extend``, and
-per-row closure application for filters), across empty-column,
+row-space reference (the nested-index-loop ``CompiledPattern.extend``,
+and per-row closure application for filters), across empty-column,
 single-row, and duplicate-key edge cases, with and without the numpy
 fast path.
 """

@@ -1,4 +1,4 @@
-"""Deterministic ORDER BY ties across all three engines.
+"""Deterministic ORDER BY ties across both engines.
 
 Rows whose ORDER BY keys compare equal fall back to dictionary-id order
 over the solution's variables taken in name order, applied as the final
@@ -32,7 +32,6 @@ def tied_graph():
 def _engines(graph):
     return (
         SparqlEngine(graph, cache_size=0, idspace=False),
-        SparqlEngine(graph, cache_size=0, columnar=False),
         SparqlEngine(graph, cache_size=0),
     )
 
@@ -46,9 +45,8 @@ TIED = """
 
 
 def test_duplicate_sort_keys_order_identically(tied_graph):
-    oracle, row, col = _engines(tied_graph)
+    oracle, col = _engines(tied_graph)
     expected = oracle.query(TIED)
-    assert row.query(TIED).rows == expected.rows
     assert col.query(TIED).rows == expected.rows
     # The two rank groups stay contiguous (primary key respected)...
     ranks = [int(r.value.rsplit("s", 1)[1]) % 2 for r, __ in expected.rows]
@@ -72,10 +70,9 @@ def test_desc_keeps_tiebreak_ascending(tied_graph):
 
 def test_limit_under_ties_picks_same_rows(tied_graph):
     query = TIED.replace("ORDER BY ?r", "ORDER BY ?r LIMIT 3 OFFSET 2")
-    oracle, row, col = _engines(tied_graph)
+    oracle, col = _engines(tied_graph)
     expected = oracle.query(query)
     assert len(expected.rows) == 3
-    assert row.query(query).rows == expected.rows
     assert col.query(query).rows == expected.rows
 
 
@@ -104,8 +101,7 @@ def test_tiebreak_ignores_unprojected_equal_keys():
           ?s <http://e/name> ?n .
         } ORDER BY ?s
     """
-    oracle, row, col = _engines(graph)
+    oracle, col = _engines(graph)
     expected = oracle.query(query)
     assert len(expected.rows) == 36  # 6 ranks x 6 names, all ?s ties
-    assert row.query(query).rows == expected.rows
     assert col.query(query).rows == expected.rows

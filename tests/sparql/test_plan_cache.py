@@ -120,16 +120,6 @@ class TestColumnarPlanCache:
         plan = engine._plan_cache.get(ast)
         assert isinstance(plan, ColumnarQuery)
 
-    def test_row_engine_opts_out_of_columnar_plans(self, graph):
-        from repro.sparql.columnar import ColumnarQuery
-        from repro.sparql.compiler import CompiledQuery
-
-        engine = SparqlEngine(graph, columnar=False)
-        engine.select(BOOKS)
-        plan = engine._plan_cache.get(engine._parse(BOOKS))
-        assert isinstance(plan, CompiledQuery)
-        assert not isinstance(plan, ColumnarQuery)
-
     def test_generation_bump_reresolves_cached_columnar_plan(self, graph):
         """A plan compiled while a constant was absent must pick the
         constant up once a KB generation bump interns it."""

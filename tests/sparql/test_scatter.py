@@ -1,7 +1,7 @@
 """Scatter-gather executor: differential vs single-process execution.
 
 The contract under test is the engine-wide one (see
-tests/sparql/test_threeway_differential.py): ordered results byte-identical
+tests/sparql/test_columnar_differential.py): ordered results byte-identical
 row for row — ORDER BY ties included — unordered results multiset-equal,
 unordered slices any valid |slice| draw.  Scatter answers only the
 subject-star fragment; everything else must fall back to the ordinary
