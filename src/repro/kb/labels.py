@@ -38,6 +38,9 @@ class SurfaceFormIndex:
     def __init__(self) -> None:
         self._forms: dict[str, list[IRI]] = defaultdict(list)
         self._primary_label: dict[IRI, str] = {}
+        #: First word of every registered form: a span whose normalised
+        #: text starts with any other word cannot match.
+        self._first_words: set[str] = set()
         self._max_words = 1
 
     def add(self, entity: IRI, surface: str, primary: bool = False) -> None:
@@ -52,6 +55,7 @@ class SurfaceFormIndex:
         candidates = self._forms[normalized]
         if entity not in candidates:
             candidates.append(entity)
+        self._first_words.add(normalized.partition(" ")[0])
         self._max_words = max(self._max_words, normalized.count(" ") + 1)
         if primary or entity not in self._primary_label:
             self._primary_label[entity] = surface
@@ -59,6 +63,14 @@ class SurfaceFormIndex:
     def candidates(self, surface: str) -> list[IRI]:
         """Entities registered under a surface form (possibly several)."""
         return list(self._forms.get(normalize_surface(surface), ()))
+
+    def starts_form(self, token: str) -> bool:
+        """Whether some registered form starts with ``token``'s first word.
+
+        When False, no span beginning with ``token`` can match, so a
+        longest-match loop may skip the start position without a lookup.
+        """
+        return normalize_surface(token).partition(" ")[0] in self._first_words
 
     def label(self, entity: IRI) -> str | None:
         """The primary label of an entity, if known."""
@@ -80,19 +92,31 @@ class SurfaceFormIndex:
 
         Yields ``(start, end, candidates)`` with ``end`` exclusive.  Greedy
         longest-match-first scan, the standard gazetteer-spotting strategy.
+
+        Each token is normalised once: a window's key is the single-space
+        join of its non-empty normalised tokens, which equals
+        ``normalize_surface(" ".join(window))`` because every step of
+        :func:`normalize_surface` works per character or per whitespace run.
+        A start position whose first non-empty word begins no registered
+        form is skipped without a lookup.
         """
-        tokens = list(tokens)
+        normalized = [normalize_surface(token) for token in tokens]
         index = 0
-        while index < len(tokens):
-            matched = False
-            longest = min(self._max_words, len(tokens) - index)
-            for width in range(longest, 0, -1):
-                window = " ".join(tokens[index:index + width])
-                candidates = self.candidates(window)
+        while index < len(normalized):
+            longest = min(self._max_words, len(normalized) - index)
+            keys: list[str] = []  # keys[w - 1]: the width-w window's text
+            key = ""
+            for word in normalized[index:index + longest]:
+                if word:
+                    if not key and word.partition(" ")[0] not in self._first_words:
+                        break  # every window here starts with this word
+                    key = f"{key} {word}" if key else word
+                keys.append(key)
+            for width in range(len(keys), 0, -1):
+                candidates = self._forms.get(keys[width - 1])
                 if candidates:
-                    yield (index, index + width, candidates)
+                    yield (index, index + width, list(candidates))
                     index += width
-                    matched = True
                     break
-            if not matched:
+            else:
                 index += 1

@@ -148,6 +148,11 @@ class Pipeline:
         self, tokens: list[str], start: int
     ) -> tuple[int, list[IRI]] | None:
         assert self._gazetteer is not None
+        # Exact prune: every span tried below starts with this token, and a
+        # token that begins no form (punctuation and empty tokens included)
+        # can never lead a match.
+        if not self._gazetteer.starts_form(tokens[start]):
+            return None
         longest = min(self._gazetteer.max_words, len(tokens) - start)
         for width in range(longest, 0, -1):
             span = tokens[start:start + width]

@@ -23,6 +23,7 @@ from repro.nlp.tokenizer import tokenize
 from repro.patty.corpus import CorpusSentence
 from repro.patty.patterns import PatternOccurrence, RelationalPattern
 from repro.rdf.namespaces import DBO, RDF, RDFS
+from repro.rdf.terms import IRI
 
 #: Patterns longer than this many tokens are discarded (PATTY's
 #: frequent-pattern length bound).
@@ -41,13 +42,30 @@ class PatternExtractor:
     # ------------------------------------------------------------------
 
     def extract(self, sentences: Iterable[CorpusSentence]) -> list[PatternOccurrence]:
-        """Produce one occurrence per (sentence, attributed relation)."""
+        """Produce one occurrence per (sentence, attributed relation).
+
+        Each distinct sentence text is extracted once and each entity
+        pair's relations are looked up once; a repeated sentence adds its
+        occurrences again, so frequencies and supports are unchanged.  Both
+        memos live for this call only, because the KB may change between
+        calls.
+        """
         occurrences: list[PatternOccurrence] = []
+        # Tuples, not lists: most sentences yield nothing, and all empty
+        # tuples are one object, so the memo adds little to peak memory.
+        by_text: dict[str, tuple[PatternOccurrence, ...]] = {}
+        relations: dict[tuple[IRI, IRI], list[str]] = {}
         for sentence in sentences:
-            occurrences.extend(self._extract_one(sentence.text))
+            found = by_text.get(sentence.text)
+            if found is None:
+                found = by_text[sentence.text] = tuple(
+                    self._extract_one(sentence.text, relations))
+            occurrences.extend(found)
         return occurrences
 
-    def _extract_one(self, text: str) -> list[PatternOccurrence]:
+    def _extract_one(
+        self, text: str, relations: dict[tuple[IRI, IRI], list[str]]
+    ) -> list[PatternOccurrence]:
         tokens = tokenize(text)
         spots = list(self._kb.surface_index.spot(tokens))
         if len(spots) < 2:
@@ -62,7 +80,10 @@ class PatternExtractor:
         # the KB connects (PATTY used its own NED; ambiguity noise remains).
         for entity_a in candidates_a:
             for entity_b in candidates_b:
-                for relation in self._relations_between(entity_a, entity_b):
+                pair = (entity_a, entity_b)
+                if pair not in relations:
+                    relations[pair] = self._relations_between(entity_a, entity_b)
+                for relation in relations[pair]:
                     out.append(PatternOccurrence(
                         pattern=pattern,
                         subject=entity_a.local_name,

@@ -4,6 +4,7 @@ import pytest
 
 from repro.kb import load_curated_kb
 from repro.patty import CorpusSentence, PatternExtractor
+from repro.rdf import DBO, DBR, Triple
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +77,15 @@ class TestExtraction:
             ),
         ])
         assert occurrences == []
+
+    def test_sees_triples_added_between_calls(self):
+        # The sentence and entity-pair memos live for one extract() call.
+        kb = load_curated_kb()
+        extractor = PatternExtractor(kb)
+        text = [sentence("Orhan Pamuk visited Berlin")]
+        assert extractor.extract(text) == []
+        kb.graph.add(Triple(DBR.Orhan_Pamuk, DBO.residence, DBR.Berlin))
+        assert [o.relation for o in extractor.extract(text)] == ["residence"]
 
     def test_type_and_label_predicates_never_attributed(self, extractor):
         occurrences = extractor.extract([
