@@ -86,10 +86,10 @@ WORKLOAD = [
 #: The join-heavy lane: selective two-star conjunctions — the semi-join
 #: shipping class (two subject variables, shared join variable,
 #: pushdown-eligible filters).  Every query is fully ordered so lane
-#: answers compare byte for byte against the in-memory oracle.  The
-#: scatter lanes measure *steady-state serving*: per-shard result caches
-#: stay warm across repeats (engine-level result caches are cleared in
-#: every lane), which is the mode the shared serving pool runs in.
+#: answers compare byte for byte against the in-memory oracle.  Both join
+#: lanes time cold queries: engine-level result caches are cleared before
+#: every repeat, and the scatter lane empties its per-shard result caches
+#: too, so ``scatter_join_speedup`` compares cold with cold.
 JOIN_WORKLOAD = [
     (
         "join_tall_writer_big_city",
@@ -191,10 +191,7 @@ def run_lane(args) -> dict:
         engine = SparqlEngine(backend.graph_view())
         executor = None
         if args.lane != "join_plain":
-            executor = ScatterGatherExecutor(
-                backend,
-                processes={"join_pool": 2}.get(args.lane, 0),
-            )
+            executor = ScatterGatherExecutor(backend)
             engine.install_scatter(executor)
         triples = len(backend)
     load_s = time.perf_counter() - start
@@ -209,17 +206,11 @@ def run_lane(args) -> dict:
     answers: dict[str, list] = {}
     latencies: dict[str, float] = {}
     for name, text in workload:
-        if executor is not None and name.startswith("join_"):
-            # Steady-state serving measurement: warm the per-shard result
-            # caches once (untimed), then time repeats with the engine's
-            # own result cache cleared — what a repeated question costs
-            # behind the shared serving pool.
-            executor.invalidate_caches()
-            engine.clear_caches()
-            engine.query(text)
         best = None
         for __ in range(args.repeats):
             engine.clear_caches()
+            if executor is not None:
+                executor.invalidate_caches()  # cold: no cached shard batch
             begin = time.perf_counter()
             result = engine.query(text)
             elapsed = time.perf_counter() - begin
@@ -276,8 +267,7 @@ def main() -> int:
     parser.add_argument(
         "--lane",
         choices=[
-            "build", "memory", "segments",
-            "join_plain", "join_inline", "join_pool",
+            "build", "memory", "segments", "join_plain", "join_inline",
         ],
         help=argparse.SUPPRESS,
     )
@@ -305,10 +295,7 @@ def main() -> int:
 
         lanes = {
             lane: _spawn_lane(lane, args, segments)
-            for lane in (
-                "memory", "segments",
-                "join_plain", "join_inline", "join_pool",
-            )
+            for lane in ("memory", "segments", "join_plain", "join_inline")
         }
 
     memory, segmented = lanes["memory"], lanes["segments"]
@@ -316,7 +303,7 @@ def main() -> int:
     oracle_joins = {name: memory["answers"][name] for name in join_names}
     join_divergent = [
         (lane, name)
-        for lane in ("join_plain", "join_inline", "join_pool")
+        for lane in ("join_plain", "join_inline")
         for name in join_names
         if lanes[lane]["answers"][name] != oracle_joins[name]
     ]
@@ -343,15 +330,10 @@ def main() -> int:
         "cold_start_speedup": round(
             memory["load_s"] / max(segmented["load_s"], 1e-9), 2
         ),
-        # Steady-state semi-join serving vs cold single-process joins over
-        # the same segments: warm per-shard result caches are what the
-        # shared serving pool amortises across repeated questions.
+        # Cold semi-join scatter vs cold single-process joins over the
+        # same segments (every cache emptied before every repeat).
         "scatter_join_speedup": round(
             _join_total("join_plain") / max(_join_total("join_inline"), 1e-9),
-            2,
-        ),
-        "scatter_join_pool_speedup": round(
-            _join_total("join_plain") / max(_join_total("join_pool"), 1e-9),
             2,
         ),
         "lanes": {
@@ -374,7 +356,6 @@ def main() -> int:
                 "memory_s": memory["latency_s"][name],
                 "plain_s": lanes["join_plain"]["latency_s"][name],
                 "inline_s": lanes["join_inline"]["latency_s"][name],
-                "pool_s": lanes["join_pool"]["latency_s"][name],
             }
             for name in join_names
         ],
@@ -395,9 +376,8 @@ def main() -> int:
         f"({report['cold_start_speedup']}x)"
     )
     print(
-        f"  scatter join speedup:       inline "
-        f"{report['scatter_join_speedup']}x, pool "
-        f"{report['scatter_join_pool_speedup']}x (steady-state vs plain)"
+        f"  scatter join speedup:       "
+        f"{report['scatter_join_speedup']}x (cold scatter vs cold plain)"
     )
     if not identical:
         for name, __ in WORKLOAD:

@@ -563,7 +563,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             if args.segmented:
                 # One segment directory, shared by every serving worker
                 # (and the hot-reload twin) through one mmap'd backend +
-                # scatter pool — the shared-segment serving mode.
+                # scatter executor — the shared-segment serving mode.
                 from repro.kb import build_segments
 
                 segment_dir = os.path.join(tmp, "segments")

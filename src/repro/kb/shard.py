@@ -377,7 +377,7 @@ class SegmentedBackend(KBBackend):
 
     def shard_view(self, index: int) -> BackendGraph:
         """A Graph-compatible view restricted to one shard (shared global
-        dictionary) — what a scatter-gather worker executes its plan
+        dictionary) — what a scatter-gather shard task executes its plan
         against (:mod:`repro.sparql.scatter`)."""
         return BackendGraph(_SingleShardBackend(self, index))
 
@@ -474,7 +474,7 @@ class _SingleShardBackend(KBBackend):
 
 
 class ShardResultCache:
-    """A small generation-stamped LRU of per-shard packed results.
+    """A small generation-stamped LRU of per-shard result batches.
 
     The *stamp* is whatever hashable token the owner uses to mark the
     cache's validity epoch (the scatter executor uses its backend

@@ -42,7 +42,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.perf.stats import PerfStats
 from repro.reliability.budgets import Deadline
 from repro.reliability.errors import InternalError, StageError
-from repro.serve.errors import Overloaded, ServerClosed, SnapshotError
+from repro.serve.errors import Overloaded, ServerClosed
 from repro.serve.guard import StageGuard
 from repro.serve.snapshot import load_snapshot, save_snapshot
 from repro.sparql.scatter import ScatterGatherExecutor
@@ -106,12 +106,9 @@ class ServerConfig:
     #: system's backend is a :class:`~repro.kb.shard.SegmentedBackend`,
     #: the server installs one shared
     #: :class:`~repro.sparql.scatter.ScatterGatherExecutor` (one scatter
-    #: pool + one set of per-shard result caches for all worker threads,
-    #: kept across hot reloads via ``rebind``).  ``scatter_processes``
-    #: follows the executor's convention: ``0`` = inline per-shard
-    #: execution, ``N`` = pool of N, ``None`` = CPU-bounded default.
+    #: executor + one set of per-shard result caches for all worker
+    #: threads, kept across hot reloads via ``rebind``).
     enable_scatter: bool = True
-    scatter_processes: int | None = 0
 
     def __post_init__(self) -> None:
         if self.shed_policy not in SHED_POLICIES:
@@ -159,8 +156,8 @@ class ResilientServer:
         )
         system.install_stage_guard(self._guard)
         #: One scatter executor shared by every worker thread (and every
-        #: hot-reloaded system over the same segments): one process pool,
-        #: one mapped segment directory, one set of shard caches.
+        #: hot-reloaded system over the same segments): one mapped segment
+        #: directory, one set of shard caches.
         self._scatter: ScatterGatherExecutor | None = None
         self._wire_scatter(system)
         #: Swapped atomically by :meth:`hot_reload`; workers read it once
@@ -287,10 +284,9 @@ class ResilientServer:
 
         Only systems over a :class:`SegmentedBackend` get one; in-memory
         systems keep plain execution.  On hot reload the *same* executor
-        rebinds to the new system's backend — the pool and the mmap'd
-        segment pages survive, while the rebind's generation bump empties
-        every per-shard result cache (stale cached rows can never serve
-        the reloaded KB).
+        rebinds to the new system's backend; the rebind's generation bump
+        empties every per-shard result cache (stale cached rows can never
+        serve the reloaded KB).
         """
         if not self._config.enable_scatter:
             return
@@ -298,11 +294,7 @@ class ResilientServer:
         if not isinstance(backend, SegmentedBackend):
             return
         if self._scatter is None:
-            self._scatter = ScatterGatherExecutor(
-                backend,
-                processes=self._config.scatter_processes,
-                stats=self._stats,
-            )
+            self._scatter = ScatterGatherExecutor(backend, stats=self._stats)
         else:
             self._scatter.rebind(backend)
         system.kb.engine.install_scatter(self._scatter)
@@ -328,23 +320,12 @@ class ResilientServer:
     def restore_snapshot(self, path) -> dict[str, int]:
         """Load a warm-state snapshot into the current system.
 
-        When a scatter pool is installed, its backend must agree with the
-        served system's backend fingerprint — a drifted pool (e.g. an
-        external rebind against different segments) would otherwise let a
-        snapshot restore warm caches that the pool's answers no longer
-        match.
+        The snapshot's own KB fingerprint check decides acceptance.  The
+        scatter executor needs no check here: it declines every plan whose
+        graph is not over the backend it is bound to
+        (``sparql.scatter.foreign_graph_fallbacks``), so restored answers
+        never mix with another KB's shards.
         """
-        if self._scatter is not None:
-            backend = getattr(self._system.kb, "backend", None)
-            if (
-                backend is not None
-                and self._scatter.backend.fingerprint() != backend.fingerprint()
-            ):
-                self._stats.increment("snapshot.rejected")
-                raise SnapshotError(
-                    "scatter pool is bound to different segments than the "
-                    "served system; refusing snapshot restore"
-                )
         return load_snapshot(self._system, path)
 
     @property

@@ -90,7 +90,7 @@ class SoakReport:
     post_soak_identical: bool = False
     metrics: dict = field(default_factory=dict)
     #: Whether the serving workers shared one segment directory + scatter
-    #: pool (segmented KB), and this replica's peak resident set — the
+    #: executor (segmented KB), and this replica's peak resident set — the
     #: measured form of the "no per-replica heap copy" claim.
     shared_segments: bool = False
     peak_rss_mb: float | None = None
@@ -115,7 +115,7 @@ class SoakReport:
             "chaos events: "
             + ", ".join(f"{k}={v}" for k, v in sorted(self.chaos_events.items())),
             f"post-soak control answers identical: {self.post_soak_identical}",
-            f"shared segments + scatter pool: {self.shared_segments}"
+            f"shared segments + scatter executor: {self.shared_segments}"
             + (
                 f", replica peak RSS {self.peak_rss_mb} MiB"
                 if self.peak_rss_mb is not None

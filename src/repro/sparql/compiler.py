@@ -692,8 +692,8 @@ class StarSlice:
 
     ``query`` is a ``SELECT *`` subquery holding exactly this star's
     triples plus any pushed-down filters (no ordering, no slicing) —
-    picklable and structurally hashable, so shard workers compile and
-    cache it like any other plan.  ``names`` is the name-sorted set of
+    structurally hashable, so the scatter coordinator compiles and caches
+    it like any other plan.  ``names`` is the name-sorted set of
     variables the star binds.
     """
 

@@ -36,17 +36,13 @@ engine (:mod:`repro.sparql.columnar`), from shard to answer:
 1. **Gate** — a plan whose most selective pattern matches fewer than
    :data:`FANOUT_MIN_ROWS` rows runs single-process instead, where
    routed scans already touch one shard.
-2. **Scatter** — the query AST (frozen, picklable dataclasses) fans out to
-   one task per shard, which runs the compiled plan's operator tree on a
-   :class:`~repro.sparql.columnar.ColumnBatch` over a single-shard view;
-   the dictionary is global, so constants and slot layouts resolve
-   identically in every process.  All shards of one gather share one
-   filter-verdict memo: a compiled filter reads only global ids, so its
-   verdict for an id combination is the same on every shard.  Tasks run
-   inline (``processes=0`` — deterministic, no pool) or on a lazily
-   created ``multiprocessing`` pool (spawn-safe: workers re-open the
-   segment directory in an initializer), returning their batches packed
-   column-major as ``array('q')`` bytes.
+2. **Scatter** — one task per shard runs the compiled plan's operator
+   tree on a :class:`~repro.sparql.columnar.ColumnBatch` over a
+   single-shard view, in the calling thread; the dictionary is global,
+   so constants and slot layouts resolve identically on every shard.
+   All shards of one gather share one filter-verdict memo: a compiled
+   filter reads only global ids, so its verdict for an id combination
+   is the same on every shard.
 3. **Gather** — the coordinator concatenates the per-shard batches in
    shard order and shapes them with
    :meth:`ColumnarQuery._shape_select_batch` (ORDER BY keys memoized per
@@ -57,10 +53,9 @@ engine (:mod:`repro.sparql.columnar`), from shard to answer:
    DISTINCT, OFFSET/LIMIT and aggregates see the complete solution set.
 
 Per-shard results are cached in generation-stamped
-:class:`~repro.kb.shard.ShardResultCache` instances (one per shard, on
-the coordinator for inline mode — holding the batch itself, which is safe
-because operators never mutate a column — and inside each worker for pool
-mode).  The stamp combines the backend's content fingerprint with the
+:class:`~repro.kb.shard.ShardResultCache` instances, one per shard,
+holding the batch itself (safe because operators never mutate a
+column).  The stamp combines the backend's content fingerprint with the
 executor's reload generation: :meth:`ScatterGatherExecutor.rebind` —
 called on every hot KB reload — bumps the generation, so one reload
 empties every shard cache at once (``kb.shard_cache.*`` counters).
@@ -76,7 +71,6 @@ execution over the full backend view.  Counters land in the
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 from array import array
 from itertools import chain
@@ -107,6 +101,9 @@ from repro.sparql.results import AskResult, SelectResult
 #: row count below which the engine keeps per-row index lookups over a
 #: hash join — too little work to pay for one plan run per shard).
 FANOUT_MIN_ROWS = HASH_JOIN_MIN_ROWS
+
+#: Entries per shard result cache (one cache per shard and partition).
+SHARD_CACHE_SIZE = 256
 
 
 def _slice_deterministic(query) -> bool:
@@ -248,54 +245,6 @@ def _keys_token(keys) -> object:
     return (names, len(keyset), digest.digest())
 
 
-# ---------------------------------------------------------------------------
-# Worker side (runs in pool processes; also reused by inline mode)
-# ---------------------------------------------------------------------------
-
-#: Per-process caches: segment backends keyed by directory, columnar
-#: plans keyed by (directory, frozen query AST) in a bounded LRU, per-shard
-#: result caches keyed by (directory, partition kind, shard index).
-#: Workers live for the pool's lifetime, so repeated queries against the
-#: same segments compile once and hit warm shard caches.
-_WORKER_BACKENDS: dict[str, SegmentedBackend] = {}
-_WORKER_PLANS = LRUCache(DEFAULT_CACHE_SIZE)
-_WORKER_CACHES: dict = {}
-
-#: Result-cache capacity inside pool workers (entries per shard).
-WORKER_CACHE_SIZE = 256
-
-
-def _worker_backend(path: str) -> SegmentedBackend:
-    backend = _WORKER_BACKENDS.get(path)
-    if backend is None:
-        backend = SegmentedBackend(path).open()
-        _WORKER_BACKENDS[path] = backend
-    return backend
-
-
-def _worker_init(path: str) -> None:
-    """Pool initializer: open the segment directory in this worker.
-
-    Explicit initialization makes the pool **spawn-safe**: a spawned
-    worker starts from a fresh interpreter with empty module globals, so
-    nothing may rely on fork-inherited mapped state.  (Under fork this is
-    merely a warm-up; the lazy :func:`_worker_backend` path stays as the
-    fallback for directories seen after pool creation.)
-    """
-    _worker_backend(path)
-
-
-def _worker_plan(path: str, backend: SegmentedBackend, query) -> ColumnarQuery:
-    key = (path, query)
-    plan = _WORKER_PLANS.get(key)
-    if plan is None:
-        # Compiled against the full view so pattern-selectivity planning
-        # sees global counts; constants are global ids, valid per shard.
-        plan = ColumnarQuery(query, backend.graph_view())
-        _WORKER_PLANS.put(key, plan)
-    return plan
-
-
 def _execute_shard(
     plan: ColumnarQuery,
     view,
@@ -335,63 +284,6 @@ def _execute_shard(
     return batch
 
 
-def _shard_task(
-    path: str,
-    kind: str,
-    shard_index: int,
-    query,
-    seeds=None,
-    keys=None,
-    token=None,
-) -> tuple[int, int, bytes, bool]:
-    """Run ``query`` against one shard; return its packed batch.
-
-    The return value is ``(shard_index, row_count, bytes, cache_hit)``
-    where the bytes are the batch's id columns laid end to end
-    (column-major) in one ``array('q')`` — compact to pickle back across
-    the process boundary, and sliced straight back into columns on the
-    coordinator.  ``token`` (when not ``None``) stamps this worker's
-    per-shard result cache; a stale stamp — the coordinator bumps it on
-    every hot KB reload — empties the cache before lookup.
-    """
-    backend = _worker_backend(path)
-    cache = None
-    cache_key = None
-    if token is not None:
-        cache = _WORKER_CACHES.get((path, kind, shard_index))
-        if cache is None:
-            cache = ShardResultCache(WORKER_CACHE_SIZE)
-            _WORKER_CACHES[(path, kind, shard_index)] = cache
-        cache_key = (query, seeds, _keys_token(keys))
-        cached = cache.get(token, cache_key)
-        if cached is not None:
-            count, blob = cached
-            return shard_index, count, blob, True
-    plan = _worker_plan(path, backend, query)
-    batch = _execute_shard(
-        plan, backend.partition_view(kind, shard_index), seeds, keys
-    )
-    blob = array("q", chain.from_iterable(batch.columns)).tobytes()
-    if cache is not None:
-        cache.put(token, cache_key, (batch.length, blob))
-    return shard_index, batch.length, blob, False
-
-
-def _unpack_batch(count: int, blob: bytes, width: int) -> ColumnBatch:
-    ids = array("q")
-    ids.frombytes(blob)
-    return ColumnBatch(
-        width,
-        [ids[slot * count : (slot + 1) * count] for slot in range(width)],
-        count,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Coordinator
-# ---------------------------------------------------------------------------
-
-
 class ScatterGatherExecutor:
     """Fans compiled plans out across a segmented backend's shards.
 
@@ -399,40 +291,34 @@ class ScatterGatherExecutor:
     :meth:`repro.sparql.SparqlEngine.install_scatter`; the engine then
     offers every plan via :meth:`maybe_execute`, which either answers it
     (partitionable queries large enough to fan out) or returns ``None``
-    (engine falls back to ordinary full-view execution).
-
-    ``processes=0`` runs shard tasks inline in the calling process —
-    fully deterministic, no pool, the mode the differential tests pin
-    down.  ``processes=N`` (or ``None`` for a CPU-bounded default) runs
-    them on a lazily created ``multiprocessing`` pool; each worker maps
-    the segment files itself, so peak RSS per process stays bounded by
-    its own shard working set rather than the whole KB.  ``start_method``
-    picks the pool's multiprocessing start method (default: ``fork``
-    where available, the platform default elsewhere — workers are
-    spawn-safe either way).
+    (engine falls back to ordinary full-view execution).  Shard tasks run
+    one after another in the calling thread, so answers are fully
+    deterministic.  ``processes`` accepts only ``0`` (inline), the one
+    execution mode.
 
     One executor may be shared by many engines and serving threads (the
-    :class:`repro.serve.ResilientServer` workers share one pool over one
-    mapped segment directory): pool creation and cache bookkeeping are
-    lock-protected, and :meth:`rebind` atomically points the executor at
-    a reloaded backend while invalidating every per-shard result cache
-    via the generation stamp.
+    :class:`repro.serve.ResilientServer` workers share one over one
+    mapped segment directory): cache bookkeeping is lock-protected, and
+    :meth:`rebind` atomically points the executor at a reloaded backend
+    while invalidating every per-shard result cache via the generation
+    stamp.  Each call reads the backend once and runs on it to the end,
+    so a rebind that lands mid-gather never mixes two backends' shards
+    into one answer.
     """
 
     def __init__(
         self,
         backend: SegmentedBackend,
-        processes: int | None = None,
+        processes: int = 0,
         stats: PerfStats | None = None,
-        start_method: str | None = None,
-        shard_cache_size: int = 256,
     ) -> None:
+        if processes != 0:
+            raise ValueError(
+                f"scatter runs inline only: processes must be 0, "
+                f"got {processes!r}"
+            )
         self._backend = backend
-        self._processes = processes
         self._stats = stats
-        self._start_method = start_method
-        self._shard_cache_size = shard_cache_size
-        self._pool = None
         self._plans = LRUCache(DEFAULT_CACHE_SIZE)
         self._caches: dict = {}
         self._generation = 0
@@ -451,11 +337,11 @@ class ScatterGatherExecutor:
         return self._generation
 
     def close(self) -> None:
+        """Release the per-shard result caches and the plan LRU.
+        Idempotent; a later query refills them on demand."""
         with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.terminate()
-            pool.join()
+            self._caches.clear()
+            self._plans.clear()
 
     def __enter__(self) -> "ScatterGatherExecutor":
         return self
@@ -467,25 +353,14 @@ class ScatterGatherExecutor:
         """Point the executor at a (possibly reloaded) backend.
 
         Called by the serving layer on every hot KB reload.  Bumps the
-        cache generation so every per-shard result cache — coordinator
-        and pool-worker alike — is empty for the next query, and drops
-        the pool when the segment directory actually changed (workers
-        would otherwise keep serving the old mapped files).
+        cache generation so every per-shard result cache is empty for the
+        next query; a call already running finishes on the backend it
+        started with.
         """
         with self._lock:
-            changed = (
-                backend.path != self._backend.path
-                or backend.fingerprint() != self._backend.fingerprint()
-            )
             self._backend = backend
             self._generation += 1
             self._plans.clear()
-            pool = None
-            if changed:
-                pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.terminate()
-            pool.join()
         if self._stats is not None:
             self._stats.increment("kb.shard_cache.invalidations")
 
@@ -496,72 +371,26 @@ class ScatterGatherExecutor:
         if self._stats is not None:
             self._stats.increment("kb.shard_cache.invalidations")
 
-    def _effective_processes(self) -> int:
-        if self._processes is not None:
-            return self._processes
-        return min(4, os.cpu_count() or 1)
-
-    def _ensure_pool(self):
-        with self._lock:
-            if self._pool is None:
-                import multiprocessing
-
-                method = self._start_method
-                if method is None:
-                    methods = multiprocessing.get_all_start_methods()
-                    method = "fork" if "fork" in methods else None
-                context = multiprocessing.get_context(method)
-                size = min(
-                    self._effective_processes(), self._backend.shard_count
-                )
-                self._pool = context.Pool(
-                    processes=max(1, size),
-                    initializer=_worker_init,
-                    initargs=(self._backend.path,),
-                )
-            return self._pool
-
-    def _run_tasks(self, tasks) -> list:
-        """Run shard tasks on the pool; never leak a broken pool.
-
-        A raising task (e.g. a corrupt shard surfacing its
-        ``SegmentIntegrityError`` in a worker) tears the pool down before
-        the exception propagates, so the next query — or the next soak
-        iteration — starts from a clean pool instead of a poisoned one.
-        """
-        pool = self._ensure_pool()
-        try:
-            return pool.starmap(_shard_task, tasks)
-        except BaseException:
-            self.close()
-            raise
-
     # -- caches --------------------------------------------------------
-
-    def _cache_token(self):
-        if not self._shard_cache_size:
-            return None
-        return (
-            self._backend.fingerprint()["content"],
-            self._generation,
-        )
 
     def _cache_for(self, kind: str, index: int) -> ShardResultCache:
         with self._lock:
             cache = self._caches.get((kind, index))
             if cache is None:
-                cache = ShardResultCache(self._shard_cache_size)
+                cache = ShardResultCache(SHARD_CACHE_SIZE)
                 self._caches[(kind, index)] = cache
             return cache
 
-    def _local_plan(self, query) -> ColumnarQuery:
-        """The coordinator's columnar plan for a query AST, compiled once
-        per distinct query (bounded LRU).  Star subqueries built by
-        :func:`slice_two_star` compile here too."""
-        plan = self._plans.get(query)
+    def _local_plan(self, backend: SegmentedBackend, query) -> ColumnarQuery:
+        """The columnar plan for a query AST over ``backend``, compiled
+        once per distinct (backend, query) pair (bounded LRU): a plan's
+        resolved ids belong to the backend it was compiled against.  Star
+        subqueries built by :func:`slice_two_star` compile here."""
+        key = (backend, query)
+        plan = self._plans.get(key)
         if plan is None:
-            plan = ColumnarQuery(query, self._backend.graph_view())
-            self._plans.put(query, plan)
+            plan = ColumnarQuery(query, backend.graph_view())
+            self._plans.put(key, plan)
         return plan
 
     # -- execution -----------------------------------------------------
@@ -573,16 +402,20 @@ class ScatterGatherExecutor:
         shard-partitionable or too small to fan out (the caller then
         executes it normally)."""
         stats = context.stats if context.stats is not None else self._stats
+        # Read the backend once: the plan's ids were resolved against it,
+        # and every shard of this call must come from it even when a
+        # rebind lands mid-gather.
+        backend = self._backend
         graph_backend = getattr(context.graph, "backend", None)
-        if graph_backend is not None and graph_backend is not self._backend:
-            # The engine is serving a different KB than this executor's
-            # pool (e.g. a hot reload raced the install): answering from
-            # the pool would read the wrong segments.  Fall back.
+        if graph_backend is not None and graph_backend is not backend:
+            # The engine is serving a different KB than this executor is
+            # bound to (e.g. a hot reload raced the install): answering
+            # would read the wrong segments.  Fall back.
             if stats is not None:
                 stats.increment("sparql.scatter.foreign_graph_fallbacks")
             return None
         spec = partition_spec(
-            plan.query, object_shards=self._backend.object_shard_count > 0
+            plan.query, object_shards=backend.object_shard_count > 0
         )
         if spec is None:
             if stats is not None:
@@ -598,11 +431,13 @@ class ScatterGatherExecutor:
         # One filter-verdict memo for every shard of this gather.
         memo: dict = {}
         if kind == "twostar":
-            return self._execute_semijoin(plan, payload, context, stats, memo)
+            return self._execute_semijoin(
+                backend, plan, payload, context, stats, memo
+            )
         if stats is not None and kind == "object":
             stats.increment("sparql.scatter.object_queries")
         batch = self._gather(
-            plan, kind, stats=stats, ask=plan.is_ask, memo=memo
+            backend, plan, kind, stats=stats, ask=plan.is_ask, memo=memo
         )
         if stats is not None:
             stats.increment("sparql.scatter.rows_gathered", batch.length)
@@ -619,6 +454,7 @@ class ScatterGatherExecutor:
 
     def _gather(
         self,
+        backend: SegmentedBackend,
         plan: ColumnarQuery,
         kind: str,
         seeds_by_shard: dict | None = None,
@@ -627,97 +463,54 @@ class ScatterGatherExecutor:
         ask: bool = False,
         memo: dict | None = None,
     ) -> ColumnBatch:
-        """The batch of ``plan`` over every shard of one partition (or
-        just the seeded shards), concatenated in shard order."""
+        """The batch of ``plan`` over every shard of one partition of
+        ``backend`` (or just the seeded shards), concatenated in shard
+        order.  Each shard's batch comes from its result cache when the
+        cache stamp still holds."""
         if seeds_by_shard is not None:
             indices = sorted(seeds_by_shard)
         else:
-            indices = list(range(self._backend.partition_count(kind)))
+            indices = list(range(backend.partition_count(kind)))
         if stats is not None:
             stats.increment("sparql.scatter.shards_scanned", len(indices))
-        if self._effective_processes() == 0:
-            batches = self._gather_inline(
-                plan, kind, indices, seeds_by_shard, keys, stats, ask, memo
-            )
-        else:
-            batches = self._gather_pool(
-                plan, kind, indices, seeds_by_shard, keys, stats
-            )
-        if len(batches) == 1:
-            return batches[0]
-        return columnar.concat(batches, plan.width)
-
-    def _gather_inline(
-        self, plan, kind, indices, seeds_by_shard, keys, stats, ask, memo
-    ) -> list:
-        token = self._cache_token()
-        keys_token = _keys_token(keys) if token is not None else None
+        token = (backend.fingerprint()["content"], self._generation)
+        keys_token = _keys_token(keys)
         batches: list = []
         for index in indices:
             seeds = (
                 None if seeds_by_shard is None else seeds_by_shard[index]
             )
-            batch = cache = None
-            if token is not None:
-                cache = self._cache_for(kind, index)
-                cache_key = (plan.query, seeds, keys_token)
-                batch = cache.get(token, cache_key)
-                if stats is not None:
-                    stats.increment(
-                        "kb.shard_cache.misses"
-                        if batch is None
-                        else "kb.shard_cache.hits"
-                    )
+            cache = self._cache_for(kind, index)
+            cache_key = (plan.query, seeds, keys_token)
+            batch = cache.get(token, cache_key)
+            if stats is not None:
+                stats.increment(
+                    "kb.shard_cache.misses"
+                    if batch is None
+                    else "kb.shard_cache.hits"
+                )
             if batch is None:
                 batch = _execute_shard(
                     plan,
-                    self._backend.partition_view(kind, index),
+                    backend.partition_view(kind, index),
                     seeds,
                     keys,
                     stats,
                     memo,
                 )
-                if cache is not None:
-                    cache.put(token, cache_key, batch)
+                cache.put(token, cache_key, batch)
             batches.append(batch)
             if ask and batch.length:
                 break  # ASK short-circuits at the first witness
-        return batches
-
-    def _gather_pool(
-        self, plan, kind, indices, seeds_by_shard, keys, stats
-    ) -> list:
-        token = self._cache_token()
-        path = self._backend.path
-        tasks = [
-            (
-                path,
-                kind,
-                index,
-                plan.query,
-                None if seeds_by_shard is None else seeds_by_shard[index],
-                keys,
-                token,
-            )
-            for index in indices
-        ]
-        results = self._run_tasks(tasks)
-        results.sort(key=lambda item: item[0])  # deterministic shard order
-        batches: list = []
-        for __, count, blob, cache_hit in results:
-            if stats is not None:
-                stats.increment(
-                    "kb.shard_cache.hits"
-                    if cache_hit
-                    else "kb.shard_cache.misses"
-                )
-            batches.append(_unpack_batch(count, blob, plan.width))
-        return batches
+        if len(batches) == 1:
+            return batches[0]
+        return columnar.concat(batches, plan.width)
 
     # -- semi-join shipping --------------------------------------------
 
     def _execute_semijoin(
         self,
+        backend: SegmentedBackend,
         plan: ColumnarQuery,
         sliced: TwoStarSlice,
         context: ExecContext,
@@ -727,7 +520,9 @@ class ScatterGatherExecutor:
         if stats is not None:
             stats.increment("sparql.scatter.semijoin.queries")
         graph = context.graph
-        star_plans = [self._local_plan(star.query) for star in sliced.stars]
+        star_plans = [
+            self._local_plan(backend, star.query) for star in sliced.stars
+        ]
         estimates = [_min_pattern_count(graph, star) for star in star_plans]
         lead = 0 if estimates[0] <= estimates[1] else 1
         star_trail = sliced.stars[1 - lead]
@@ -735,7 +530,9 @@ class ScatterGatherExecutor:
         join_names = sliced.join_names
 
         # Phase 1: the more selective star, full fan-out.
-        batch_lead = self._gather(plan_lead, "subject", stats=stats, memo=memo)
+        batch_lead = self._gather(
+            backend, plan_lead, "subject", stats=stats, memo=memo
+        )
         keys_lead = list(
             zip(*(batch_lead.columns[plan_lead.slot_by_name[name]]
                   for name in join_names))
@@ -757,7 +554,7 @@ class ScatterGatherExecutor:
             # execute, and each scans only its shipped ids.
             position = join_names.index(star_trail.variable.name)
             subject_ids = sorted({key[position] for key in keyset})
-            shard_count = self._backend.shard_count
+            shard_count = backend.shard_count
             by_shard: dict[int, list] = {}
             for value in subject_ids:
                 by_shard.setdefault(
@@ -772,6 +569,7 @@ class ScatterGatherExecutor:
                     "sparql.scatter.semijoin.shipped_ids", len(subject_ids)
                 )
             batch_trail = self._gather(
+                backend,
                 plan_trail,
                 "subject",
                 seeds_by_shard=seeds_by_shard,
@@ -785,6 +583,7 @@ class ScatterGatherExecutor:
             if stats is not None:
                 stats.increment("sparql.scatter.semijoin.broadcasts")
             batch_trail = self._gather(
+                backend,
                 plan_trail,
                 "subject",
                 keys=(join_names, frozenset(keyset)),

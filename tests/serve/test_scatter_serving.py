@@ -1,21 +1,21 @@
-"""Shared-segment serving: one SegmentedBackend + one scatter pool behind
-every ResilientServer worker.
+"""Shared-segment serving: one SegmentedBackend + one scatter executor
+behind every ResilientServer worker.
 
 Covers the serving side of the scatter engine: auto-install over
 segmented KBs, hot-reload shard-cache invalidation with the cached-vs-cold
-byte-identity differential, the snapshot fingerprint guard against a
-drifted pool, and executor teardown on ``stop()``.
+byte-identity differential, and a snapshot restore after the shared
+executor was rebound to other segments.
 """
 
 import pytest
 
 from repro.api import QuestionAnsweringSystem, load_kb
-from repro.kb import build_segments
+from repro.kb import SegmentedBackend, build_segments
 from repro.perf.stats import PerfStats
+from repro.qald.devset import load_dev_questions
 from repro.rdf import Triple, Variable
-from repro.serve.errors import SnapshotError
 from repro.serve.server import ResilientServer, ServerConfig
-from repro.serve.soak import run_soak
+from repro.serve.soak import answer_signature, run_soak
 from repro.sparql import SparqlEngine, scatter
 from repro.sparql.ast import BGP, Group, OrderCondition, SelectQuery, TermExpr
 
@@ -107,7 +107,7 @@ def test_hot_reload_empties_every_shard_cache(segment_dir, segmented_system):
         assert cached == cold
 
         # Hot reload: a twin system over the same segment directory.  The
-        # executor rebinds (same fingerprint, pool survives) and the
+        # executor rebinds (same fingerprint) and the
         # generation bump must strand every cached shard result.
         twin = QuestionAnsweringSystem.over(load_kb(segment_dir))
         server.hot_reload(twin)
@@ -128,49 +128,44 @@ def test_hot_reload_empties_every_shard_cache(segment_dir, segmented_system):
         server.stop()
 
 
-def test_restore_snapshot_rejects_drifted_pool(
+def test_restore_after_external_rebind_answers_like_a_cold_system(
     kb, segment_dir, segmented_system, tmp_path
 ):
+    """An executor rebound to other segments declines every plan of the
+    served system (the foreign-graph check), so a snapshot restore is
+    accepted and its warm answers never mix with the other segments."""
+    cold = QuestionAnsweringSystem.over(load_kb(segment_dir))
+    controls = [question.text for question in load_dev_questions()]
     server = ResilientServer(segmented_system, ServerConfig(workers=2))
     try:
+        for text in controls:
+            server.answer(text)
         path = tmp_path / "warm.snapshot"
         server.save_snapshot(path)
-        server.restore_snapshot(path)  # aligned pool: accepted
 
         # Externally rebind the shared executor to different segments
-        # (fewer shards -> different fingerprint): the server must now
-        # refuse to restore warm caches the pool's answers no longer
-        # match.
+        # (fewer shards -> different fingerprint).
         drifted_dir = tmp_path / "drifted"
         build_segments(kb.graph, drifted_dir, shards=2)
-        from repro.kb import SegmentedBackend
-
         drifted = SegmentedBackend(drifted_dir).open()
         try:
             server.scatter.rebind(drifted)
-            with pytest.raises(SnapshotError):
-                server.restore_snapshot(path)
-            assert server.metrics()["counters"]["snapshot.rejected"] == 1
-            # Rebinding back realigns the pool and restore succeeds again.
-            server.scatter.rebind(segmented_system.kb.backend)
             server.restore_snapshot(path)
+            star = _star_query()
+            assert (
+                segmented_system.kb.engine.query(star).rows
+                == cold.kb.engine.query(star).rows
+            )
+            assert [
+                answer_signature(server.answer(text)) for text in controls
+            ] == [answer_signature(cold.answer(text)) for text in controls]
+            counters = server.metrics()["counters"]
+            assert "snapshot.rejected" not in counters
+            assert counters["sparql.scatter.foreign_graph_fallbacks"] > 0
         finally:
             drifted.close()
     finally:
         server.stop()
-
-
-def test_stop_closes_scatter_pool(segmented_system):
-    server = ResilientServer(
-        segmented_system, ServerConfig(workers=2, scatter_processes=1)
-    )
-    backend = segmented_system.kb.backend
-    probe = SparqlEngine(backend.graph_view(), cache_size=0)
-    probe.install_scatter(server.scatter)
-    probe.query(_star_query())
-    assert server.scatter._pool is not None
-    server.stop()
-    assert server.scatter._pool is None
 
 
 @pytest.mark.slow

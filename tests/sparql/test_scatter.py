@@ -15,9 +15,12 @@ import pytest
 from repro.kb import SegmentedBackend, build_segments
 from repro.perf.stats import PerfStats
 from repro.rdf import Graph, IRI, Triple, Variable
+from repro.rdf.datatypes import XSD_INTEGER
+from repro.rdf.terms import Literal
 from repro.sparql import (
     ScatterGatherExecutor,
     SparqlEngine,
+    parse_query,
     partition_spec,
     partition_variable,
     scatter,
@@ -156,7 +159,7 @@ class TestPartitionability:
 
 
 class TestInlineDifferential:
-    @pytest.mark.parametrize("seed", [11, 23, 47])
+    @pytest.mark.parametrize("seed", [11, 23, 31, 47])
     def test_seeded_workload_agrees(self, seed, tmp_path):
         graph, queries = querygen.random_workload(
             seed, queries=25, graph_size=60, conjunctive=True
@@ -167,9 +170,7 @@ class TestInlineDifferential:
         engine = SparqlEngine(
             backend.graph_view(), cache_size=0, stats=stats
         )
-        engine.install_scatter(
-            ScatterGatherExecutor(backend, processes=0)
-        )
+        engine.install_scatter(ScatterGatherExecutor(backend))
         for query in queries:
             _assert_agrees(
                 query, oracle.query(query), engine.query(query), oracle
@@ -188,7 +189,7 @@ class TestInlineDifferential:
         oracle = SparqlEngine(graph, cache_size=0)
         stats = PerfStats()
         engine = SparqlEngine(backend.graph_view(), cache_size=0, stats=stats)
-        engine.install_scatter(ScatterGatherExecutor(backend, processes=0))
+        engine.install_scatter(ScatterGatherExecutor(backend))
         for query in [
             _star_query(),
             _star_query(distinct=True),
@@ -223,7 +224,7 @@ class TestInlineDifferential:
         backend = _segmented(graph, tmp_path, shards=5)
         oracle = SparqlEngine(graph, cache_size=0)
         engine = SparqlEngine(backend.graph_view(), cache_size=0)
-        engine.install_scatter(ScatterGatherExecutor(backend, processes=0))
+        engine.install_scatter(ScatterGatherExecutor(backend))
         s, o = Variable("s"), Variable("o")
         query = SelectQuery(
             projection=(s,),
@@ -247,7 +248,7 @@ class TestInlineDifferential:
         backend = _segmented(graph, tmp_path)
         oracle = SparqlEngine(graph, cache_size=0)
         engine = SparqlEngine(backend.graph_view(), cache_size=0)
-        engine.install_scatter(ScatterGatherExecutor(backend, processes=0))
+        engine.install_scatter(ScatterGatherExecutor(backend))
         x = Variable("x")
         hit = AskQuery(
             where=Group((BGP((Triple(x, Variable("p"), Variable("o")),)),))
@@ -266,29 +267,12 @@ class TestInlineDifferential:
         backend = _segmented(graph, tmp_path)
         stats = PerfStats()
         engine = SparqlEngine(backend.graph_view(), cache_size=0, stats=stats)
-        engine.install_scatter(ScatterGatherExecutor(backend, processes=0))
+        engine.install_scatter(ScatterGatherExecutor(backend))
         engine.query(_star_query())
         engine.install_scatter(None)
         engine.query(_star_query())
         counters = stats.snapshot()["counters"]
         assert counters["sparql.scatter.queries"] == 1
-        backend.close()
-
-
-class TestProcessPool:
-    def test_pool_agrees_with_inline(self, tmp_path):
-        graph, queries = querygen.random_workload(
-            31, queries=8, graph_size=60, conjunctive=True
-        )
-        backend = _segmented(graph, tmp_path)
-        oracle = SparqlEngine(graph, cache_size=0)
-        engine = SparqlEngine(backend.graph_view(), cache_size=0)
-        with ScatterGatherExecutor(backend, processes=2) as executor:
-            engine.install_scatter(executor)
-            for query in queries + [_star_query(), _star_query(distinct=True)]:
-                _assert_agrees(
-                    query, oracle.query(query), engine.query(query), oracle
-                )
         backend.close()
 
 
@@ -436,7 +420,7 @@ class TestSlicingGuard:
         oracle = SparqlEngine(graph, cache_size=0)
         stats = PerfStats()
         engine = SparqlEngine(backend.graph_view(), cache_size=0, stats=stats)
-        engine.install_scatter(ScatterGatherExecutor(backend, processes=0))
+        engine.install_scatter(ScatterGatherExecutor(backend))
         for query in queries:
             assert engine.query(query).rows == oracle.query(query).rows
         counters = stats.snapshot()["counters"]
@@ -454,7 +438,7 @@ class TestObjectStarDifferential:
         oracle = SparqlEngine(graph, cache_size=0)
         stats = PerfStats()
         engine = SparqlEngine(backend.graph_view(), cache_size=0, stats=stats)
-        engine.install_scatter(ScatterGatherExecutor(backend, processes=0))
+        engine.install_scatter(ScatterGatherExecutor(backend))
         for query in [
             _object_star_query(),
             _object_star_query(order=False),
@@ -478,7 +462,7 @@ class TestObjectStarDifferential:
         oracle = SparqlEngine(graph, cache_size=0)
         stats = PerfStats()
         engine = SparqlEngine(backend.graph_view(), cache_size=0, stats=stats)
-        engine.install_scatter(ScatterGatherExecutor(backend, processes=0))
+        engine.install_scatter(ScatterGatherExecutor(backend))
         query = _object_star_query()
         _assert_agrees(query, oracle.query(query), engine.query(query), oracle)
         assert "sparql.scatter.object_queries" not in stats.snapshot()["counters"]
@@ -486,7 +470,7 @@ class TestObjectStarDifferential:
 
 
 class TestSemiJoinDifferential:
-    @pytest.mark.parametrize("seed", [7, 19, 42])
+    @pytest.mark.parametrize("seed", [7, 11, 19, 42])
     def test_seeded_two_star_workload_agrees(self, seed, tmp_path):
         graph, queries = querygen.random_two_star_workload(
             seed, queries=20, graph_size=70
@@ -495,7 +479,7 @@ class TestSemiJoinDifferential:
         oracle = SparqlEngine(graph, cache_size=0)
         stats = PerfStats()
         engine = SparqlEngine(backend.graph_view(), cache_size=0, stats=stats)
-        engine.install_scatter(ScatterGatherExecutor(backend, processes=0))
+        engine.install_scatter(ScatterGatherExecutor(backend))
         for query in queries:
             _assert_agrees(
                 query, oracle.query(query), engine.query(query), oracle
@@ -512,7 +496,7 @@ class TestSemiJoinDifferential:
         oracle = SparqlEngine(graph, cache_size=0)
         stats = PerfStats()
         engine = SparqlEngine(backend.graph_view(), cache_size=0, stats=stats)
-        engine.install_scatter(ScatterGatherExecutor(backend, processes=0))
+        engine.install_scatter(ScatterGatherExecutor(backend))
         query = _two_star_query()
         assert engine.query(query).rows == oracle.query(query).rows
         counters = stats.snapshot()["counters"]
@@ -532,25 +516,10 @@ class TestSemiJoinDifferential:
         backend = _segmented(graph, tmp_path)
         oracle = SparqlEngine(graph, cache_size=0)
         engine = SparqlEngine(backend.graph_view(), cache_size=0)
-        engine.install_scatter(ScatterGatherExecutor(backend, processes=0))
+        engine.install_scatter(ScatterGatherExecutor(backend))
         base = _two_star_query()
         ask = AskQuery(where=base.where)
         assert engine.query(ask).value == oracle.query(ask).value
-        backend.close()
-
-    def test_pool_semijoin_agrees(self, tmp_path):
-        graph, queries = querygen.random_two_star_workload(
-            11, queries=6, graph_size=60
-        )
-        backend = _segmented(graph, tmp_path)
-        oracle = SparqlEngine(graph, cache_size=0)
-        engine = SparqlEngine(backend.graph_view(), cache_size=0)
-        with ScatterGatherExecutor(backend, processes=2) as executor:
-            engine.install_scatter(executor)
-            for query in queries + [_two_star_query()]:
-                _assert_agrees(
-                    query, oracle.query(query), engine.query(query), oracle
-                )
         backend.close()
 
 
@@ -563,7 +532,7 @@ class TestShardCache:
         oracle = SparqlEngine(graph, cache_size=0)
         stats = PerfStats()
         engine = SparqlEngine(backend.graph_view(), cache_size=0, stats=stats)
-        executor = ScatterGatherExecutor(backend, processes=0, stats=stats)
+        executor = ScatterGatherExecutor(backend, stats=stats)
         engine.install_scatter(executor)
         workload = queries + [_star_query(), _two_star_query()]
 
@@ -596,7 +565,7 @@ class TestShardCache:
         backend = _segmented(graph, tmp_path)
         stats = PerfStats()
         engine = SparqlEngine(backend.graph_view(), cache_size=0, stats=stats)
-        engine.install_scatter(ScatterGatherExecutor(backend, processes=0))
+        engine.install_scatter(ScatterGatherExecutor(backend))
         x = Variable("x")
         empty = SelectQuery(
             projection=(x,),
@@ -610,91 +579,136 @@ class TestShardCache:
         assert counters["kb.shard_cache.hits"] == backend.shard_count
         backend.close()
 
-    def test_pool_worker_caches_hit(self, tmp_path):
-        graph, __ = querygen.random_workload(17, queries=0, graph_size=60)
-        backend = _segmented(graph, tmp_path)
+
+def _people(count, knows_first=False):
+    """``count`` people with an age (9 distinct values) and one
+    acquaintance each: enough subjects that every shard holds some.
+    ``knows_first`` adds every acquaintance before any age, so the same
+    terms get other dictionary ids."""
+    ages = [
+        Triple(
+            IRI(f"http://e/person{i}"),
+            IRI("http://e/age"),
+            Literal(str(i % 9), datatype=XSD_INTEGER),
+        )
+        for i in range(count)
+    ]
+    knows = [
+        Triple(
+            IRI(f"http://e/person{i}"),
+            IRI("http://e/knows"),
+            IRI(f"http://e/person{(i * 7 + 1) % count}"),
+        )
+        for i in range(count)
+    ]
+    return Graph(knows + ages if knows_first else ages + knows)
+
+
+PEOPLE_STAR = (
+    "PREFIX ex: <http://e/> SELECT ?x ?a WHERE { ?x ex:age ?a . "
+    "?x ex:knows ?y } ORDER BY ?x ?a"
+)
+PEOPLE_TWO_STAR = (
+    "PREFIX ex: <http://e/> SELECT ?x ?y WHERE { ?x ex:knows ?y . "
+    "?x ex:age ?a . ?y ex:age ?b . FILTER(?a > 2) . FILTER(?a < ?b) } "
+    "ORDER BY ?x ?y"
+)
+
+
+class TestBackendBinding:
+    """A scatter call runs on one backend from start to end: the one its
+    plan's ids were resolved against and the foreign-graph check
+    compared."""
+
+    @pytest.fixture()
+    def bound(self, tmp_path):
+        """Two segment directories of different content, each with its
+        graph's term-space oracle."""
+        pairs = []
+        for name, count, knows_first in (("a", 90, False), ("b", 60, True)):
+            graph = _people(count, knows_first)
+            build_segments(graph, tmp_path / name, shards=4)
+            pairs.append(
+                (
+                    SegmentedBackend(tmp_path / name).open(),
+                    SparqlEngine(graph, cache_size=0, idspace=False),
+                )
+            )
+        yield pairs
+        for backend, __ in pairs:
+            backend.close()
+
+    @pytest.mark.parametrize("text", [PEOPLE_STAR, PEOPLE_TWO_STAR])
+    @pytest.mark.parametrize("hook", ["_execute_shard", "_min_pattern_count"])
+    def test_rebind_mid_call_keeps_the_call_on_its_backend(
+        self, bound, monkeypatch, text, hook
+    ):
+        (backend_a, oracle_a), (backend_b, oracle_b) = bound
+        query = parse_query(text)
+        executor = ScatterGatherExecutor(backend_a)
+        original = getattr(scatter, hook)
+        rebinds = []
+
+        def run_then_rebind(*args, **kwargs):
+            result = original(*args, **kwargs)
+            if not rebinds:
+                # A hot reload landing in the middle of the call: after
+                # the first shard ran, or after the fan-out gate.
+                rebinds.append(hook)
+                executor.rebind(backend_b)
+            return result
+
+        monkeypatch.setattr(scatter, hook, run_then_rebind)
+        engine_a = SparqlEngine(backend_a.graph_view(), cache_size=0)
+        engine_a.install_scatter(executor)
+        assert engine_a.query(query).rows == oracle_a.query(query).rows
+        assert rebinds == [hook]
+
         stats = PerfStats()
-        engine = SparqlEngine(backend.graph_view(), cache_size=0, stats=stats)
-        # One worker serves every shard, so the second run must hit the
-        # worker-resident cache for all of them (with more workers the
-        # task→worker assignment is scheduler-dependent).
-        with ScatterGatherExecutor(backend, processes=1) as executor:
-            engine.install_scatter(executor)
-            first = engine.query(_star_query()).rows
-            second = engine.query(_star_query()).rows
-        assert second == first
+        engine_b = SparqlEngine(
+            backend_b.graph_view(), cache_size=0, stats=stats
+        )
+        engine_b.install_scatter(executor)
+        assert engine_b.query(query).rows == oracle_b.query(query).rows
+        assert stats.snapshot()["counters"]["sparql.scatter.queries"] == 1
+
+    def test_foreign_graph_falls_back(self, bound):
+        (backend_a, __), (backend_b, oracle_b) = bound
+        stats = PerfStats()
+        engine = SparqlEngine(
+            backend_b.graph_view(), cache_size=0, stats=stats
+        )
+        engine.install_scatter(ScatterGatherExecutor(backend_a, stats=stats))
+        for text in (PEOPLE_STAR, PEOPLE_TWO_STAR):
+            query = parse_query(text)
+            assert engine.query(query).rows == oracle_b.query(query).rows
         counters = stats.snapshot()["counters"]
-        assert counters["kb.shard_cache.hits"] == backend.shard_count
-        backend.close()
+        assert counters["sparql.scatter.foreign_graph_fallbacks"] == 2
+        assert not [
+            name for name in counters if name.startswith("kb.shard_cache.")
+        ]
 
 
 class TestPoolLifecycle:
-    """Satellite S1: spawn-safe workers, and no pool leaks when a shard
-    task raises."""
-
-    def test_spawn_start_method_agrees(self, tmp_path):
-        graph, __ = querygen.random_workload(41, queries=0, graph_size=40)
-        backend = _segmented(graph, tmp_path)
-        oracle = SparqlEngine(graph, cache_size=0)
-        engine = SparqlEngine(backend.graph_view(), cache_size=0)
-        with ScatterGatherExecutor(
-            backend, processes=2, start_method="spawn"
-        ) as executor:
-            engine.install_scatter(executor)
-            query = _star_query()
-            assert engine.query(query).rows == oracle.query(query).rows
-        backend.close()
-
-    def test_raising_task_closes_pool(self, tmp_path):
-        graph, __ = querygen.random_workload(43, queries=0, graph_size=40)
-        backend = _segmented(graph, tmp_path)
-        executor = ScatterGatherExecutor(backend, processes=2)
-        try:
-            engine = SparqlEngine(backend.graph_view(), cache_size=0)
-            engine.install_scatter(executor)
-            query = _star_query()
-            good = engine.query(query).rows
-            assert executor._pool is not None
-            # A task addressing a shard that does not exist surfaces the
-            # worker's exception on the coordinator (the wildcard pattern
-            # forces the scan to actually touch the shard)...
-            wildcard = SelectQuery(
-                projection=(Variable("s"),),
-                where=Group(
-                    (
-                        BGP(
-                            (
-                                Triple(
-                                    Variable("s"),
-                                    Variable("p"),
-                                    Variable("o"),
-                                ),
-                            )
-                        ),
-                    )
-                ),
-            )
-            with pytest.raises(Exception):
-                executor._run_tasks(
-                    [(backend.path, "subject", 999, wildcard, None, None, None)]
-                )
-            # ...and the broken pool must be gone, not left poisoned.
-            assert executor._pool is None
-            # The next query lazily rebuilds a clean pool and agrees.
-            assert engine.query(query).rows == good
-            assert executor._pool is not None
-        finally:
-            executor.close()
-            backend.close()
+    """The executor's lifecycle: ``close`` releases its caches and may be
+    called twice; inline (``processes=0``) is the only execution mode."""
 
     def test_close_is_idempotent(self, tmp_path):
         graph, __ = querygen.random_workload(44, queries=0, graph_size=30)
         backend = _segmented(graph, tmp_path)
-        executor = ScatterGatherExecutor(backend, processes=1)
+        executor = ScatterGatherExecutor(backend)
         engine = SparqlEngine(backend.graph_view(), cache_size=0)
         engine.install_scatter(executor)
         engine.query(_star_query())
         executor.close()
         executor.close()
-        assert executor._pool is None
+        assert executor._caches == {}
+        backend.close()
+
+    def test_processes_accepts_only_inline(self, tmp_path):
+        graph, __ = querygen.random_workload(45, queries=0, graph_size=20)
+        backend = _segmented(graph, tmp_path)
+        with pytest.raises(ValueError):
+            ScatterGatherExecutor(backend, processes=1)
+        ScatterGatherExecutor(backend, processes=0).close()
         backend.close()

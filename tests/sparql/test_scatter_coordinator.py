@@ -1,5 +1,5 @@
 """Columnar scatter coordinator: residual filters, the shared filter memo,
-the fan-out gate, and bounded plan caches.
+the fan-out gate, and the bounded plan cache.
 
 Every answer is checked against the term-space oracle
 (``SparqlEngine(idspace=False)``) over the same triples held in memory.
@@ -8,7 +8,6 @@ Every answer is checked against the term-space oracle
 import pytest
 
 from repro.kb import SegmentedBackend, build_segments
-from repro.perf.lru import LRUCache
 from repro.perf.stats import PerfStats
 from repro.rdf import Graph, IRI, Triple
 from repro.rdf.datatypes import XSD_INTEGER
@@ -82,10 +81,10 @@ def force_fanout(monkeypatch):
     monkeypatch.setattr(scatter, "FANOUT_MIN_ROWS", 0)
 
 
-def _engine(backend, processes=0):
+def _engine(backend):
     stats = PerfStats()
     engine = SparqlEngine(backend.graph_view(), cache_size=0, stats=stats)
-    executor = ScatterGatherExecutor(backend, processes=processes)
+    executor = ScatterGatherExecutor(backend)
     engine.install_scatter(executor)
     return engine, executor, stats
 
@@ -159,12 +158,6 @@ class TestResidualFilters:
             PREFIX + CROSS_STAR.replace(" . FILTER(?a < ?b)", "")
         )
         assert 0 < len(with_filter.rows) < len(without.rows)
-
-    def test_pool_applies_residual_filters(self, backend, oracle):
-        query = parse_query(PREFIX + CROSS_STAR)
-        engine, executor, __ = _engine(backend, processes=2)
-        with executor:
-            assert engine.query(query).rows == oracle.query(query).rows
 
     def test_two_star_ask_with_residual_filter(self, backend, oracle):
         for text in (
@@ -283,8 +276,8 @@ class TestFanoutGate:
 
 @pytest.mark.usefixtures("force_fanout")
 class TestPlanCacheBounds:
-    """The coordinator's and the pool workers' plan caches are LRUs with
-    the engine's plan-cache capacity, not dicts that grow per query."""
+    """The coordinator's plan cache is an LRU with the engine's
+    plan-cache capacity, not a dict that grows per query."""
 
     def _distinct_queries(self, count):
         # A different pushed-down filter constant per query: every query
@@ -307,24 +300,6 @@ class TestPlanCacheBounds:
         )
         assert len(executor._plans) <= DEFAULT_CACHE_SIZE
 
-    def test_worker_plan_cache_is_bounded(self, backend, monkeypatch):
-        assert isinstance(scatter._WORKER_PLANS, LRUCache)
-        assert scatter._WORKER_PLANS.maxsize == DEFAULT_CACHE_SIZE
-        opened: dict = {}
-        monkeypatch.setattr(scatter, "_WORKER_BACKENDS", opened)
-        queries = [
-            partition_spec(query)[1].stars[0].query
-            for query in self._distinct_queries(DEFAULT_CACHE_SIZE + 20)
-        ]
-        try:
-            for query in queries:
-                scatter._shard_task(backend.path, "subject", 0, query)
-            assert len(scatter._WORKER_PLANS) <= DEFAULT_CACHE_SIZE
-        finally:
-            scatter._WORKER_PLANS.clear()
-            for worker_backend in opened.values():
-                worker_backend.close()
-
 
 @pytest.mark.usefixtures("force_fanout")
 def test_threads_share_cached_batches(backend, oracle):
@@ -343,7 +318,7 @@ def test_threads_share_cached_batches(backend, oracle):
         )
     ]
     expected = [oracle.query(query).rows for query in queries]
-    executor = ScatterGatherExecutor(backend, processes=0)
+    executor = ScatterGatherExecutor(backend)
     # One pass up front fills every shard cache (and maps every shard the
     # queries touch), so the threads below share cached batches.
     warm = SparqlEngine(backend.graph_view(), cache_size=0)
