@@ -3,8 +3,9 @@
 
 Builds the deterministic synthetic KB at ``--scale`` (default 160 — about
 800k triples, 10x the largest scale the engine benchmarks use), writes a
-hash-sharded segment directory, and then runs the same join-heavy workload
-in **two isolated subprocesses**:
+hash-sharded segment directory (``build_segments_s`` includes mining the
+resources the directory ships), and then runs the same join-heavy
+workload in **two isolated subprocesses**:
 
 * ``memory``   — rebuilds the KB in-heap (the single-process baseline:
   cold start pays record materialisation + dict index build, peak RSS
@@ -21,6 +22,13 @@ ORDER BY'd, so the comparison is **byte-identical row for row** (COUNT and
 ASK compare by value) — and exits non-zero on any divergence.  Outside
 ``--quick`` it also enforces the headline claim: segmented peak RSS below
 the single-heap baseline.
+
+Two more lanes time the **first answer** of a question-answering server,
+each in a process of its own so the engine lanes' RSS keeps its meaning:
+``first_memory`` loads the KB in-heap and builds the QA system over it
+(mining its resources), ``first_segments`` opens the segment directory
+and builds the KB and the system from the resources it ships.  Both then
+answer :data:`FIRST_QUESTION`; ``first_answer_speedup`` is their ratio.
 
 Usage:
     python benchmarks/bench_kb_scale.py --output BENCH_kb_scale.json
@@ -124,6 +132,11 @@ JOIN_WORKLOAD = [
 ]
 
 
+#: The question the first-answer lanes answer (its writer exists at
+#: every scale).
+FIRST_QUESTION = "Where was Alan Adler 0 born?"
+
+
 def _canonical(result) -> list:
     """Canonical, JSON-stable form of one query result."""
     if hasattr(result, "rows"):
@@ -170,10 +183,13 @@ def run_lane(args) -> dict:
                     "fingerprint": manifest["fingerprint"],
                     "build_kb_s": round(build_kb_s, 3),
                     "build_segments_s": round(time.perf_counter() - start, 3),
+                    "mine_s": round(manifest["mine_s"], 3),
                 }
             )
         )
         return {}
+    if args.lane.startswith("first_"):
+        return run_first_answer_lane(args)
 
     start = time.perf_counter()
     if args.lane == "memory":
@@ -235,6 +251,44 @@ def run_lane(args) -> dict:
     return {}
 
 
+def run_first_answer_lane(args) -> dict:
+    """Time from nothing to the first answer of a fresh QA system."""
+    from repro.api import QuestionAnsweringSystem
+
+    start = time.perf_counter()
+    if args.lane == "first_memory":
+        from repro.kb import load_synthetic_kb
+
+        kb = load_synthetic_kb(scale=args.scale, seed=args.seed)
+    else:
+        from repro.kb import (
+            KnowledgeBase,
+            SegmentedBackend,
+            build_dbpedia_ontology,
+        )
+
+        backend = SegmentedBackend(args.segments).open()
+        kb = KnowledgeBase.from_backend(build_dbpedia_ontology(), backend)
+    kb_s = time.perf_counter() - start
+    system = QuestionAnsweringSystem.over(kb)
+    system_s = time.perf_counter() - start - kb_s
+    answer = system.answer(FIRST_QUESTION)
+    first_answer_s = time.perf_counter() - start
+    print(
+        json.dumps(
+            {
+                "lane": args.lane,
+                "kb_s": round(kb_s, 3),
+                "system_s": round(system_s, 3),
+                "first_answer_s": round(first_answer_s, 3),
+                "peak_rss_mb": _peak_rss_mb(),
+                "answers": [term.n3() for term in answer.answers],
+            }
+        )
+    )
+    return {}
+
+
 def _spawn_lane(lane: str, args, segments: str) -> dict:
     command = [
         sys.executable,
@@ -268,6 +322,7 @@ def main() -> int:
         "--lane",
         choices=[
             "build", "memory", "segments", "join_plain", "join_inline",
+            "first_memory", "first_segments",
         ],
         help=argparse.SUPPRESS,
     )
@@ -295,7 +350,10 @@ def main() -> int:
 
         lanes = {
             lane: _spawn_lane(lane, args, segments)
-            for lane in ("memory", "segments", "join_plain", "join_inline")
+            for lane in (
+                "memory", "segments", "join_plain", "join_inline",
+                "first_memory", "first_segments",
+            )
         }
 
     memory, segmented = lanes["memory"], lanes["segments"]
@@ -307,11 +365,17 @@ def main() -> int:
         for name in join_names
         if lanes[lane]["answers"][name] != oracle_joins[name]
     ]
+    first_memory, first_segments = lanes["first_memory"], lanes["first_segments"]
+    first_identical = (
+        first_memory["answers"] == first_segments["answers"]
+        and bool(first_memory["answers"])
+    )
     identical = (
         {
             name: memory["answers"][name] for name, __ in WORKLOAD
         } == segmented["answers"]
         and not join_divergent
+        and first_identical
     )
 
     def _join_total(lane: str) -> float:
@@ -327,8 +391,18 @@ def main() -> int:
         "segment_fingerprint": manifest["fingerprint"],
         "identical_answers": identical,
         "segments_rss_below_memory": rss_below,
-        "cold_start_speedup": round(
-            memory["load_s"] / max(segmented["load_s"], 1e-9), 2
+        "build_segments_s": manifest["build_segments_s"],
+        "mine_s": manifest["mine_s"],
+        # Nothing to the first answer: in-heap KB + mined resources vs
+        # opened segments + the resources they ship.
+        "first_answer_s": {
+            "memory": first_memory["first_answer_s"],
+            "segments": first_segments["first_answer_s"],
+        },
+        "first_answer_speedup": round(
+            first_memory["first_answer_s"]
+            / max(first_segments["first_answer_s"], 1e-9),
+            2,
         ),
         # Cold semi-join scatter vs cold single-process joins over the
         # same segments (every cache emptied before every repeat).
@@ -371,9 +445,12 @@ def main() -> int:
         f"segments {segmented['peak_rss_mb']}MB"
     )
     print(
-        f"  cold start:                 memory {memory['load_s']}s, "
-        f"segments {segmented['load_s']}s "
-        f"({report['cold_start_speedup']}x)"
+        f"  first answer:               memory "
+        f"{first_memory['first_answer_s']}s, segments "
+        f"{first_segments['first_answer_s']}s "
+        f"({report['first_answer_speedup']}x; building the segments "
+        f"took {manifest['build_segments_s']}s, {manifest['mine_s']}s "
+        f"of it mining)"
     )
     print(
         f"  scatter join speedup:       "
@@ -385,6 +462,9 @@ def main() -> int:
                 print(f"  DIVERGENT: {name}", file=sys.stderr)
         for lane, name in join_divergent:
             print(f"  DIVERGENT: {lane}/{name}", file=sys.stderr)
+        if not first_identical:
+            print(f"  DIVERGENT: first answer to {FIRST_QUESTION!r}",
+                  file=sys.stderr)
         return 1
     if not args.quick and not rss_below:
         print("  FAIL: segmented peak RSS not below in-heap baseline",

@@ -527,6 +527,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_kb(args: argparse.Namespace) -> int:
     """KB storage management: currently the segment builder."""
+    import os
+
     from repro.kb import build_segments, load_synthetic_kb
 
     if args.kb_command != "build-segments":  # argparse enforces this
@@ -542,6 +544,10 @@ def _cmd_kb(args: argparse.Namespace) -> int:
           f"(largest shard {max(sizes)}, smallest {min(sizes)})")
     print(f"terms:       {manifest['terms']}")
     print(f"fingerprint: {manifest['fingerprint']}")
+    print(f"mined the shipped resources in {manifest['mine_s']:.2f}s:")
+    for name in manifest["resources"]:
+        size = os.path.getsize(os.path.join(args.out, name))
+        print(f"  {name:<16} {size:>12,} bytes")
     return 0
 
 
@@ -592,6 +598,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             "typed_failures": report.typed_failures,
             "shed": report.shed,
             "degraded": report.degraded,
+            "faulted_controls": report.faulted_controls,
             "chaos_events": report.chaos_events,
             "violations": report.violations,
             "post_soak_identical": report.post_soak_identical,

@@ -35,8 +35,10 @@ from repro.core.querygen import CandidateQuery, QueryGenerator
 from repro.core.triples import TriplePattern
 from repro.core.typecheck import ExpectedType, answer_matches_type, expected_answer_type
 from repro.kb.builder import KnowledgeBase
+from repro.kb.segment import PATTERNS_RESOURCE
 from repro.nlp.dependencies import DependencyGraph
 from repro.nlp.pipeline import Pipeline, Sentence
+from repro.patty.export import pattern_store_from_state
 from repro.patty.store import PatternStore, build_pattern_store
 from repro.reliability.budgets import Deadline
 from repro.reliability.errors import (
@@ -178,7 +180,12 @@ class QuestionAnsweringSystem:
     ) -> "QuestionAnsweringSystem":
         """Build the system with all resources mined/derived from the KB:
         the PATTY pattern store, WordNet property pairs and adjective map
-        (plus the data-property pattern store when that extension is on)."""
+        (plus the data-property pattern store when that extension is on).
+
+        When the KB's indexes were loaded from its backend's shipped
+        resources (:attr:`KnowledgeBase.shipped_index`), the pattern store
+        is loaded from the same shipped set instead of mined; it equals a
+        freshly mined one pattern for pattern."""
         config = config if config is not None else PipelineConfig()
         wordnet = build_wordnet()
         data_pattern_store = None
@@ -186,9 +193,16 @@ class QuestionAnsweringSystem:
             from repro.extensions.datapatterns import build_data_pattern_store
 
             data_pattern_store = build_data_pattern_store(kb)
+        pattern_store = None
+        if kb.shipped_index:
+            pattern_store = kb.backend.shipped_resource(
+                PATTERNS_RESOURCE, pattern_store_from_state
+            )
+        if pattern_store is None:
+            pattern_store = build_pattern_store(kb)
         return cls(
             kb,
-            pattern_store=build_pattern_store(kb),
+            pattern_store=pattern_store,
             similar_pairs=build_similar_property_pairs(kb.ontology, wordnet),
             adjective_map=build_adjective_map(kb.ontology, wordnet),
             config=config,
@@ -206,11 +220,11 @@ class QuestionAnsweringSystem:
         (:class:`repro.kb.KBBackend`) instead of a pre-built KB.
 
         Wraps the backend in a :class:`~repro.kb.builder.KnowledgeBase`
-        via :meth:`KnowledgeBase.from_backend` (rebuilding the derived
-        lookup indexes from the stored triples) and then mines the
-        pattern resources exactly as :meth:`over` does.  ``ontology``
-        defaults to the DBpedia-shaped schema every stored KB in this
-        repo uses.
+        via :meth:`KnowledgeBase.from_backend` (loading the derived lookup
+        indexes the backend ships, or rebuilding them from the stored
+        triples) and then gets the pattern resources exactly as
+        :meth:`over` does.  ``ontology`` defaults to the DBpedia-shaped
+        schema every stored KB in this repo uses.
         """
         from repro.kb.schema import build_dbpedia_ontology
 

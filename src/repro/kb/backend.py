@@ -136,6 +136,12 @@ class KBBackend(ABC):
     def stats(self) -> dict:
         """Backend counters and static sizing facts."""
 
+    def shipped_resource(self, name: str, parse):
+        """``parse(payload)`` of a resource derived from these triples
+        when they were stored, or None when the backend ships none (the
+        default; :class:`repro.kb.shard.SegmentedBackend` ships them)."""
+        return None
+
     # -- engine view ----------------------------------------------------
 
     def graph_view(self) -> Graph:

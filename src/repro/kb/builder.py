@@ -10,6 +10,7 @@ The builder materialises, exactly once and from a single source of truth:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from repro.kb.backend import InMemoryBackend, KBBackend
@@ -17,6 +18,7 @@ from repro.kb.labels import SurfaceFormIndex, normalize_surface
 from repro.kb.ontology import Ontology, PropertyDef, PropertyKind
 from repro.kb.pagelinks import PageLinkGraph, WIKI_PAGE_LINK
 from repro.kb.records import EntityRecord
+from repro.kb.segment import INDEX_RESOURCE
 from repro.rdf.datatypes import make_literal
 from repro.rdf.namespaces import DBO, DBR, RDF, RDFS
 from repro.rdf.terms import IRI, Literal, Triple
@@ -32,8 +34,9 @@ class KnowledgeBase:
 
     Build one with :meth:`from_records` (validating, in-memory) or
     :meth:`from_backend` (wrap an existing storage backend — e.g. an
-    on-disk :class:`~repro.kb.shard.SegmentedBackend` — rebuilding the
-    derived lookup indexes from its triples).
+    on-disk :class:`~repro.kb.shard.SegmentedBackend` — loading the
+    derived lookup indexes it ships, or rebuilding them from its
+    triples).
 
     All triple access goes through :attr:`backend`
     (:class:`~repro.kb.backend.KBBackend`); :attr:`graph` is the
@@ -56,6 +59,10 @@ class KnowledgeBase:
         self.page_links = PageLinkGraph()
         self._class_labels: dict[str, list[str]] = {}
         self._entity_types: dict[IRI, set[str]] = {}
+        #: Whether the lookup indexes were loaded from the backend's
+        #: shipped resources (then the pattern store it ships was mined
+        #: from the same indexes, and the QA system loads it too).
+        self.shipped_index = False
         self._index_class_labels()
 
     # ------------------------------------------------------------------
@@ -78,18 +85,45 @@ class KnowledgeBase:
         """Serve an existing storage backend as a knowledge base.
 
         The derived lookup indexes — surface forms, the entity-type
-        closure, the page-link graph — are rebuilt from the stored
-        triples: ``rdfs:label`` literals become primary surface forms
-        (IRI local names become secondary ones), ``rdf:type`` triples
-        with ``dbo:`` objects rebuild the type closure, and wiki
-        page-link triples rebuild the disambiguation graph.  Free-form
-        record aliases are not materialised as triples, so they do not
-        survive the round trip — build both sides of a comparison through
-        this constructor when exact surface-index parity matters.
+        closure, the page-link graph — are loaded from the backend when
+        it ships them (a segment directory written by
+        :func:`~repro.kb.shard.build_segments`), and otherwise rebuilt
+        from the stored triples: ``rdfs:label`` literals become primary
+        surface forms (IRI local names become secondary ones),
+        ``rdf:type`` triples with ``dbo:`` objects rebuild the type
+        closure, and wiki page-link triples rebuild the disambiguation
+        graph.  The shipped indexes were built by this same rebuild, so
+        both ways give equal indexes, orders included.  Free-form record
+        aliases are not materialised as triples, so they do not survive
+        the round trip — build both sides of a comparison through this
+        constructor when exact surface-index parity matters.
         """
         kb = cls(ontology, backend=backend)
-        kb._index_from_graph()
+        shipped = backend.shipped_resource(
+            INDEX_RESOURCE,
+            lambda state: _index_from_state(state, backend.dictionary.decode),
+        )
+        if shipped is None:
+            kb._index_from_graph()
+        else:
+            kb.surface_index, kb._entity_types, kb.page_links = shipped
+            kb.shipped_index = True
         return kb
+
+    def index_state(self) -> dict:
+        """The derived lookup indexes as a JSON-able document (what
+        :func:`~repro.kb.shard.build_segments` ships), entities as the
+        backend's dictionary ids; insertion orders are kept, and each
+        entity's type set is sorted."""
+        encode = lru_cache(maxsize=None)(self.backend.lookup)
+        return {
+            "surface_forms": self.surface_index.to_state(encode),
+            "entity_types": [
+                [encode(entity), sorted(types)]
+                for entity, types in self._entity_types.items()
+            ],
+            "page_links": self.page_links.to_state(encode),
+        }
 
     def _index_from_graph(self) -> None:
         dbr_base = DBR.base
@@ -266,3 +300,22 @@ class KnowledgeBase:
 
     def __len__(self) -> int:
         return len(self.graph)
+
+
+def _index_from_state(
+    state: dict, decode
+) -> tuple[SurfaceFormIndex, dict[IRI, set[str]], PageLinkGraph]:
+    """Inverse of :meth:`KnowledgeBase.index_state`.  Decoding through the
+    backend's dictionary gives the indexes the very term objects its
+    scans return, as a rebuild from those scans does."""
+    # Each entity appears in several indexes; decode it once even when
+    # there are more entities than the dictionary's decode cache holds.
+    decode = lru_cache(maxsize=None)(decode)
+    entity_types = {
+        decode(entity): set(types) for entity, types in state["entity_types"]
+    }
+    return (
+        SurfaceFormIndex.from_state(state["surface_forms"], decode),
+        entity_types,
+        PageLinkGraph.from_state(state["page_links"], decode),
+    )

@@ -60,6 +60,37 @@ class SurfaceFormIndex:
         if primary or entity not in self._primary_label:
             self._primary_label[entity] = surface
 
+    def to_state(self, encode) -> dict:
+        """A JSON-able copy of the index: every form with its candidates
+        and every primary label, in insertion order.  ``encode`` maps an
+        entity to its JSON form (a dictionary id)."""
+        return {
+            "forms": [
+                [form, [encode(entity) for entity in candidates]]
+                for form, candidates in self._forms.items()
+            ],
+            "labels": [
+                [encode(entity), label]
+                for entity, label in self._primary_label.items()
+            ],
+        }
+
+    @classmethod
+    def from_state(cls, state: dict, decode) -> "SurfaceFormIndex":
+        """Inverse of :meth:`to_state`; ``decode`` inverts its ``encode``."""
+        index = cls()
+        forms = index._forms
+        for form, entities in state["forms"]:
+            forms[form] = [decode(entity) for entity in entities]
+        index._primary_label = {
+            decode(entity): label for entity, label in state["labels"]
+        }
+        index._first_words = {form.partition(" ")[0] for form in forms}
+        index._max_words = max(
+            (form.count(" ") + 1 for form in forms), default=1
+        )
+        return index
+
     def candidates(self, surface: str) -> list[IRI]:
         """Entities registered under a surface form (possibly several)."""
         return list(self._forms.get(normalize_surface(surface), ()))

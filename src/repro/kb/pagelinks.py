@@ -36,6 +36,27 @@ class PageLinkGraph:
         for target in targets:
             self.add_link(source, target)
 
+    def to_state(self, encode) -> list:
+        """A JSON-able copy of the links: each source page with its
+        targets, sources in insertion order.  ``encode`` maps a page to
+        its JSON form (a dictionary id); targets are sorted by it."""
+        return [
+            [encode(source), sorted(encode(target) for target in targets)]
+            for source, targets in self._out.items()
+        ]
+
+    @classmethod
+    def from_state(cls, state: list, decode) -> "PageLinkGraph":
+        """Inverse of :meth:`to_state`; ``decode`` inverts its ``encode``."""
+        graph = cls()
+        incoming = graph._in
+        for page, linked in state:
+            source = decode(page)
+            targets = graph._out[source] = {decode(target) for target in linked}
+            for target in targets:
+                incoming[target].add(source)
+        return graph
+
     def out_links(self, page: IRI) -> set[IRI]:
         return set(self._out.get(page, ()))
 

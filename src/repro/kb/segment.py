@@ -24,9 +24,20 @@ subject id:
     with zero copies.  Every bound-prefix pattern scan is a binary-search
     range narrowing; counts are range subtractions.
 
+``kb_index.res`` and ``patty_store.res``
+    Resources derived from the triples when the directory is built: the
+    KB's lookup indexes (surface forms, primary labels, the entity-type
+    closure, page links) and the mined PATTY pattern store.  Their bodies
+    are JSON (a directory is input from outside the program, so nothing
+    is unpickled), their headers name the content fingerprint they were
+    mined from, and the manifest lists them under the additive
+    ``resources`` key.  Opening a directory never reads them; the KB and
+    the QA system load them on demand (:func:`read_resource`), and a
+    directory without the key rebuilds them from the triples instead.
+
 Every file carries a checksummed header; a corrupted or truncated file
-raises the typed :class:`SegmentIntegrityError` at open time (fail fast,
-never serve garbage), an unknown schema or a malformed file raises
+raises the typed :class:`SegmentIntegrityError` when it is read (fail
+fast, never serve garbage), an unknown schema or a malformed file raises
 :class:`SegmentError`.
 """
 
@@ -49,9 +60,15 @@ SEGMENT_SCHEMA = "repro.kbseg/v1"
 
 _DICT_MAGIC = b"RKBDICT1\n"
 _SHARD_MAGIC = b"RKBSEG1\n"
+_RESOURCE_MAGIC = b"RKBRES1\n"
 _WORD = 8  # int64 bytes
 
 IdTriple = tuple[int, int, int]
+
+#: The derived resources :func:`repro.kb.shard.build_segments` ships
+#: beside the shards (file names; the manifest's ``resources`` keys).
+INDEX_RESOURCE = "kb_index.res"
+PATTERNS_RESOURCE = "patty_store.res"
 
 
 class SegmentError(BackendError):
@@ -128,6 +145,28 @@ def _write_with_header(path: str, magic: bytes, header: dict, body: bytes) -> st
     return checksum
 
 
+def _split_header(path: str, data, magic: bytes) -> tuple[dict, int]:
+    """Check a file's magic and parse its JSON header line; returns the
+    header and the offset where the body starts."""
+    if data[: len(magic)] != magic:
+        raise SegmentError(f"{path}: bad magic (not a segment file)")
+    newline = data.find(b"\n", len(magic))
+    if newline < 0:
+        raise SegmentIntegrityError(f"{path}: truncated header")
+    try:
+        header = json.loads(bytes(data[len(magic):newline]).decode("utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as error:
+        raise SegmentIntegrityError(f"{path}: corrupt header: {error}") from None
+    if not isinstance(header, dict):
+        raise SegmentIntegrityError(f"{path}: corrupt header")
+    if header.get("schema") != SEGMENT_SCHEMA:
+        raise SegmentError(
+            f"{path}: unknown segment schema "
+            f"{header.get('schema')!r} (expected {SEGMENT_SCHEMA!r})"
+        )
+    return header, newline + 1
+
+
 class _MappedFile:
     """An open mmap with its parsed header and body view."""
 
@@ -141,25 +180,8 @@ class _MappedFile:
             self._file.close()
             raise SegmentIntegrityError(f"{path}: empty segment file") from None
         try:
-            if self.mm[: len(magic)] != magic:
-                raise SegmentError(f"{path}: bad magic (not a segment file)")
-            newline = self.mm.find(b"\n", len(magic))
-            if newline < 0:
-                raise SegmentIntegrityError(f"{path}: truncated header")
-            try:
-                self.header = json.loads(
-                    self.mm[len(magic):newline].decode("utf-8")
-                )
-            except (json.JSONDecodeError, UnicodeDecodeError) as error:
-                raise SegmentIntegrityError(
-                    f"{path}: corrupt header: {error}"
-                ) from None
-            if self.header.get("schema") != SEGMENT_SCHEMA:
-                raise SegmentError(
-                    f"{path}: unknown segment schema "
-                    f"{self.header.get('schema')!r} (expected {SEGMENT_SCHEMA!r})"
-                )
-            self.body = memoryview(self.mm)[newline + 1:]
+            self.header, start = _split_header(path, self.mm, magic)
+            self.body = memoryview(self.mm)[start:]
             digest = hashlib.sha256(self.body).hexdigest()
             if digest != self.header.get("checksum"):
                 raise SegmentIntegrityError(
@@ -522,6 +544,58 @@ def scan_order_key(s: int | None, p: int | None, o: int | None):
 
 
 # ---------------------------------------------------------------------------
+# Derived resources
+# ---------------------------------------------------------------------------
+
+
+def write_resource(path: str, name: str, mined_from: str, payload) -> str:
+    """Serialize one derived resource as a JSON body; returns the body
+    checksum.  ``mined_from`` is the content fingerprint of the segments
+    the payload was derived from."""
+    body = json.dumps(
+        payload, separators=(",", ":"), ensure_ascii=False
+    ).encode("utf-8")
+    return _write_with_header(
+        path, _RESOURCE_MAGIC, {"resource": name, "mined_from": mined_from},
+        body,
+    )
+
+
+def read_resource(path: str, name: str, checksum: str, mined_from: str):
+    """Read, validate and parse a resource written by :func:`write_resource`.
+
+    The body's SHA-256 must match both its header and ``checksum`` (the
+    manifest's entry), and the header must name ``mined_from`` (the
+    directory's content fingerprint), so a resource mined from other
+    triples is refused even when it is intact.
+    """
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError as error:
+        raise SegmentError(f"unreadable resource file: {error}") from None
+    header, start = _split_header(path, data, _RESOURCE_MAGIC)
+    body = memoryview(data)[start:]
+    digest = hashlib.sha256(body).hexdigest()
+    if digest != header.get("checksum") or digest != checksum:
+        raise SegmentIntegrityError(f"{path}: body failed checksum validation")
+    if header.get("resource") != name:
+        raise SegmentError(
+            f"{path}: holds resource {header.get('resource')!r}, "
+            f"expected {name!r}"
+        )
+    if header.get("mined_from") != mined_from:
+        raise SegmentError(
+            f"{path}: mined from {header.get('mined_from')!r}, but the "
+            f"directory's triples are {mined_from!r}"
+        )
+    try:
+        return json.loads(body.tobytes())
+    except (ValueError, UnicodeDecodeError) as error:
+        raise SegmentIntegrityError(f"{path}: corrupt body: {error}") from None
+
+
+# ---------------------------------------------------------------------------
 # Manifest
 # ---------------------------------------------------------------------------
 
@@ -533,14 +607,17 @@ def write_manifest(
     terms: int,
     checksums: dict[str, str],
     object_shard_triples: Sequence[int] | None = None,
+    resources: dict[str, str] | None = None,
 ) -> dict:
     """Write ``manifest.json``; returns the manifest dict.
 
     ``object_shard_triples`` describes the optional secondary object-hash
     partition (same triples, repartitioned — it does not contribute to the
-    ``triples`` total).  The keys are additive so directories written
-    without the secondary partition keep the same schema and stay
-    readable.
+    ``triples`` total).  ``resources`` maps each shipped derived-resource
+    file to its body checksum.  Both keys are additive, so directories
+    written without them keep the same schema and stay readable.  The
+    content ``fingerprint`` covers the dictionary and the shards only: it
+    names the triples, which the resources are derived from.
     """
     fingerprint = hashlib.sha256(
         json.dumps(
@@ -560,6 +637,8 @@ def write_manifest(
     if object_shard_triples is not None:
         manifest["object_shards"] = len(object_shard_triples)
         manifest["object_shard_triples"] = list(object_shard_triples)
+    if resources is not None:
+        manifest["resources"] = dict(resources)
     path = os.path.join(directory, "manifest.json")
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)

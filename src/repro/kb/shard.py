@@ -33,6 +33,12 @@ subtractions.  Directories written before the secondary partition existed
 (no ``object_shards`` manifest key) still open and serve; only the
 object-routing fast paths stay off.
 
+The builder also derives, once, what a server would otherwise rebuild
+from the triples at every start: the KB's lookup indexes and the mined
+PATTY pattern store.  They ship beside the shards as checksummed
+resource files (:mod:`repro.kb.segment`), and
+:meth:`SegmentedBackend.shipped_resource` serves them on demand.
+
 :class:`ShardResultCache` is the per-shard result cache the scatter layer
 (:mod:`repro.sparql.scatter`) keys on a *cache generation*: entries are
 only served while the stamp matches, so a hot KB reload (which bumps the
@@ -44,17 +50,22 @@ from __future__ import annotations
 import heapq
 import os
 import threading
+import time
 from typing import Iterator
 
 from repro.kb.backend import KBBackend, BackendGraph, IdTriple
 from repro.kb.segment import (
+    INDEX_RESOURCE,
+    PATTERNS_RESOURCE,
     SegmentDictionary,
     SegmentError,
     SegmentShard,
     read_manifest,
+    read_resource,
     scan_order_key,
     write_dictionary,
     write_manifest,
+    write_resource,
     write_shard,
 )
 from repro.perf.stats import PerfStats
@@ -106,16 +117,23 @@ def build_segments(
 ) -> dict:
     """Partition ``graph`` into an on-disk segment directory.
 
-    Returns the written manifest.  The dictionary is shared (ids stay
-    global and identical to the source graph's, so id-space plans compiled
-    against either backend resolve constants to the same ids); each shard
-    holds the triples whose subject hashes to it — possibly none, an empty
-    shard is a valid (and checksummed) segment.
+    Returns the written manifest, plus ``mine_s`` (the seconds spent
+    deriving the shipped resources, not written to disk).  The dictionary
+    is shared (ids stay global and identical to the source graph's, so
+    id-space plans compiled against either backend resolve constants to
+    the same ids); each shard holds the triples whose subject hashes to
+    it — possibly none, an empty shard is a valid (and checksummed)
+    segment.
 
     ``object_shards`` sizes the secondary object-hash partition (defaults
     to ``shards``; pass ``0`` to skip it — the directory then serves
     subject routing only, like directories written before the secondary
     partition existed).
+
+    Once the triples are written, the builder opens the directory and
+    derives the KB's lookup indexes and the PATTY pattern store from it
+    (:func:`_ship_resources`), so a server loads them instead of
+    rebuilding them.
     """
     if shards < 1:
         raise ValueError(f"shard count must be >= 1, got {shards}")
@@ -156,18 +174,64 @@ def build_segments(
         checksums[name] = write_shard(
             os.path.join(directory, name), shard, triples
         )
-    return write_manifest(
-        directory,
-        shards,
-        [len(triples) for triples in partitions],
-        len(terms),
-        checksums,
-        object_shard_triples=(
-            [len(triples) for triples in object_partitions]
-            if object_shards
-            else None
-        ),
+    shard_triples = [len(triples) for triples in partitions]
+    object_shard_triples = (
+        [len(triples) for triples in object_partitions]
+        if object_shards
+        else None
     )
+    term_count = len(terms)
+    # Mining reads the written directory, not these in-heap copies.
+    del terms, triples, partitions, object_partitions
+
+    def manifest(resources: dict[str, str] | None = None) -> dict:
+        return write_manifest(
+            directory,
+            shards,
+            shard_triples,
+            term_count,
+            checksums,
+            object_shard_triples=object_shard_triples,
+            resources=resources,
+        )
+
+    start = time.perf_counter()
+    resources = _ship_resources(directory, manifest()["fingerprint"])
+    mine_s = time.perf_counter() - start
+    return dict(manifest(resources), mine_s=mine_s)
+
+
+def _ship_resources(directory: str, fingerprint: str) -> dict[str, str]:
+    """Derive the KB's lookup indexes and the PATTY pattern store from the
+    segment directory just written, and write them beside the shards;
+    returns ``{file: body checksum}`` for the manifest.
+
+    Both are mined over the segments, not over the source graph: the
+    corpus generator draws templates from a seeded RNG in scan order, and
+    only the segments' scan order is what a server mining at start-up
+    would see.  The defaults are :meth:`QuestionAnsweringSystem.over`'s.
+    """
+    # Imported here: repro.patty and the KB builder import repro.kb.
+    from repro.kb.builder import KnowledgeBase
+    from repro.kb.schema import build_dbpedia_ontology
+    from repro.patty.export import pattern_store_state
+    from repro.patty.store import build_pattern_store
+
+    backend = SegmentedBackend(directory).open()
+    try:
+        kb = KnowledgeBase.from_backend(build_dbpedia_ontology(), backend)
+        payloads = {
+            INDEX_RESOURCE: kb.index_state(),
+            PATTERNS_RESOURCE: pattern_store_state(build_pattern_store(kb)),
+        }
+    finally:
+        backend.close()
+    return {
+        name: write_resource(
+            os.path.join(directory, name), name, fingerprint, payload
+        )
+        for name, payload in payloads.items()
+    }
 
 
 class SegmentedBackend(KBBackend):
@@ -332,6 +396,28 @@ class SegmentedBackend(KBBackend):
 
     def __len__(self) -> int:
         return self._require_open()["triples"]
+
+    def shipped_resource(self, name: str, parse):
+        """``parse(payload)`` of a resource the builder shipped in this
+        directory, or None when the manifest lists no such resource (a
+        directory written before resources shipped).
+
+        The file is read, checksummed and parsed on every call, never by
+        :meth:`open`.  A listed file that is missing, corrupt, mined from
+        other triples or malformed raises a typed
+        :class:`~repro.kb.segment.SegmentError`: no caller ever falls
+        back to a rebuild over a damaged directory.
+        """
+        manifest = self._require_open()
+        checksum = manifest.get("resources", {}).get(name)
+        if checksum is None:
+            return None
+        path = os.path.join(self._path, name)
+        payload = read_resource(path, name, checksum, manifest["fingerprint"])
+        try:
+            return parse(payload)
+        except (KeyError, IndexError, TypeError, ValueError) as error:
+            raise SegmentError(f"{path}: malformed resource: {error!r}") from None
 
     def distinct_ids(self, position: int) -> Iterator[int]:
         """Distinct subject/predicate/object ids, globally sorted."""

@@ -5,6 +5,10 @@ support and confidence.  This module writes the mined store in the same
 spirit — a TSV of patterns and a JSON document with the word->property
 frequency index — and reads them back, so a mined resource can be shipped
 and reloaded without rerunning extraction.
+
+:func:`pattern_store_state` / :func:`pattern_store_from_state` are the
+lossless form (support pairs included) that a segment directory ships as
+``patty_store.res`` (:func:`repro.kb.shard.build_segments`).
 """
 
 from __future__ import annotations
@@ -92,3 +96,24 @@ def export_store_json(store: PatternStore, destination: str | Path | TextIO) -> 
             json.dump(payload, handle, indent=2, sort_keys=True)
     else:
         json.dump(payload, destination, indent=2, sort_keys=True)
+
+
+def pattern_store_state(store: PatternStore) -> list:
+    """The whole store as a JSON-able list: every pattern's text,
+    relation, frequency and sorted support pairs, in store order."""
+    return [
+        [pattern.text, pattern.relation, pattern.frequency,
+         sorted(pattern.support)]
+        for pattern in store.patterns()
+    ]
+
+
+def pattern_store_from_state(state: list) -> PatternStore:
+    """Inverse of :func:`pattern_store_state`: the same patterns in the
+    same order, hence the same word -> property frequencies."""
+    return PatternStore(
+        RelationalPattern(
+            text, relation, frequency, {(subject, obj) for subject, obj in support}
+        )
+        for text, relation, frequency, support in state
+    )

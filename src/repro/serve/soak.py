@@ -29,8 +29,11 @@ load with faults firing mid-request*.
 2. a request that did not answer carries a failure diagnostic, and every
    *shed* request's failure is serving-typed (``failure_stage="serve"``);
 3. no cross-request state bleed: control questions that succeeded
-   cleanly (not degraded, not truncated) match the pre-soak sequential
-   answers byte-for-byte;
+   cleanly (not degraded, not truncated, and no candidate query errored
+   or drew an injected fault) match the pre-soak sequential answers
+   byte-for-byte.  The executor skips a faulted candidate and answers
+   from the next one without a failure, so such answers are counted
+   (``SoakReport.faulted_controls``), not compared;
 4. after the soak — faults disarmed, breakers reset — the full control
    set answered sequentially is byte-identical to the clean run (warm
    caches poisoned by chaos would show up here).
@@ -60,6 +63,9 @@ CHAOS_MARKER = "zzchaos"
 #: the harness calls it a hang (invariant 1).
 HANG_TIMEOUT_S = 30.0
 
+#: Candidate outcomes that show a fault, not shared state, shaped an answer.
+_FAULTED_OUTCOMES = frozenset({"error", "fault-injected"})
+
 
 def answer_signature(answer: Answer) -> tuple:
     """A byte-comparable digest of what a question produced."""
@@ -85,6 +91,9 @@ class SoakReport:
     typed_failures: int = 0
     shed: int = 0
     degraded: int = 0
+    #: Answered control questions that invariant 3 skipped because a
+    #: candidate query errored or drew an injected fault.
+    faulted_controls: int = 0
     chaos_events: dict[str, int] = field(default_factory=dict)
     violations: list[str] = field(default_factory=list)
     post_soak_identical: bool = False
@@ -112,6 +121,8 @@ class SoakReport:
             f"{self.resolved} resolved, {self.answered} answered, "
             f"{self.typed_failures} typed failures, {self.shed} shed, "
             f"{self.degraded} degraded in {self.duration_s:.1f}s",
+            f"state-bleed check: {self.faulted_controls} control answers "
+            f"skipped (a candidate query faulted)",
             "chaos events: "
             + ", ".join(f"{k}={v}" for k, v in sorted(self.chaos_events.items())),
             f"post-soak control answers identical: {self.post_soak_identical}",
@@ -256,18 +267,8 @@ def run_soak(
                     f"shed request without a typed serve failure: "
                     f"{answer.failure!r}"
                 )
-        if (
-            not chaos_q
-            and answer.answered
-            and not answer.degraded
-            and not answer.truncated
-            and answer.failure is None
-        ):
-            if answer_signature(answer) != clean[text]:
-                report.violations.append(
-                    f"cross-request state bleed: {text!r} answered "
-                    f"differently under load than sequentially"
-                )
+        if not chaos_q:
+            check_state_bleed(report, clean, text, answer)
 
     # -- invariant 4: post-soak byte-identity ---------------------------
     faults.disarm()
@@ -288,6 +289,31 @@ def run_soak(
     report.metrics = server.metrics()
     report.peak_rss_mb = peak_rss_mb()
     return report
+
+
+def check_state_bleed(
+    report: SoakReport, clean: dict[str, tuple], text: str, answer: Answer
+) -> None:
+    """Invariant 3 for one control answer: if it ran clean, it must equal
+    the pre-soak sequential answer ``clean[text]`` (a signature)."""
+    if (
+        not answer.answered
+        or answer.degraded
+        or answer.truncated
+        or answer.failure is not None
+    ):
+        return
+    if any(
+        status in _FAULTED_OUTCOMES
+        for __, status, __detail in answer.candidate_outcomes
+    ):
+        report.faulted_controls += 1
+        return
+    if answer_signature(answer) != clean[text]:
+        report.violations.append(
+            f"cross-request state bleed: {text!r} answered "
+            f"differently under load than sequentially"
+        )
 
 
 def _snapshot_chaos(

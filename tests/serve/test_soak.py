@@ -9,8 +9,15 @@ import pytest
 
 import json
 
+from repro.api import PipelineConfig, QuestionAnsweringSystem
 from repro.cli import main
-from repro.serve.soak import SoakReport, answer_signature, run_soak
+from repro.reliability.faults import FaultInjector, FaultSpec
+from repro.serve.soak import (
+    SoakReport,
+    answer_signature,
+    check_state_bleed,
+    run_soak,
+)
 
 
 @pytest.mark.slow
@@ -61,3 +68,43 @@ def test_segmented_soak_json_reports_scatter_traffic(tmp_path, capfd):
     for key in ("scatter_queries", "scatter_local_queries"):
         assert isinstance(document[key], int) and document[key] >= 0
     assert "scatter queries:" in capfd.readouterr().out
+
+
+class TestStateBleedCheck:
+    """Invariant 3 compares only control answers that ran clean."""
+
+    TEXT = "Where did Freddie Mercury die?"
+
+    def test_faulted_candidate_is_skipped_not_flagged(self, kb):
+        faults = FaultInjector()
+        system = QuestionAnsweringSystem.over(
+            kb, PipelineConfig().with_fault_injector(faults)
+        )
+        clean = {self.TEXT: answer_signature(system.answer(self.TEXT))}
+        faults.arm(FaultSpec("execute", "error", times=1))
+        answer = system.answer(self.TEXT)
+        # The executor skipped the faulted winner and answered from the
+        # next candidate, with no failure: a different answer.
+        assert answer.answered and answer.failure is None
+        assert [t.n3() for t in answer.answers] == [
+            "<http://dbpedia.org/resource/Stone_Town>"
+        ]
+        assert answer_signature(answer) != clean[self.TEXT]
+        report = SoakReport(duration_s=0.0)
+        check_state_bleed(report, clean, self.TEXT, answer)
+        assert report.violations == []
+        assert report.faulted_controls == 1
+
+    def test_clean_answer_that_differs_is_flagged(self, qa):
+        answer = qa.answer(self.TEXT)
+        assert all(
+            status not in ("error", "fault-injected")
+            for __, status, __detail in answer.candidate_outcomes
+        )
+        signature = answer_signature(answer)
+        clean = {self.TEXT: signature[:1] + (("<elsewhere>",),) + signature[2:]}
+        report = SoakReport(duration_s=0.0)
+        check_state_bleed(report, clean, self.TEXT, answer)
+        assert report.faulted_controls == 0
+        assert len(report.violations) == 1
+        assert "cross-request state bleed" in report.violations[0]

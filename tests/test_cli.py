@@ -212,3 +212,19 @@ class TestEval:
         assert document["schema"] == "repro.metrics/v1"
         assert "stage.annotate.seconds" in document["histograms"]
         assert "sparql.result_cache.hits" in document["gauges"]
+
+
+class TestKbBuildSegments:
+    def test_reports_shipped_resources_then_serves_from_them(self, tmp_path, capsys):
+        out_dir = tmp_path / "segments"
+        code = main(["kb", "build-segments", "--shards", "2", "--out", str(out_dir)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "mined the shipped resources in" in out
+        for name in ("kb_index.res", "patty_store.res"):
+            size = (out_dir / name).stat().st_size
+            assert f"{name}" in out and f"{size:,} bytes" in out
+        code = main(["ask", "--kb-backend", "segments", "--kb-path", str(out_dir),
+                     "Which book is written by Orhan Pamuk?"])
+        assert code == 0
+        assert "My Name Is Red" in capsys.readouterr().out
