@@ -211,8 +211,10 @@ class PipelineConfig:
     def without_perf_caches(self) -> "PipelineConfig":
         """The seed's cold path: no memoization, no product pruning.
 
-        Used by ``benchmarks/bench_batch_throughput.py`` as the baseline
-        configuration (together with disabling the engine's query cache).
+        The oracle configuration of the perf layer's behaviour-neutrality
+        tests (``tests/perf/test_batch.py``, ``tests/core/
+        test_querygen_dedup.py``), together with disabling the engine's
+        query cache.
         """
         return self._replace(
             enable_similarity_cache=False,

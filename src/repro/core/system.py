@@ -782,7 +782,10 @@ class QuestionAnsweringSystem:
                     if tspan is not None:
                         tracer.close_span(tspan)
             if answers:
-                result.answers = answers
+                # A canonical order: rows come in scan order, which differs
+                # between backends; the paper ranks candidate queries, not
+                # one query's answers.
+                result.answers = sorted(answers, key=lambda term: term.n3())
                 result.query = candidate
                 outcomes.append((index, "winner", ""))
                 if tracer.active:

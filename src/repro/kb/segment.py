@@ -10,11 +10,24 @@ subject id:
     fingerprint (what ``repro.snapshot/v1`` headers embed).
 
 ``dictionary.bin``
-    The shared term dictionary: an offsets array into a canonical
-    JSON-record payload (exact term round-trip), plus a sorted
-    ``(hash64, id)`` index so :meth:`SegmentDictionary.lookup` is a
-    binary search over mmapped arrays — no term->id dict is ever built
-    in the heap.
+    The shared term dictionary.  Its header names the term count
+    (``terms``, *n*) and the order-key version of its rank column
+    (``order``, e.g. ``repro.order/v1``); its body holds, in order, five
+    regions of int64 words and bytes:
+
+    * ``offsets`` — *n* + 1 offsets into the payload;
+    * the sorted ``(hash64, id)`` index as two columns of *n* words, so
+      :meth:`SegmentDictionary.lookup` is a binary search over mmapped
+      arrays — no term->id dict is ever built in the heap;
+    * the rank column — *n* words, each term's dense position under
+      :func:`repro.rdf.order.order_key` (equal keys share a rank), which
+      the columnar engine gathers to sort ORDER BY keys without decoding
+      a term;
+    * the payload — canonical JSON records (exact term round-trip).
+
+    A file without the ``order`` key (written before ranks shipped) has
+    no rank column and still opens; a file whose ``order`` names another
+    version keeps its column unread.  Either way ORDER BY ranks locally.
 
 ``shard_NNN.seg``
     One shard's triples in three sorted orderings — SPO, POS and OSP —
@@ -38,7 +51,9 @@ subject id:
 Every file carries a checksummed header; a corrupted or truncated file
 raises the typed :class:`SegmentIntegrityError` when it is read (fail
 fast, never serve garbage), an unknown schema or a malformed file raises
-:class:`SegmentError`.
+:class:`SegmentError`.  The body checksums cover every region, the rank
+column included; the manifest's counts and file list must agree with
+each other when a directory opens.
 """
 
 from __future__ import annotations
@@ -53,6 +68,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from repro.kb.backend import BackendError
+from repro.rdf.order import ORDER_VERSION, order_ranks
 from repro.rdf.terms import BNode, IRI, Literal, Term
 
 #: Schema identifier stamped into the manifest and every segment header.
@@ -167,6 +183,14 @@ def _split_header(path: str, data, magic: bytes) -> tuple[dict, int]:
     return header, newline + 1
 
 
+def _header_count(path: str, header: dict, key: str) -> int:
+    """A non-negative integer header field, or a typed error."""
+    value = header.get(key)
+    if type(value) is not int or value < 0:
+        raise SegmentIntegrityError(f"{path}: corrupt header field {key!r}")
+    return value
+
+
 class _MappedFile:
     """An open mmap with its parsed header and body view."""
 
@@ -207,7 +231,12 @@ class _MappedFile:
 
 
 def write_dictionary(path: str, terms: Sequence[Term]) -> str:
-    """Serialize the full term dictionary (id order); returns the checksum."""
+    """Serialize the full term dictionary (id order); returns the checksum.
+
+    Besides the records and the lookup index, the body carries each
+    term's order rank (:func:`repro.rdf.order.order_ranks`), so the
+    columnar engine sorts ORDER BY keys without decoding a term.
+    """
     from array import array
 
     records = [encode_term(term) for term in terms]
@@ -221,10 +250,15 @@ def write_dictionary(path: str, terms: Sequence[Term]) -> str:
     )
     hashes = array("q", (h for h, __ in pairs))
     ids = array("q", (term_id for __, term_id in pairs))
+    ranks = array("q", order_ranks(terms))
     body = (
-        offsets.tobytes() + hashes.tobytes() + ids.tobytes() + b"".join(records)
+        offsets.tobytes() + hashes.tobytes() + ids.tobytes() + ranks.tobytes()
+        + b"".join(records)
     )
-    return _write_with_header(path, _DICT_MAGIC, {"terms": len(records)}, body)
+    return _write_with_header(
+        path, _DICT_MAGIC, {"terms": len(records), "order": ORDER_VERSION},
+        body,
+    )
 
 
 class SegmentDictionary:
@@ -234,13 +268,31 @@ class SegmentDictionary:
     against the payload bytes (hash collisions are resolved exactly);
     ``decode`` slices the payload through an LRU cache.  Nothing term-sized
     is materialised in the heap beyond that cache.
+
+    ``order_ranks`` is the shipped rank column as a zero-copy ``'q'``
+    view (``order_ranks[id]`` is the term's order rank), or None when the
+    file has no column (written before ranks shipped) or its ``order``
+    header names another key version than :data:`ORDER_VERSION`.
     """
 
     def __init__(self, path: str, cache_size: int = 65536) -> None:
         self._path = path
         self._mapped = _MappedFile(path, _DICT_MAGIC)
-        self._terms = int(self._mapped.header["terms"])
-        body = self._mapped.body
+        try:
+            self._terms = _header_count(path, self._mapped.header, "terms")
+            # The ``order`` key marks the rank column's presence; only a
+            # column built under this module's key version is served.
+            has_ranks = "order" in self._mapped.header
+            body = self._mapped.body
+            words = 3 * self._terms + 1 + (self._terms if has_ranks else 0)
+            if len(body) < words * _WORD:
+                raise SegmentIntegrityError(
+                    f"{path}: dictionary body too short for "
+                    f"{self._terms} terms"
+                )
+        except Exception:
+            self._mapped.close()
+            raise
         cursor = 0
         self._offsets = body[cursor:cursor + (self._terms + 1) * _WORD].cast("q")
         cursor += (self._terms + 1) * _WORD
@@ -248,8 +300,15 @@ class SegmentDictionary:
         cursor += self._terms * _WORD
         self._ids = body[cursor:cursor + self._terms * _WORD].cast("q")
         cursor += self._terms * _WORD
+        self._ranks = self.order_ranks = None
+        if has_ranks:
+            self._ranks = body[cursor:cursor + self._terms * _WORD].cast("q")
+            cursor += self._terms * _WORD
+            if self._mapped.header["order"] == ORDER_VERSION:
+                self.order_ranks = self._ranks
         self._payload = body[cursor:]
         if len(self._payload) != self._offsets[self._terms]:
+            self.close()
             raise SegmentIntegrityError(
                 f"{path}: dictionary payload length mismatch"
             )
@@ -286,8 +345,12 @@ class SegmentDictionary:
         return self._decode_cached(term_id)
 
     def close(self) -> None:
-        for view in (self._offsets, self._hashes, self._ids, self._payload):
-            view.release()
+        self.order_ranks = None
+        for view in (
+            self._offsets, self._hashes, self._ids, self._ranks, self._payload
+        ):
+            if view is not None:
+                view.release()
         self._mapped.close()
 
 
@@ -378,7 +441,7 @@ class SegmentShard:
                     f"{self._path}: header names shard "
                     f"{mapped.header.get('shard')}, expected {self._shard}"
                 )
-            triples = int(mapped.header["triples"])
+            triples = _header_count(self._path, mapped.header, "triples")
             if len(mapped.body) != 9 * triples * _WORD:
                 raise SegmentIntegrityError(
                     f"{self._path}: body holds {len(mapped.body)} bytes, "
@@ -658,12 +721,17 @@ def read_manifest(directory: str) -> dict:
         raise SegmentIntegrityError(
             f"{path}: corrupt manifest: {error}"
         ) from None
+    if not isinstance(manifest, dict):
+        raise SegmentIntegrityError(f"{path}: corrupt manifest")
     if manifest.get("schema") != SEGMENT_SCHEMA:
         raise SegmentError(
             f"{path}: unknown segment schema {manifest.get('schema')!r} "
             f"(expected {SEGMENT_SCHEMA!r})"
         )
-    for name in manifest.get("files", ()):
+    files = manifest.get("files")
+    if not isinstance(files, dict):
+        raise SegmentIntegrityError(f"{path}: corrupt manifest file list")
+    for name in files:
         if not os.path.exists(os.path.join(directory, name)):
             raise SegmentError(f"{directory}: missing segment file {name}")
     return manifest

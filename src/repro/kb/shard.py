@@ -59,6 +59,7 @@ from repro.kb.segment import (
     PATTERNS_RESOURCE,
     SegmentDictionary,
     SegmentError,
+    SegmentIntegrityError,
     SegmentShard,
     read_manifest,
     read_resource,
@@ -234,6 +235,35 @@ def _ship_resources(directory: str, fingerprint: str) -> dict[str, str]:
     }
 
 
+def _check_layout(path: str, manifest: dict) -> None:
+    """Refuse a manifest whose counts and file list disagree.
+
+    Scans route by the shard counts, so an edited count must fail at
+    open rather than send a scan to the wrong shard or skip one.
+    """
+    shards = manifest.get("shards")
+    object_shards = manifest.get("object_shards", 0)
+    per_shard = manifest.get("shard_triples")
+    if not (
+        type(shards) is int and shards >= 1
+        and type(object_shards) is int and object_shards >= 0
+        and isinstance(per_shard, list) and len(per_shard) == shards
+        and all(type(count) is int for count in per_shard)
+        and manifest.get("triples") == sum(per_shard)
+    ):
+        raise SegmentIntegrityError(f"{path}: inconsistent manifest counts")
+    expected = {"dictionary.bin"}
+    expected.update(shard_filename(shard) for shard in range(shards))
+    expected.update(
+        object_shard_filename(shard) for shard in range(object_shards)
+    )
+    if set(manifest["files"]) != expected:
+        raise SegmentIntegrityError(
+            f"{path}: manifest lists {sorted(manifest['files'])}, expected "
+            f"{sorted(expected)}"
+        )
+
+
 class SegmentedBackend(KBBackend):
     """Out-of-core, read-only backend over a segment directory.
 
@@ -274,6 +304,7 @@ class SegmentedBackend(KBBackend):
         if self._manifest is not None:
             return self
         manifest = read_manifest(self._path)
+        _check_layout(self._path, manifest)
         self._dictionary = SegmentDictionary(
             os.path.join(self._path, "dictionary.bin")
         )

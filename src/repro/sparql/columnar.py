@@ -21,8 +21,14 @@ oracle):
   becomes one column mask, everything else is memoized per *distinct*
   value combination of the slots the expression actually reads
   (``closure.slots_used``), so a filter runs once per distinct key, not
-  once per row — the same memo drives ORDER BY key evaluation;
-* ids decode to Terms only at final projection, once per distinct id.
+  once per row;
+* ORDER BY sorts in rank space: every key becomes an int64 order-rank
+  column (:mod:`repro.rdf.order`) — gathered from the rank column a
+  segment dictionary ships for a plain-variable key, ranked over the
+  key's distinct values otherwise — and one stable ``lexsort`` orders
+  the rows under those columns plus the id tie-break;
+* ids decode to Terms only at final projection, once per distinct id of
+  the rows returned.
 
 The operator boundary is explicit — batch in, batch out, each operator a
 pure function of ``(graph, batch, pattern)`` — so a native (C/Rust)
@@ -36,8 +42,8 @@ module's ``_np`` attribute to ``None``.
 
 **Observability** — operators publish ``sparql.columnar.*`` counters
 (batches, rows, row widths, per-strategy join counts, filter/ORDER memo
-hits) through the shared :class:`repro.perf.stats.PerfStats`; see
-docs/observability.md.
+hits, rows ranked from shipped ranks) through the shared
+:class:`repro.perf.stats.PerfStats`; see docs/observability.md.
 
 Correctness is pinned by the differential harness
 (``tests/sparql/test_columnar_differential.py``): term-space oracle vs
@@ -60,6 +66,7 @@ except ImportError:  # pragma: no cover - exercised via monkeypatch in tests
 from repro.perf.stats import PerfStats
 from repro.rdf.datatypes import XSD_INTEGER
 from repro.rdf.graph import Graph
+from repro.rdf.order import order_ranks
 from repro.rdf.terms import Literal, Variable
 from repro.sparql import compiler as _compiler
 from repro.sparql import planner as _planner
@@ -76,7 +83,7 @@ from repro.sparql.compiler import (
     Row,
 )
 from repro.sparql.errors import SparqlError, SparqlTypeError
-from repro.sparql.functions import effective_boolean, invert_order, order_key
+from repro.sparql.functions import effective_boolean
 from repro.sparql.results import AskResult, SelectResult
 
 #: Below this many rows numpy conversions cost more than they save; the
@@ -697,6 +704,72 @@ def apply_filters(
 
 
 # ---------------------------------------------------------------------------
+# ORDER BY in rank space
+# ---------------------------------------------------------------------------
+
+
+def gather_ranks(column, ranks, length: int) -> Sequence[int]:
+    """The order ranks of an id column, read from a shipped rank column
+    (``ranks[id]``); :data:`UNBOUND` stays -1, below every rank."""
+    np = _np
+    if np is not None and length >= NUMPY_MIN_ROWS:
+        ids = np.frombuffer(column, dtype=np.int64)
+        return np.where(
+            ids == UNBOUND, UNBOUND, np.frombuffer(ranks, dtype=np.int64)[ids]
+        )
+    return array(
+        "q", (UNBOUND if value == UNBOUND else ranks[value] for value in column)
+    )
+
+
+def negate(column: Sequence[int]) -> Sequence[int]:
+    """A rank column for a DESC key: the ascending column negated."""
+    np = _np
+    if np is not None and isinstance(column, np.ndarray):
+        return -column
+    return array("q", (-value for value in column))
+
+
+def sort_permutation(columns: Sequence[Sequence[int]], length: int):
+    """The stable row permutation sorting rows by int64 columns, the
+    first column most significant: ``np.lexsort`` when numpy is present,
+    ``sorted`` over row tuples otherwise (same permutation)."""
+    if not columns:
+        return range(length)
+    np = _np
+    if np is not None and length >= NUMPY_MIN_ROWS:
+        return np.lexsort(
+            [np.asarray(column, dtype=np.int64) for column in reversed(columns)]
+        )
+    rows = list(zip(*columns))
+    return sorted(range(length), key=rows.__getitem__)
+
+
+def gather_rows(columns: Sequence[Sequence[int]], order) -> list[tuple]:
+    """The id rows of ``columns`` at the row indexes ``order`` (a range,
+    a numpy index array or a list), as tuples of python ints."""
+    if not columns:
+        return [()] * len(order)
+    if isinstance(order, range):
+        return list(zip(*(column[order.start:order.stop] for column in columns)))
+    np = _np
+    if np is not None and isinstance(order, np.ndarray):
+        return list(
+            zip(*(np.asarray(column, dtype=np.int64)[order].tolist()
+                  for column in columns))
+        )
+    return list(zip(*([column[i] for i in order] for column in columns)))
+
+
+def _slice(rows, offset: int, limit: int | None):
+    if offset:
+        rows = rows[offset:]
+    if limit is not None:
+        rows = rows[:limit]
+    return rows
+
+
+# ---------------------------------------------------------------------------
 # Pattern-tree execution
 # ---------------------------------------------------------------------------
 
@@ -925,8 +998,6 @@ class ColumnarQuery(CompiledQuery):
                 p for p in query.projection if isinstance(p, Variable)
             )
 
-        # Project column-wise: zip the selected columns into id rows in
-        # one C-level pass instead of a per-row/per-column inner loop.
         length = batch.length
         projected: list[array] = []
         unbound_column: array | None = None
@@ -938,20 +1009,18 @@ class ColumnarQuery(CompiledQuery):
                 projected.append(unbound_column)
             else:
                 projected.append(batch.columns[slot])
-        if projected:
-            id_rows: list[tuple[int, ...]] = list(zip(*projected))
-        else:
-            id_rows = [()] * length
 
+        order: Sequence[int] = range(length)
         if query.order_by:
             order = self._order_permutation(batch, context)
-            id_rows = [id_rows[i] for i in order]
+        if not query.distinct:
+            # Slice the permutation first: only returned rows are built.
+            order = _slice(order, query.offset, query.limit)
+        id_rows = gather_rows(projected, order)
         if query.distinct:
-            id_rows = list(dict.fromkeys(id_rows))
-        if query.offset:
-            id_rows = id_rows[query.offset:]
-        if query.limit is not None:
-            id_rows = id_rows[: query.limit]
+            id_rows = _slice(
+                list(dict.fromkeys(id_rows)), query.offset, query.limit
+            )
 
         # Ids repeat heavily across join results: decode each distinct id
         # once and share the Term object.
@@ -970,74 +1039,73 @@ class ColumnarQuery(CompiledQuery):
 
     def _order_permutation(
         self, batch: ColumnBatch, context: ExecContext
-    ) -> list[int]:
-        """Row permutation realising ORDER BY with the deterministic
-        id-order tie-break shared by every engine."""
+    ) -> Sequence[int]:
+        """Row permutation realising ORDER BY.
+
+        Every key becomes an ascending int64 order-rank column, negated
+        for DESC; the id tuple over all slots in variable-name order
+        breaks ties, as in every engine.  A plain-variable key over a
+        dictionary that ships ranks gathers them; any other key is ranked
+        locally.  A key that reads no slot is equal on every row and
+        drops out.
+        """
+        shipped = getattr(context.graph.dictionary, "order_ranks", None)
+        columns = []
+        for closure, descending, slot in self._order_keys:
+            if not closure.slots_used:
+                continue
+            if slot is not None and shipped is not None:
+                column = gather_ranks(batch.columns[slot], shipped, batch.length)
+                _count(
+                    context.stats, "sparql.columnar.order.shipped_rows",
+                    batch.length,
+                )
+            else:
+                column = self._local_ranks(closure, batch, context)
+            columns.append(negate(column) if descending else column)
+        columns.extend(batch.columns[slot] for slot in self.tiebreak_slots)
+        return sort_permutation(columns, batch.length)
+
+    def _local_ranks(
+        self, closure, batch: ColumnBatch, context: ExecContext
+    ) -> Sequence[int]:
+        """One key's order ranks, evaluating the key once per distinct
+        combination of the slots it reads and dense-ranking the values."""
+        slots = sorted(closure.slots_used)
         length = batch.length
-        key_columns = [
-            self._order_key_column(closure, descending, batch, context)
-            for closure, descending in self._order_keys
-        ]
-        if self.tiebreak_slots:
-            tie: Sequence[tuple] = list(
-                zip(*(batch.columns[slot] for slot in self.tiebreak_slots))
+        np = _np
+        if len(slots) == 1 and np is not None and length >= NUMPY_MIN_ROWS:
+            distinct, inverse = np.unique(
+                np.frombuffer(batch.columns[slots[0]], dtype=np.int64),
+                return_inverse=True,
             )
+            combinations = [(value,) for value in distinct.tolist()]
         else:
-            tie = [()] * length
-        if key_columns:
-            combined = [
-                keys + (tie[i],)
-                for i, keys in enumerate(zip(*key_columns))
+            memo: dict[tuple[int, ...], int] = {}
+            inverse = [
+                memo.setdefault(key, len(memo))
+                for key in zip(*(batch.columns[slot] for slot in slots))
             ]
-        else:
-            combined = tie
-        return sorted(range(length), key=combined.__getitem__)
-
-    def _order_key_column(
-        self,
-        closure,
-        descending: bool,
-        batch: ColumnBatch,
-        context: ExecContext,
-    ) -> list:
-        """Evaluate one ORDER BY key over the whole batch, memoized per
-        distinct combination of the slots the key expression reads."""
-        used = getattr(closure, "slots_used", None)
-        slots = sorted(used) if used is not None else list(range(self.width))
+            combinations = list(memo)
         template = [UNBOUND] * self.width
-
-        def evaluate(row: Row):
+        values = []
+        for combination in combinations:
+            for slot, value in zip(slots, combination):
+                template[slot] = value
             try:
-                value = closure(row)
+                values.append(closure(tuple(template)))
             except SparqlTypeError:
-                value = None
-            kind, within = order_key(value)
-            if descending:
-                return (-kind, invert_order(within))
-            return (kind, within)
-
-        if not slots:
-            return [evaluate(tuple(template))] * batch.length
-        key_columns = [batch.columns[slot] for slot in slots]
-        cache: dict[tuple[int, ...], Any] = {}
-        out = []
-        evaluated = 0
-        for key in zip(*key_columns):
-            entry = cache.get(key, _MISSING)
-            if entry is _MISSING:
-                for slot, value in zip(slots, key):
-                    template[slot] = value
-                entry = evaluate(tuple(template))
-                cache[key] = entry
-                evaluated += 1
-            out.append(entry)
+                values.append(None)
+        ranks = order_ranks(values)
         _count(
             context.stats,
             "sparql.columnar.order.memo_rows",
-            batch.length - evaluated,
+            length - len(combinations),
         )
-        _count(context.stats, "sparql.columnar.order.evaluated", evaluated)
-        return out
+        _count(context.stats, "sparql.columnar.order.evaluated", len(combinations))
+        if np is not None and length >= NUMPY_MIN_ROWS:
+            return np.asarray(ranks, dtype=np.int64)[inverse]
+        return array("q", map(ranks.__getitem__, inverse))
 
     def _aggregate_batch(
         self, query: SelectQuery, batch: ColumnBatch

@@ -636,10 +636,17 @@ class CompiledQuery:
     def _compile_select_tail(
         self, query: SelectQuery, decode: Callable[[int], Term]
     ) -> None:
-        self._order_keys: list[tuple[Valuation, bool]] = [
+        # Each ORDER BY key: its closure, DESC flag, and the slot of a
+        # plain-variable key (None for any other key), which lets the
+        # columnar engine gather shipped order ranks instead of
+        # evaluating the closure.
+        self._order_keys: list[tuple[Valuation, bool, int | None]] = [
             (
                 self._register_filter(condition.expression, decode),
                 condition.descending,
+                self.slot_of.get(condition.expression.term)
+                if isinstance(condition.expression, TermExpr)
+                else None,
             )
             for condition in query.order_by
         ]

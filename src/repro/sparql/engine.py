@@ -41,6 +41,7 @@ from repro.perf.lru import LRUCache
 from repro.perf.stats import PerfStats
 from repro.rdf.datatypes import XSD_INTEGER
 from repro.rdf.graph import Graph
+from repro.rdf.order import order_key
 from repro.rdf.terms import Literal, Term, Variable
 from repro.sparql.ast import (
     AskQuery,
@@ -51,10 +52,8 @@ from repro.sparql.columnar import ColumnarQuery, compile_query
 from repro.sparql.compiler import ExecContext, PrefixMemo
 from repro.sparql.errors import SparqlError, SparqlTypeError
 from repro.sparql.executor import Solution, evaluate_group
-from repro.sparql.functions import Inverted as _Inverted
 from repro.sparql.functions import evaluate as evaluate_expression
 from repro.sparql.functions import invert_order as _invert
-from repro.sparql.functions import order_key
 from repro.sparql.parser import parse_query
 from repro.sparql.results import AskResult, SelectResult
 

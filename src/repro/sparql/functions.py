@@ -288,6 +288,11 @@ def apply_builtin(name: str, values: tuple[Any, ...]) -> Any:
     raise SparqlTypeError(f"unknown function {name}")
 
 
+# DESC helpers of the term-space oracle's ORDER BY (repro.sparql.engine),
+# which sorts by ``order_key`` tuples; the columnar engine sorts by order
+# ranks (repro.rdf.order) and needs neither.
+
+
 class Inverted:
     """Wrapper inverting comparison order for DESC sort keys."""
 
@@ -308,32 +313,3 @@ def invert_order(value: Any) -> Any:
     if isinstance(value, (int, float)):
         return -value
     return Inverted(value)
-
-
-def order_key(value: Any) -> tuple[int, Any]:
-    """Sort key for ORDER BY: groups by kind then compares within the kind.
-
-    SPARQL defines an ordering across term kinds (unbound < blank < IRI <
-    literal); within literals we compare native values where possible.
-    """
-    if value is None:
-        return (0, "")
-    if isinstance(value, BNode):
-        return (1, value.label)
-    if isinstance(value, IRI):
-        return (2, value.value)
-    if isinstance(value, Literal):
-        if is_numeric_literal(value):
-            native = literal_value(value)
-            if not isinstance(native, str):
-                return (3, native)
-        if is_date_literal(value):
-            native = literal_value(value)
-            if isinstance(native, dt.datetime):
-                return (4, native.date().toordinal())
-            if isinstance(native, dt.date):
-                return (4, native.toordinal())
-            if isinstance(native, int):
-                return (4, dt.date(native, 1, 1).toordinal())
-        return (5, value.lexical)
-    return (6, str(value))

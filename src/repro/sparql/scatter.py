@@ -45,11 +45,12 @@ engine (:mod:`repro.sparql.columnar`), from shard to answer:
    is the same on every shard.
 3. **Gather** — the coordinator concatenates the per-shard batches in
    shard order and shapes them with
-   :meth:`ColumnarQuery._shape_select_batch` (ORDER BY keys memoized per
-   distinct id combination, each distinct id decoded once).  ORDER BY
-   sorts with the engine's deterministic id-tuple tie-break, so ordered
-   answers are **byte-identical** to single-process execution; unordered
-   answers are multiset-identical (the documented engine contract).
+   :meth:`ColumnarQuery._shape_select_batch` (ORDER BY keys sorted as
+   order ranks, each distinct id of the returned rows decoded once).
+   ORDER BY sorts with the engine's deterministic id-tuple tie-break, so
+   ordered answers are **byte-identical** to single-process execution;
+   unordered answers are multiset-identical (the documented engine
+   contract).
    DISTINCT, OFFSET/LIMIT and aggregates see the complete solution set.
 
 Per-shard results are cached in generation-stamped

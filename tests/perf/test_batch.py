@@ -1,15 +1,10 @@
 """Batch answering: answer_many() must equal sequential answer() exactly,
-and the throughput benchmark's smoke mode must run clean on every PR."""
-
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
+and equal the seed's cold term-space path on the dev set."""
 
 import pytest
 
 from repro.core import PipelineConfig, QuestionAnsweringSystem
+from repro.kb import load_curated_kb
 from repro.perf import BatchAnswerer
 from repro.qald.devset import load_dev_questions
 
@@ -97,25 +92,20 @@ class TestCachedConfigEquivalence:
             ), question
 
 
-class TestBenchmarkSmoke:
-    def test_quick_mode_runs_and_emits_json(self, tmp_path):
-        """Tier-1 wiring for benchmarks/bench_batch_throughput.py --quick."""
-        repo_root = Path(__file__).resolve().parents[2]
-        script = repo_root / "benchmarks" / "bench_batch_throughput.py"
-        out = tmp_path / "bench.json"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(repo_root / "src") + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+class TestTermSpaceBaseline:
+    def test_cold_term_space_path_matches_answer_many_on_dev_set(self):
+        """The seed's cold path — term-space query evaluation, query cache
+        off, every perf cache and pruning switch off, one question at a
+        time — answers the dev set exactly as the default system's
+        ``answer_many`` does."""
+        questions = [q.text for q in load_dev_questions()]
+        cold_kb = load_curated_kb()
+        cold_kb.engine.cache_enabled = False
+        cold_kb.engine.idspace = False
+        cold = QuestionAnsweringSystem.over(
+            cold_kb, PipelineConfig().without_perf_caches()
         )
-        proc = subprocess.run(
-            [sys.executable, str(script), "--quick", "--output", str(out)],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=300,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        payload = json.loads(out.read_text())
-        assert payload["identical_answers"] is True
-        assert payload["quick"] is True
-        assert payload["optimized_seconds"] > 0
+        expected = [signature(cold.answer(question)) for question in questions]
+        warm = QuestionAnsweringSystem.over(load_curated_kb(), PipelineConfig())
+        batch = warm.answer_many(questions, max_workers=4)
+        assert [signature(answer) for answer in batch] == expected

@@ -23,7 +23,15 @@ import random
 from hypothesis import strategies as st
 
 from repro.rdf import Graph, IRI, Triple, Variable
-from repro.rdf.datatypes import XSD_INTEGER
+from repro.rdf.datatypes import (
+    XSD_BOOLEAN,
+    XSD_DATE,
+    XSD_DATETIME,
+    XSD_DOUBLE,
+    XSD_GYEAR,
+    XSD_INTEGER,
+    XSD_STRING,
+)
 from repro.rdf.terms import Literal
 from repro.sparql.ast import (
     BGP,
@@ -41,9 +49,26 @@ from repro.sparql.ast import (
 )
 
 IRIS = tuple(IRI(f"http://e/{name}") for name in "abcdef")
+#: Besides plain values, literals whose ORDER BY keys tie or cross kinds:
+#: a double equal to an integer, language-tagged and xsd:string forms of
+#: a plain string, the special doubles, a date with a dateTime on the
+#: same day and its gYear, and a boolean.
 LITERALS = tuple(
     [Literal(str(n), datatype=XSD_INTEGER) for n in range(4)]
     + [Literal("snow"), Literal("red")]
+    + [
+        Literal("1.0", datatype=XSD_DOUBLE),
+        Literal("snow", language="en"),
+        Literal("snow", datatype=XSD_STRING),
+        *(
+            Literal(special, datatype=XSD_DOUBLE)
+            for special in ("NaN", "INF", "-INF", "-0.0")
+        ),
+        Literal("2001-05-04", datatype=XSD_DATE),
+        Literal("2001-05-04T10:30:00", datatype=XSD_DATETIME),
+        Literal("2001", datatype=XSD_GYEAR),
+        Literal("true", datatype=XSD_BOOLEAN),
+    ]
 )
 VARIABLES = (Variable("x"), Variable("y"), Variable("z"))
 
@@ -353,3 +378,126 @@ def random_two_star_workload(
     rng = random.Random(seed)
     graph = random_graph(rng, graph_size)
     return graph, [random_two_star_query(rng) for __ in range(queries)]
+
+
+# ---------------------------------------------------------------------------
+# ORDER BY generation (rank-order differential over segments)
+# ---------------------------------------------------------------------------
+
+
+def _computed_order_expressions(variable: Variable, constant):
+    """The computed ORDER BY keys over ``variable``: each either maps many
+    terms to one value (ties) or type-errors on some rows (unorderable)."""
+    return (
+        FunctionCall("STR", (TermExpr(variable),)),
+        FunctionCall("BOUND", (TermExpr(variable),)),
+        FunctionCall("DATATYPE", (TermExpr(variable),)),
+        FunctionCall("LCASE", (TermExpr(variable),)),
+        Comparison("<", TermExpr(variable), TermExpr(constant)),
+        Not(Comparison("=", TermExpr(variable), TermExpr(constant))),
+    )
+
+
+def _random_order_expression(rng: random.Random):
+    variable = rng.choice(VARIABLES)
+    roll = rng.random()
+    if roll < 0.55:
+        return TermExpr(variable)
+    if roll < 0.65:
+        return TermExpr(rng.choice(IRIS + LITERALS))  # constant: drops out
+    return rng.choice(
+        _computed_order_expressions(variable, rng.choice(IRIS + LITERALS))
+    )
+
+
+def _wide_star_where(rng: random.Random) -> Group:
+    """``?x ?p ?y`` (every triple: large enough to fan out across shards
+    and to reach the vectorized sort), optionally filtered."""
+    x, y, __ = VARIABLES
+    children: list = [BGP((Triple(x, Variable("p"), y),))]
+    if rng.random() < 0.3:
+        children.append(Filter(_random_expression(rng)))
+    return Group(tuple(children))
+
+
+def _optional_where(rng: random.Random) -> Group:
+    """``?x ?p ?y`` (every triple, so results reach the vectorized sort)
+    with ``?z`` bound only where ``?y`` has a matching triple."""
+    x, y, z = VARIABLES
+    head = Triple(x, Variable("p"), y)
+    tail = Triple(y, rng.choice(IRIS), z)
+    return Group((BGP((head,)), OptionalPattern(Group((BGP((tail,)),)))))
+
+
+def random_order_query(rng: random.Random) -> SelectQuery:
+    """An ORDER BY query for the rank-order differential.
+
+    One or two keys, each ASC or DESC and each a plain variable, a
+    constant or a computed expression, over a subject star, a two-star
+    join, a star over every triple, an OPTIONAL that leaves the key
+    unbound on some rows, or a general nested group; with or without
+    DISTINCT and LIMIT/OFFSET.
+    """
+    roll = rng.random()
+    if roll < 0.2:
+        base = random_star_query(rng)
+    elif roll < 0.35:
+        base = random_two_star_query(rng)
+    elif roll < 0.55:
+        base = SelectQuery(
+            projection=VARIABLES[: rng.randint(1, 3)],
+            where=_wide_star_where(rng),
+        )
+    elif roll < 0.75:
+        base = SelectQuery(
+            projection=VARIABLES[: rng.randint(1, 3)],
+            where=_optional_where(rng),
+        )
+    else:
+        base = random_query(rng, conjunctive=False)
+    order_by = tuple(
+        OrderCondition(_random_order_expression(rng), rng.random() < 0.5)
+        for __ in range(rng.randint(1, 2))
+    )
+    limit = rng.randint(0, 8) if rng.random() < 0.4 else None
+    return SelectQuery(
+        projection=base.projection,
+        where=base.where,
+        distinct=rng.random() < 0.4,
+        order_by=order_by,
+        limit=limit,
+        offset=rng.randint(0, 3) if rng.random() < 0.3 else 0,
+    )
+
+
+_order_expressions = st.one_of(
+    _var_exprs,
+    _const_exprs,
+    st.builds(
+        lambda variable, constant, pick: _computed_order_expressions(
+            variable, constant
+        )[pick],
+        _variables,
+        st.one_of(_iris, _literals),
+        st.integers(min_value=0, max_value=5),
+    ),
+)
+
+#: ORDER BY queries with one or two plain, constant or computed keys.
+order_queries = st.builds(
+    SelectQuery,
+    projection=_projections,
+    where=st.one_of(
+        groups,
+        st.builds(_wide_star_where, st.randoms()),
+        st.builds(_optional_where, st.randoms()),
+    ),
+    distinct=st.booleans(),
+    order_by=st.lists(
+        st.builds(OrderCondition, _order_expressions, st.booleans()),
+        min_size=1,
+        max_size=2,
+    ).map(tuple),
+    limit=st.one_of(st.none(), st.integers(min_value=0, max_value=5)),
+    offset=st.integers(min_value=0, max_value=3),
+)

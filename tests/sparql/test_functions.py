@@ -3,6 +3,7 @@
 import pytest
 
 from repro.rdf import IRI, Literal, Variable, XSD
+from repro.rdf.order import order_key, order_ranks
 from repro.sparql.ast import (
     BooleanOp,
     Comparison,
@@ -11,7 +12,7 @@ from repro.sparql.ast import (
     TermExpr,
 )
 from repro.sparql.errors import SparqlTypeError
-from repro.sparql.functions import effective_boolean, evaluate, order_key
+from repro.sparql.functions import effective_boolean, evaluate
 
 
 def var(name):
@@ -198,3 +199,31 @@ class TestOrderKey:
         early = order_key(Literal("1865-04-15", datatype=XSD.date.value))
         late = order_key(Literal("1986-02-11", datatype=XSD.date.value))
         assert early < late
+
+    def test_nan_sorts_after_every_number_and_equal_to_nan(self):
+        nan = order_key(Literal("NaN", datatype=XSD.double.value))
+        assert nan == order_key(Literal("nan", datatype=XSD.float.value))
+        assert order_key(Literal("INF", datatype=XSD.double.value)) < nan
+        assert order_key(Literal("7", datatype=XSD.integer.value)) < nan
+        assert nan < order_key(Literal("1865-04-15", datatype=XSD.date.value))
+
+
+class TestOrderRanks:
+    def test_equal_keys_share_a_dense_rank(self):
+        values = [
+            Literal("2", datatype=XSD.integer.value),
+            Literal("NaN", datatype=XSD.double.value),
+            Literal("1.0", datatype=XSD.double.value),
+            None,
+            Literal("1", datatype=XSD.integer.value),
+            Literal("nan", datatype=XSD.double.value),
+            IRI("http://e/a"),
+        ]
+        assert order_ranks(values) == [3, 4, 2, 0, 2, 4, 1]
+
+    def test_ranks_sort_like_keys(self):
+        values = [Literal(text) for text in ("b", "a", "c", "a")]
+        ranks = order_ranks(values)
+        by_rank = sorted(range(4), key=lambda i: (ranks[i], i))
+        by_key = sorted(range(4), key=lambda i: (order_key(values[i]), i))
+        assert by_rank == by_key

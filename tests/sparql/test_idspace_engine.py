@@ -2,7 +2,7 @@
 
 The original motivation for the plan cache: the execute stage submits
 ``candidate.to_ast()`` directly, so the *parse* cache never saw the QA hot
-path (``sparql.parse_cache.hit_rate: 0.0`` in BENCH_batch.json).  Plans are
+path (its ``sparql.parse_cache.hit_rate`` read 0.0).  Plans are
 keyed on the AST's structural hash, so AST-submitted queries must now hit
 both the plan cache and the result cache.
 """

@@ -8,14 +8,18 @@ bench guard compare ordered results byte-for-byte instead of falling back
 to order-insensitive multisets.
 """
 
+import random
+
 import pytest
 
-from repro.rdf import Graph, IRI, Triple
+from repro.rdf import Graph, IRI, Literal, Triple
+from repro.rdf.datatypes import XSD_DOUBLE
 from repro.sparql import columnar
 from repro.sparql.engine import SparqlEngine
 
 RANK = IRI("http://e/rank")
 NAME = IRI("http://e/name")
+VALUE = IRI("http://e/value")
 
 
 @pytest.fixture
@@ -105,3 +109,32 @@ def test_tiebreak_ignores_unprojected_equal_keys():
     expected = oracle.query(query)
     assert len(expected.rows) == 36  # 6 ranks x 6 names, all ?s ties
     assert col.query(query).rows == expected.rows
+
+
+def _nan_graph(seed: int) -> Graph:
+    """80 ``?s <p> ?v`` triples whose doubles are NaN or -1.0 ... 7.0."""
+    rng = random.Random(seed)
+    lexicals = ["NaN"] + [f"{value:.1f}" for value in range(-1, 8)]
+    graph = Graph()
+    for __ in range(80):
+        graph.add(
+            Triple(
+                IRI(f"http://e/s{rng.randrange(40)}"),
+                VALUE,
+                Literal(rng.choice(lexicals), datatype=XSD_DOUBLE),
+            )
+        )
+    return graph
+
+
+@pytest.mark.parametrize("direction", ["?v", "DESC(?v)"])
+def test_nan_keys_sort_identically(direction):
+    """NaN is one fixed place in the order (right after every number, all
+    NaNs equal), so the sort no longer depends on input order."""
+    query = f"SELECT ?s ?v WHERE {{ ?s <{VALUE.value}> ?v }} ORDER BY {direction}"
+    disagreements = []
+    for seed in range(200):
+        oracle, col = _engines(_nan_graph(seed))
+        if col.query(query).rows != oracle.query(query).rows:
+            disagreements.append(seed)
+    assert disagreements == []
