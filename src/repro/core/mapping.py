@@ -29,10 +29,10 @@ from repro.kb.builder import KnowledgeBase
 from repro.kb.ontology import PropertyDef, PropertyKind
 from repro.ned.disambiguator import Disambiguator
 from repro.nlp.pipeline import Sentence
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER
 from repro.patty.store import PatternStore
 from repro.perf.lru import LRUCache
-from repro.perf.stats import PerfStats
 from repro.similarity.cache import MemoizedSimilarity
 from repro.similarity.lcs import char_profile, subsequence_upper_bound
 from repro.rdf.namespaces import RDF
@@ -154,7 +154,7 @@ class TripleMapper:
         adjective_map: AdjectivePropertyMap,
         config: PipelineConfig | None = None,
         data_pattern_store: PatternStore | None = None,
-        stats: PerfStats | None = None,
+        stats: MetricsRegistry | None = None,
         tracer=None,
     ) -> None:
         self._kb = kb
@@ -413,7 +413,7 @@ class TripleMapper:
             cached = self._scan_cache.get(key)
             if cached is not None:
                 if self._stats is not None:
-                    self._stats.increment("mapping.scan_cache.hits")
+                    self._stats.inc("mapping.scan_cache.hits")
                 return cached
         searchable = list(
             self._kb.ontology.object_properties()
@@ -430,7 +430,7 @@ class TripleMapper:
                 # full scan's catalogue order exactly.
                 pool = [prop for prop in searchable if prop.name in feasible]
                 if self._stats is not None:
-                    self._stats.increment(
+                    self._stats.inc(
                         "mapping.scan_pruned", len(searchable) - len(pool)
                     )
                 searchable = pool
@@ -442,7 +442,7 @@ class TripleMapper:
         if use_cache:
             self._scan_cache.put(key, found)
             if self._stats is not None:
-                self._stats.increment("mapping.scan_cache.misses")
+                self._stats.inc("mapping.scan_cache.misses")
         return found
 
     def _similar_to(self, name: str) -> tuple[str, ...]:
@@ -472,9 +472,9 @@ class TripleMapper:
             score = self._property_similarity_uncached(word, prop)
             self._property_scores.put(key, score)
             if self._stats is not None:
-                self._stats.increment("mapping.property_scores.misses")
+                self._stats.inc("mapping.property_scores.misses")
         elif self._stats is not None:
-            self._stats.increment("mapping.property_scores.hits")
+            self._stats.inc("mapping.property_scores.hits")
         return score
 
     def _property_similarity_uncached(self, word: str, prop: PropertyDef) -> float:

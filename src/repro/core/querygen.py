@@ -39,8 +39,8 @@ from dataclasses import dataclass
 from repro.core.config import PipelineConfig
 from repro.core.mapping import CandidateTriple, PredicateCandidate
 from repro.kb.ontology import PropertyKind
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER
-from repro.perf.stats import PerfStats
 from repro.rdf.namespaces import RDF, shrink_iri
 from repro.rdf.terms import IRI, Term, Triple, Variable
 from repro.sparql.ast import BGP, Group, SelectQuery
@@ -108,7 +108,7 @@ class QueryGenerator:
     def __init__(
         self,
         config: PipelineConfig | None = None,
-        stats: PerfStats | None = None,
+        stats: MetricsRegistry | None = None,
         tracer=None,
     ) -> None:
         self._config = config if config is not None else PipelineConfig()
@@ -145,7 +145,7 @@ class QueryGenerator:
         except _EnumerationBudgetStop as stop:
             best = stop.partial
             if self._stats is not None:
-                self._stats.increment("querygen.budget_exhausted")
+                self._stats.inc("querygen.budget_exhausted")
             if self._tracer.active:
                 self._tracer.event("enumeration-budget-exhausted")
 
@@ -273,7 +273,7 @@ class QueryGenerator:
                         # axis bounds even lower.  The top ranking can no
                         # longer change inside this subtree.
                         if self._stats is not None:
-                            self._stats.increment("querygen.subtrees_pruned")
+                            self._stats.inc("querygen.subtrees_pruned")
                         break
                 descend(
                     axis + 1,
@@ -301,11 +301,11 @@ class QueryGenerator:
         earliest product order.  Returns True when the map changed.
         """
         if self._stats is not None:
-            self._stats.increment("querygen.combos_enumerated")
+            self._stats.inc("querygen.combos_enumerated")
         existing = best.get(triples)
         if existing is not None:
             if self._stats is not None:
-                self._stats.increment("querygen.duplicates_collapsed")
+                self._stats.inc("querygen.duplicates_collapsed")
             if score < existing[0] or (score == existing[0] and order > existing[1]):
                 return False
         best[triples] = (score, order, sources)

@@ -54,7 +54,6 @@ from repro.reliability.errors import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Span, Tracer
 from repro.perf.batch import BatchAnswerer
-from repro.perf.stats import PerfStats
 from repro.rdf.terms import Term, Variable
 from repro.wordnet.adjectives import AdjectivePropertyMap, build_adjective_map
 from repro.wordnet.database import build_wordnet
@@ -135,14 +134,13 @@ class QuestionAnsweringSystem:
     ) -> None:
         self._kb = kb
         self._config = config if config is not None else PipelineConfig()
-        self._stats = PerfStats()
+        #: Stage timers, pipeline counters and the ``trace.*`` aggregates
+        #: of every sampled question.
+        self._stats = MetricsRegistry()
         self._tracer = (
             Tracer(sample_every=self._config.trace_sample_every)
             if self._config.enable_tracing else NULL_TRACER
         )
-        #: Aggregated trace histograms (``trace.<span>.ms``) folded out of
-        #: every sampled question; merged into :meth:`metrics`.
-        self._trace_metrics = MetricsRegistry()
         if self._tracer.enabled:
             # The engine keeps a *list* of installed tracers (it is shared
             # by every system over this KB); events land on whichever one
@@ -259,7 +257,7 @@ class QuestionAnsweringSystem:
                 question, traced=root is not None, deadline=deadline
             )
         except Exception as error:  # last resort: the contract is absolute
-            self._stats.increment("reliability.unexpected_errors")
+            self._stats.inc("reliability.unexpected_errors")
             typed = InternalError.from_exception(error)
             result = Answer(
                 question=question,
@@ -290,7 +288,7 @@ class QuestionAnsweringSystem:
         )
         self._tracer.end_trace(root)
         result.trace = root
-        self._trace_metrics.absorb_span(root)
+        self._stats.absorb_span(root)
 
     def _answer_guarded(
         self,
@@ -313,7 +311,7 @@ class QuestionAnsweringSystem:
             try:
                 rewritten = normalize_imperative(question)
             except Exception:
-                self._stats.increment("reliability.failures.imperative_rewrite")
+                self._stats.inc("reliability.failures.imperative_rewrite")
                 rewritten = None
             if rewritten is not None:
                 text = rewritten
@@ -339,7 +337,7 @@ class QuestionAnsweringSystem:
         try:
             result.expected_type = expected_answer_type(sentence)
         except Exception:
-            self._stats.increment("reliability.failures.expected_type")
+            self._stats.inc("reliability.failures.expected_type")
 
         if (
             self._boolean_handler is not None
@@ -416,7 +414,7 @@ class QuestionAnsweringSystem:
             tracer.close_span(span)
         if deadline.tripped:
             result.truncated = True
-            self._stats.increment("reliability.budget_exhausted")
+            self._stats.inc("reliability.budget_exhausted")
         if not result.answered and result.failure is None:
             if result.truncated:
                 result.failure = (
@@ -465,7 +463,7 @@ class QuestionAnsweringSystem:
         if error is None:
             return sentence
 
-        self._stats.increment("reliability.failures.annotate")
+        self._stats.inc("reliability.failures.annotate")
         self._trace_stage_failure(error)
         result.failure = error.describe()
         result.failure_stage = error.stage_value
@@ -474,10 +472,10 @@ class QuestionAnsweringSystem:
         try:
             sentence = self._pipeline.annotate_shallow(text)
         except Exception:
-            self._stats.increment("reliability.fallbacks.shallow_annotate_failed")
+            self._stats.inc("reliability.fallbacks.shallow_annotate_failed")
             return None
         result.degraded.append("annotate:shallow-annotation")
-        self._stats.increment("reliability.fallbacks.shallow_annotate")
+        self._stats.inc("reliability.fallbacks.shallow_annotate")
         return sentence
 
     def _try_boolean(self, sentence: Sentence, result: Answer) -> bool:
@@ -487,7 +485,7 @@ class QuestionAnsweringSystem:
                 return False
             return self._answer_boolean(sentence, result)
         except Exception:
-            self._stats.increment("reliability.failures.boolean_extension")
+            self._stats.inc("reliability.failures.boolean_extension")
             result.boolean = None
             return False
 
@@ -512,7 +510,7 @@ class QuestionAnsweringSystem:
             error = ExtractionError(f"{type(unexpected).__name__}: {unexpected}")
 
         if error is not None:
-            self._stats.increment("reliability.failures.extract")
+            self._stats.inc("reliability.failures.extract")
             self._trace_stage_failure(error)
             result.failure = error.describe()
             result.failure_stage = error.stage_value
@@ -529,7 +527,7 @@ class QuestionAnsweringSystem:
             if patterns:
                 result.triples = patterns
                 result.degraded.append("extract:keyword-patterns")
-                self._stats.increment("reliability.fallbacks.keyword_extraction")
+                self._stats.inc("reliability.fallbacks.keyword_extraction")
                 result.failure = None
                 result.failure_stage = None
                 return True
@@ -565,7 +563,7 @@ class QuestionAnsweringSystem:
         except StageError as error:
             if guarded:
                 guard.exit("map", failed=True)
-            self._stats.increment("reliability.failures.map")
+            self._stats.inc("reliability.failures.map")
             self._trace_stage_failure(error)
             result.failure = error.describe()
             result.failure_stage = error.stage_value
@@ -573,7 +571,7 @@ class QuestionAnsweringSystem:
         except Exception as unexpected:
             if guarded:
                 guard.exit("map", failed=True)
-            self._stats.increment("reliability.failures.map")
+            self._stats.inc("reliability.failures.map")
             error = MappingError(f"{type(unexpected).__name__}: {unexpected}")
             self._trace_stage_failure(error)
             result.failure = error.describe()
@@ -590,13 +588,13 @@ class QuestionAnsweringSystem:
                         mapped, deadline=deadline
                     )
         except StageError as error:
-            self._stats.increment("reliability.failures.generate")
+            self._stats.inc("reliability.failures.generate")
             self._trace_stage_failure(error)
             result.failure = error.describe()
             result.failure_stage = error.stage_value
             return False
         except Exception as unexpected:
-            self._stats.increment("reliability.failures.generate")
+            self._stats.inc("reliability.failures.generate")
             error = QueryGenerationError(
                 f"{type(unexpected).__name__}: {unexpected}"
             )
@@ -705,7 +703,7 @@ class QuestionAnsweringSystem:
         candidates = result.candidate_queries
         cap = self._config.max_candidates
         if cap is not None and len(candidates) > cap:
-            self._stats.increment(
+            self._stats.inc(
                 "execute.candidates_truncated", len(candidates) - cap
             )
             result.truncated = True
@@ -717,7 +715,7 @@ class QuestionAnsweringSystem:
         executed = 0
         for index, candidate in enumerate(candidates):
             if deadline is not None and deadline.expired():
-                self._stats.increment("execute.budget_exhausted")
+                self._stats.inc("execute.budget_exhausted")
                 for remaining in range(index, len(candidates)):
                     outcomes.append(
                         (remaining, "budget-truncated", "stage budget expired")
@@ -731,14 +729,14 @@ class QuestionAnsweringSystem:
                 select = self._kb.engine.query(candidate.to_ast())
             except StageError as error:
                 first_error = first_error or error
-                self._stats.increment("execute.candidates_failed")
+                self._stats.inc("execute.candidates_failed")
                 outcomes.append((index, "error", error.describe()))
                 continue
             except Exception as unexpected:
                 first_error = first_error or ExecutionError(
                     f"{type(unexpected).__name__}: {unexpected}"
                 )
-                self._stats.increment("execute.candidates_failed")
+                self._stats.inc("execute.candidates_failed")
                 outcomes.append(
                     (index, "error", f"{type(unexpected).__name__}: {unexpected}")
                 )
@@ -766,14 +764,14 @@ class QuestionAnsweringSystem:
                         tspan.attributes["kept"] = len(answers)
                 except StageError as error:
                     first_error = first_error or error
-                    self._stats.increment("execute.candidates_failed")
+                    self._stats.inc("execute.candidates_failed")
                     outcomes.append((index, "error", error.describe()))
                     continue
                 except Exception as unexpected:
                     first_error = first_error or TypeCheckError(
                         f"{type(unexpected).__name__}: {unexpected}"
                     )
-                    self._stats.increment("execute.candidates_failed")
+                    self._stats.inc("execute.candidates_failed")
                     outcomes.append(
                         (index, "error", f"{type(unexpected).__name__}: {unexpected}")
                     )
@@ -796,8 +794,8 @@ class QuestionAnsweringSystem:
                         outcome="winner",
                         answers=len(answers),
                     )
-                self._stats.increment("execute.candidates_run", executed)
-                self._stats.increment(
+                self._stats.inc("execute.candidates_run", executed)
+                self._stats.inc(
                     "execute.candidates_short_circuited",
                     len(candidates) - executed,
                 )
@@ -808,7 +806,7 @@ class QuestionAnsweringSystem:
                 tracer.event(
                     "candidate", index=index, score=candidate.score, outcome=status
                 )
-        self._stats.increment("execute.candidates_run", executed)
+        self._stats.inc("execute.candidates_run", executed)
         if first_error is not None and result.failure is None:
             result.failure = first_error.describe()
             result.failure_stage = first_error.stage_value
@@ -860,8 +858,10 @@ class QuestionAnsweringSystem:
         return self._config
 
     @property
-    def stats(self) -> PerfStats:
-        """Per-stage timers and counters for this system instance."""
+    def stats(self) -> MetricsRegistry:
+        """This system's own metrics: stage timers, pipeline counters and
+        trace aggregates (:meth:`metrics` adds the engine's and the
+        storage backend's)."""
         return self._stats
 
     @property
@@ -879,16 +879,15 @@ class QuestionAnsweringSystem:
         traced question.
         """
         registry = MetricsRegistry()
-        registry.absorb_perf_stats(self._stats)
-        registry.absorb_perf_stats(self._kb.engine.stats)
+        registry.merge(self._stats)
+        registry.merge(self._kb.engine.stats)
         registry.absorb_cache_stats(self._kb.engine.cache_stats())
-        # Storage-backend counters (kb.segments.* for segment sets);
-        # the in-memory backend keeps no PerfStats, so this is a no-op
-        # on the default path.
+        # Storage-backend counters (kb.segments.* for segment sets); the
+        # in-memory backend keeps no registry, so this is a no-op on the
+        # default path.
         backend_perf = getattr(
             getattr(self._kb, "backend", None), "perf", None
         )
         if backend_perf is not None:
-            registry.absorb_perf_stats(backend_perf)
-        registry.merge(self._trace_metrics)
+            registry.merge(backend_perf)
         return registry.snapshot()

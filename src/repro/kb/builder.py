@@ -201,11 +201,15 @@ class KnowledgeBase:
         subject = DBR[record.name]
 
         # Type closure: every declared class plus all its ancestors, the
-        # way DBpedia materialises rdf:type.
-        type_names: set[str] = set()
+        # way DBpedia materialises rdf:type.  The triples go in closure
+        # order (first seen wins), never set order, so term ids, and with
+        # them every segment file, do not depend on PYTHONHASHSEED.
+        type_names: dict[str, None] = {}
         for class_name in record.classes:
-            type_names.update(self.ontology.superclasses(class_name))
-        self._entity_types[subject] = type_names
+            type_names.update(
+                dict.fromkeys(self.ontology.superclasses(class_name))
+            )
+        self._entity_types[subject] = set(type_names)
         for class_name in type_names:
             self.graph.add(Triple(subject, RDF.type, DBO[class_name]))
 

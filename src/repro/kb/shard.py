@@ -69,7 +69,7 @@ from repro.kb.segment import (
     write_resource,
     write_shard,
 )
-from repro.perf.stats import PerfStats
+from repro.obs.metrics import MetricsRegistry
 from repro.rdf.graph import Graph
 from repro.rdf.terms import Term
 
@@ -276,15 +276,16 @@ class SegmentedBackend(KBBackend):
     under the pattern shape's order key.
 
     Counters (``kb.segments.*`` — see docs/observability.md) land in the
-    instance's :class:`~repro.perf.stats.PerfStats` and surface through
-    :meth:`stats`.
+    instance's :class:`~repro.obs.metrics.MetricsRegistry` (:attr:`perf`),
+    which ``QuestionAnsweringSystem.metrics()`` merges, and surface
+    through :meth:`stats`.
     """
 
     def __init__(
-        self, path: str | os.PathLike, stats: PerfStats | None = None
+        self, path: str | os.PathLike, stats: MetricsRegistry | None = None
     ) -> None:
         self._path = os.fspath(path)
-        self._stats = stats if stats is not None else PerfStats()
+        self._stats = stats if stats is not None else MetricsRegistry()
         self._manifest: dict | None = None
         self._dictionary: SegmentDictionary | None = None
         self._shards: list[SegmentShard] = []
@@ -295,7 +296,7 @@ class SegmentedBackend(KBBackend):
         return self._path
 
     @property
-    def perf(self) -> PerfStats:
+    def perf(self) -> MetricsRegistry:
         return self._stats
 
     # -- lifecycle -----------------------------------------------------
@@ -324,7 +325,7 @@ class SegmentedBackend(KBBackend):
             for shard in range(manifest.get("object_shards", 0))
         ]
         self._manifest = manifest
-        self._stats.increment("kb.segments.opened")
+        self._stats.inc("kb.segments.opened")
         return self
 
     def close(self) -> None:
@@ -370,10 +371,10 @@ class SegmentedBackend(KBBackend):
         if -1 in (s, p, o):
             return iter(())
         manifest = self._require_open()
-        self._stats.increment("kb.segments.scans")
+        self._stats.inc("kb.segments.scans")
         if s is not None:
             # Subject-bound: the router pins the one shard that can match.
-            self._stats.increment("kb.segments.single_shard_scans")
+            self._stats.inc("kb.segments.single_shard_scans")
             shard = shard_of_subject(s, manifest["shards"])
             return self._shards[shard].scan(s, p, o)
         if o is not None and self._object_shards:
@@ -381,10 +382,10 @@ class SegmentedBackend(KBBackend):
             # object shard.  Its stream is sorted under the same shape key
             # and holds exactly the triples with this object, so it is
             # byte-identical to the merged subject-shard stream.
-            self._stats.increment("kb.segments.object_routed_scans")
+            self._stats.inc("kb.segments.object_routed_scans")
             shard = shard_of_object(o, len(self._object_shards))
             return self._object_shards[shard].scan(s, p, o)
-        self._stats.increment("kb.segments.merged_scans")
+        self._stats.inc("kb.segments.merged_scans")
         streams = [shard.scan(s, p, o) for shard in self._shards]
         return heapq.merge(*streams, key=scan_order_key(s, p, o))
 
@@ -394,19 +395,19 @@ class SegmentedBackend(KBBackend):
         if -1 in (s, p, o):
             return 0
         manifest = self._require_open()
-        self._stats.increment("kb.segments.counts")
+        self._stats.inc("kb.segments.counts")
         if s is not None:
             shard = shard_of_subject(s, manifest["shards"])
             return self._shards[shard].count(s, p, o)
         if o is not None and self._object_shards:
-            self._stats.increment("kb.segments.object_routed_counts")
+            self._stats.inc("kb.segments.object_routed_counts")
             shard = shard_of_object(o, len(self._object_shards))
             return self._object_shards[shard].count(s, p, o)
         return sum(shard.count(s, p, o) for shard in self._shards)
 
     def lookup(self, term: Term) -> int:
         self._require_open()
-        self._stats.increment("kb.segments.lookups")
+        self._stats.inc("kb.segments.lookups")
         term_id = self._dictionary.lookup(term)  # type: ignore[union-attr]
         return -1 if term_id is None else term_id
 

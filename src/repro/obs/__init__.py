@@ -6,9 +6,10 @@ The three pieces (see ``docs/observability.md``):
   with a thread-local open-span stack; :data:`NULL_TRACER` is the
   zero-overhead default wired into every pipeline component.
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry`
-  (counters/gauges/histograms) absorbing the perf timers, the reliability
-  counters, the engine cache statistics and trace aggregates into one
-  ``repro.metrics/v1`` document.
+  (counters/gauges/histograms), the one accumulator that the stage
+  timers, the pipeline, reliability, engine and storage counters and the
+  trace aggregates are written into; merged with the engine cache
+  statistics, it exports one ``repro.metrics/v1`` document.
 * :mod:`repro.obs.export` — text rendering and JSON export for both.
 
 Entry points: ``PipelineConfig(enable_tracing=True)`` (or

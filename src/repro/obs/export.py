@@ -48,8 +48,8 @@ def write_metrics(snapshot: dict, path: str | Path) -> Path:
     """Write a :meth:`MetricsRegistry.snapshot` document to ``path``.
 
     Refuses documents that do not carry the expected schema stamp, so a
-    caller cannot silently ship a raw ``PerfStats`` snapshot where the
-    unified schema is expected.
+    caller cannot silently ship some other dict (an engine's
+    ``cache_stats()``, say) where the unified schema is expected.
     """
     if snapshot.get("schema") != METRICS_SCHEMA:
         raise ValueError(

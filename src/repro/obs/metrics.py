@@ -1,21 +1,23 @@
 """The unified metrics registry: counters, gauges, histograms, one schema.
 
-Before this layer, run statistics lived in three disjoint surfaces: the
-pipeline's :class:`repro.perf.stats.PerfStats` (stage timers + ad-hoc
-counters, including every ``reliability.*`` counter), the SPARQL engine's
-own ``PerfStats`` plus its LRU ``cache_stats()`` dicts, and — when tracing
-is on — per-question span trees.  :class:`MetricsRegistry` absorbs all
-three into one JSON-exportable document under the :data:`METRICS_SCHEMA`
-schema; ``QuestionAnsweringSystem.metrics()`` is the one call that builds
-it, and ``repro eval --metrics-out`` writes it to disk.
-
-The registry reads the absorbed surfaces' snapshots; it does not replace
-their plumbing.
+Every run statistic is written straight into a :class:`MetricsRegistry`:
+the pipeline's stage timers (``stage.<name>.seconds`` histograms) and
+counters, including every ``reliability.*`` counter, the SPARQL engine's
+counters, the segment backend's ``kb.segments.*`` counters, the serving
+layer's families and, when tracing is on, the ``trace.*`` aggregates of
+the per-question span trees.  Each owner (system, engine, segment backend,
+server) holds its own registry.  ``QuestionAnsweringSystem.metrics()``
+merges them, adds the engine's LRU ``cache_stats()`` as gauges, and
+returns one JSON-exportable document under the :data:`METRICS_SCHEMA`
+schema; ``repro eval --metrics-out`` writes it to disk.
 
 >>> registry = MetricsRegistry()
 >>> registry.inc("questions")
->>> registry.observe("stage.annotate.seconds", 0.25)
+>>> with registry.timer("annotate"):
+...     pass
 >>> registry.set_gauge("cache.size", 42)
+>>> registry.counter("questions"), registry.counter("never.incremented")
+(1, 0)
 >>> doc = registry.snapshot()
 >>> doc["schema"]
 'repro.metrics/v1'
@@ -28,11 +30,11 @@ their plumbing.
 from __future__ import annotations
 
 import threading
+import time
 from typing import TYPE_CHECKING, Any, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import Span
-    from repro.perf.stats import PerfStats
 
 #: Schema identifier stamped on every exported metrics document.
 METRICS_SCHEMA = "repro.metrics/v1"
@@ -80,9 +82,9 @@ class Histogram:
 
     Deliberately not a bucketed histogram: the pipeline's consumers (the
     benchmark artifacts, the CI metrics job) need cheap summary statistics,
-    and aggregates merge losslessly — which a fixed bucket layout would
-    not — when folding pre-aggregated :class:`~repro.perf.stats.StageTimer`
-    observations in via :meth:`update`.
+    an observation on the hot path is four field updates, and two
+    summaries merge losslessly via :meth:`update` (how
+    :meth:`MetricsRegistry.merge` folds the per-owner registries together).
     """
 
     __slots__ = ("count", "total", "min", "max")
@@ -94,7 +96,12 @@ class Histogram:
         self.max: float | None = None
 
     def observe(self, value: float) -> None:
-        self.update(1, value, value, value)
+        self.count += 1
+        self.total += value
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
 
     def update(
         self,
@@ -131,9 +138,9 @@ class MetricsRegistry:
     """Thread-safe named counters, gauges and histograms.
 
     One lock guards the name tables; the instrument objects themselves are
-    mutated under that same lock via the ``inc``/``set_gauge``/``observe``
-    convenience methods, which is how the batch answerer's worker threads
-    share a registry safely.
+    mutated under that same lock via the ``inc``/``set_gauge``/``observe``/
+    ``timer`` methods, which is how the batch answerer's and the server's
+    worker threads share a registry safely.
 
     ``max_series`` bounds the number of *distinct names* per instrument
     kind (see :data:`MAX_SERIES_PER_KIND`): a new name beyond the cap is
@@ -169,7 +176,13 @@ class MetricsRegistry:
                 if not self._admit(self._counters, name):
                     return
                 counter = self._counters[name] = Counter()
-            counter.inc(amount)
+            counter.value += amount
+
+    def counter(self, name: str) -> int:
+        """A counter's current value; 0 for a name never incremented."""
+        with self._lock:
+            counter = self._counters.get(name)
+            return 0 if counter is None else counter.value
 
     def set_gauge(self, name: str, value: float | int) -> None:
         with self._lock:
@@ -182,9 +195,17 @@ class MetricsRegistry:
 
     def observe(self, name: str, value: float) -> None:
         with self._lock:
-            histogram = self._histogram(name)
-            if histogram is not None:
-                histogram.observe(value)
+            histogram = self._histograms.get(name)
+            if histogram is None:
+                if not self._admit(self._histograms, name):
+                    return
+                histogram = self._histograms[name] = Histogram()
+            histogram.observe(value)
+
+    def timer(self, name: str) -> "_Timer":
+        """Time a ``with`` block into the ``stage.<name>.seconds``
+        histogram (wall time via ``perf_counter``)."""
+        return _Timer(self, f"stage.{name}.seconds")
 
     def _histogram(self, name: str) -> Histogram | None:
         histogram = self._histograms.get(name)
@@ -194,24 +215,7 @@ class MetricsRegistry:
             histogram = self._histograms[name] = Histogram()
         return histogram
 
-    # -- absorption of the legacy surfaces -----------------------------
-
-    def absorb_perf_stats(self, stats: "PerfStats", prefix: str = "") -> None:
-        """Fold a :class:`PerfStats` snapshot in.
-
-        Stage timers become ``stage.<name>.seconds`` histograms (count =
-        calls, total = accumulated wall time); counters keep their names —
-        which is what unifies the ``reliability.*`` counters into this
-        schema without renaming anything the docs already reference.
-        """
-        data = stats.snapshot()
-        with self._lock:
-            for name, entry in data["timers"].items():
-                histogram = self._histogram(f"{prefix}stage.{name}.seconds")
-                if histogram is not None:
-                    histogram.update(entry["calls"], entry["total_seconds"])
-        for name, value in data["counters"].items():
-            self.inc(prefix + name, value)
+    # -- absorption of the engine caches and traces --------------------
 
     def absorb_cache_stats(
         self, caches: Mapping[str, Mapping[str, Any]], prefix: str = "sparql."
@@ -286,3 +290,21 @@ class MetricsRegistry:
                     for name, histogram in sorted(self._histograms.items())
                 },
             }
+
+
+class _Timer:
+    """The context manager behind :meth:`MetricsRegistry.timer`: a plain
+    slotted class, which costs less per ``with`` block than a generator
+    wrapped by ``contextlib.contextmanager``."""
+
+    __slots__ = ("_registry", "_name", "_start")
+
+    def __init__(self, registry: MetricsRegistry, name: str) -> None:
+        self._registry = registry
+        self._name = name
+
+    def __enter__(self) -> None:
+        self._start = time.perf_counter()
+
+    def __exit__(self, *exc_info) -> None:
+        self._registry.observe(self._name, time.perf_counter() - self._start)

@@ -1,23 +1,20 @@
-"""Performance infrastructure: caches, counters, batch execution.
+"""Performance infrastructure: caches and batch execution.
 
 This package backs the throughput-oriented answering layer:
 
 * :mod:`repro.perf.lru` — thread-safe LRU cache (SPARQL parse/result
   caches, similarity memo);
-* :mod:`repro.perf.stats` — per-stage timing counters shared by the
-  pipeline and its caches;
 * :mod:`repro.perf.batch` — :class:`BatchAnswerer`, the thread-pool
   fan-out behind ``QuestionAnsweringSystem.answer_many``.
+
+Stage timers and counters live in :class:`repro.obs.MetricsRegistry`.
 """
 
 from repro.perf.batch import BatchAnswerer, default_workers
 from repro.perf.lru import LRUCache
-from repro.perf.stats import PerfStats, StageTimer
 
 __all__ = [
     "BatchAnswerer",
     "LRUCache",
-    "PerfStats",
-    "StageTimer",
     "default_workers",
 ]

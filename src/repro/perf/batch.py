@@ -4,10 +4,10 @@ The pipeline is read-only over its shared resources once constructed — the
 graph indexes, pattern store, WordNet maps and surface index are never
 mutated by :meth:`~repro.core.system.QuestionAnsweringSystem.answer` — so
 questions can run concurrently against one system instance.  The only
-shared *mutable* state is the cache/stat layer, and every one of those
+shared *mutable* state is the cache/metrics layer, and every one of those
 structures (:class:`repro.perf.lru.LRUCache`,
-:class:`repro.perf.stats.PerfStats`, the similarity memo) takes its own
-lock.  ``docs/performance.md`` spells out the full thread-safety contract.
+:class:`repro.obs.metrics.MetricsRegistry`, the similarity memo) takes its
+own lock.  ``docs/performance.md`` spells out the full thread-safety contract.
 
 Results are returned in input order and are exactly what sequential
 ``answer()`` calls would have produced: each question is answered by the
@@ -73,7 +73,7 @@ class BatchAnswerer:
         if not questions:
             return []
         stats = self._system.stats
-        stats.increment("batch.questions", len(questions))
+        stats.inc("batch.questions", len(questions))
         if len(questions) == 1 or self._max_workers == 1:
             return [self._answer_isolated(question) for question in questions]
         with stats.timer("batch.wall"):
@@ -97,7 +97,7 @@ class BatchAnswerer:
             from repro.core.system import Answer
             from repro.reliability.errors import InternalError
 
-            self._system.stats.increment("batch.failures")
+            self._system.stats.inc("batch.failures")
             typed = InternalError.from_exception(error)
             return Answer(
                 question=question,

@@ -3,9 +3,10 @@
 Used by the SPARQL parse/result caches and the similarity memo layer.
 ``functools.lru_cache`` is not enough for those call sites: the caches must
 be explicitly invalidatable (graph mutation bumps a generation counter),
-sized at runtime, and must expose their hit/miss counters to
-:class:`repro.perf.stats.PerfStats` so benchmarks can report cache
-efficiency.
+sized at runtime, and must expose their hit/miss counters (:meth:`stats`,
+folded into the metrics document as gauges by
+:meth:`repro.obs.metrics.MetricsRegistry.absorb_cache_stats`) so
+benchmarks can report cache efficiency.
 
 Thread-safety contract: every public method takes the internal lock, so the
 cache can be shared by the :class:`repro.perf.batch.BatchAnswerer` worker

@@ -25,7 +25,7 @@ import threading
 import time
 from typing import Callable
 
-from repro.perf.stats import PerfStats
+from repro.obs.metrics import MetricsRegistry
 from repro.reliability.errors import BulkheadSaturatedError, CircuitOpenError
 from repro.serve.breaker import CircuitBreaker
 
@@ -37,29 +37,25 @@ GUARDED_STAGES: tuple[str, ...] = ("annotate", "map", "execute")
 
 
 class Bulkhead:
-    """A per-stage concurrency limit with a bounded acquire wait.
+    """A per-stage concurrency limit that never waits.
 
-    ``wait_s=0`` (the default) makes saturation shed instantly — the
-    serving layer prefers a fast typed rejection over queueing inside the
-    pipeline, because queueing is the admission queue's job.
+    Saturation sheds instantly: the serving layer prefers a fast typed
+    rejection over queueing inside the pipeline, because queueing is the
+    admission queue's job.
     """
 
-    def __init__(self, name: str, max_concurrent: int, wait_s: float = 0.0) -> None:
+    def __init__(self, name: str, max_concurrent: int) -> None:
         if max_concurrent < 1:
             raise ValueError("max_concurrent must be >= 1")
         self.name = name
         self.max_concurrent = max_concurrent
-        self.wait_s = wait_s
         self._semaphore = threading.BoundedSemaphore(max_concurrent)
         self._lock = threading.Lock()
         self._in_flight = 0
         self.rejected_count = 0
 
     def acquire(self) -> bool:
-        if self.wait_s > 0:
-            acquired = self._semaphore.acquire(timeout=self.wait_s)
-        else:
-            acquired = self._semaphore.acquire(blocking=False)
+        acquired = self._semaphore.acquire(blocking=False)
         with self._lock:
             if acquired:
                 self._in_flight += 1
@@ -93,7 +89,7 @@ class StageGuard:
         self,
         breakers: dict[str, CircuitBreaker] | None = None,
         bulkheads: dict[str, Bulkhead] | None = None,
-        stats: PerfStats | None = None,
+        stats: MetricsRegistry | None = None,
     ) -> None:
         self._breakers = breakers if breakers is not None else {}
         self._bulkheads = bulkheads if bulkheads is not None else {}
@@ -105,7 +101,7 @@ class StageGuard:
         failure_threshold: int = 5,
         recovery_s: float = 5.0,
         concurrency: dict[str, int] | None = None,
-        stats: PerfStats | None = None,
+        stats: MetricsRegistry | None = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> "StageGuard":
         """A guard over every stage in :data:`GUARDED_STAGES`.
@@ -188,4 +184,4 @@ class StageGuard:
 
     def _count(self, name: str) -> None:
         if self._stats is not None:
-            self._stats.increment(name)
+            self._stats.inc(name)

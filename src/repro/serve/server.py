@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from repro.core.system import Answer, QuestionAnsweringSystem
 from repro.kb.shard import SegmentedBackend
 from repro.obs.metrics import MetricsRegistry
-from repro.perf.stats import PerfStats
 from repro.reliability.budgets import Deadline
 from repro.reliability.errors import InternalError, StageError
 from repro.serve.errors import Overloaded, ServerClosed
@@ -92,11 +91,9 @@ class ServerConfig:
     #: Default per-request deadline when ``submit`` passes none
     #: (``None`` = unlimited).
     default_timeout_s: float | None = None
-    #: Per-stage bulkhead sizes (``None`` disables that stage's bulkhead).
-    #: Execute defaults below the worker count so a wedged SPARQL backend
-    #: leaves workers free for NLP-only traffic.
-    annotate_concurrency: int | None = None
-    map_concurrency: int | None = None
+    #: Execute-stage bulkhead size (``None`` disables the bulkhead).  It
+    #: defaults below the worker count so a wedged SPARQL backend leaves
+    #: workers free for NLP-only traffic.
     execute_concurrency: int | None = 3
     #: Breaker tuning (consecutive failures to trip / seconds until a
     #: half-open probe is allowed).
@@ -143,15 +140,11 @@ class ResilientServer:
         config: ServerConfig | None = None,
     ) -> None:
         self._config = config if config is not None else ServerConfig()
-        self._stats = PerfStats()
+        self._stats = MetricsRegistry()
         self._guard = StageGuard.default(
             failure_threshold=self._config.breaker_failure_threshold,
             recovery_s=self._config.breaker_recovery_s,
-            concurrency={
-                "annotate": self._config.annotate_concurrency,
-                "map": self._config.map_concurrency,
-                "execute": self._config.execute_concurrency,
-            },
+            concurrency={"execute": self._config.execute_concurrency},
             stats=self._stats,
         )
         system.install_stage_guard(self._guard)
@@ -191,9 +184,9 @@ class ResilientServer:
         errors all resolve the future with a typed-failure Answer.
         """
         future: Future = Future()
-        self._stats.increment("serve.submitted")
+        self._stats.inc("serve.submitted")
         if self._stopped.is_set():
-            self._stats.increment("serve.closed_rejections")
+            self._stats.inc("serve.closed_rejections")
             self._resolve_failure(
                 future, question, ServerClosed("server is stopped")
             )
@@ -209,11 +202,11 @@ class ResilientServer:
             request.degraded = True
             try:
                 self._degraded_queue.put_nowait(request)
-                self._stats.increment("serve.shed.degraded")
+                self._stats.inc("serve.shed.degraded")
                 return future
             except queue.Full:
                 pass
-        self._stats.increment("serve.shed.rejected")
+        self._stats.inc("serve.shed.rejected")
         self._resolve_failure(
             future,
             question,
@@ -248,7 +241,7 @@ class ResilientServer:
         if request.deadline.expired():
             # The request's budget died in the queue; shed it now rather
             # than spend a worker computing an answer nobody is awaiting.
-            self._stats.increment("serve.expired_in_queue")
+            self._stats.inc("serve.expired_in_queue")
             self._resolve_failure(
                 request.future,
                 request.question,
@@ -263,7 +256,7 @@ class ResilientServer:
         answer = system.answer(request.question, deadline=deadline)
         if request.degraded:
             answer.degraded.append("serve:degraded-admission")
-        self._stats.increment("serve.completed")
+        self._stats.inc("serve.completed")
         request.future.set_result(answer)
 
     def _resolve_failure(
@@ -311,7 +304,7 @@ class ResilientServer:
         system.install_stage_guard(self._guard)
         self._wire_scatter(system)
         self._system = system
-        self._stats.increment("serve.reloads")
+        self._stats.inc("serve.reloads")
 
     def save_snapshot(self, path) -> dict:
         """Persist the current system's warm caches (atomic write)."""
@@ -367,7 +360,7 @@ class ResilientServer:
                     break
                 if item is _STOP or item.future.done():
                     continue
-                self._stats.increment("serve.closed_rejections")
+                self._stats.inc("serve.closed_rejections")
                 self._resolve_failure(
                     item.future,
                     item.question,
@@ -392,7 +385,7 @@ class ResilientServer:
         are keyed per *stage* — cardinality never grows with traffic.
         """
         registry = MetricsRegistry()
-        registry.absorb_perf_stats(self._stats)
+        registry.merge(self._stats)
         registry.set_gauge("serve.queue.depth", self._queue.qsize())
         registry.set_gauge("serve.queue.capacity", self._config.max_queue)
         registry.set_gauge(

@@ -97,7 +97,7 @@ def save_snapshot(system, path: str | os.PathLike) -> dict:
         except OSError:
             pass
         raise
-    system.stats.increment("snapshot.saved")
+    system.stats.inc("snapshot.saved")
     return header
 
 
@@ -147,10 +147,10 @@ def load_snapshot(system, path: str | os.PathLike) -> dict[str, int]:
         raise
     except Exception as error:  # torn/garbage payload that passed checksum
         return _reject(system, f"snapshot restore failed: {error}")
-    system.stats.increment("snapshot.restored")
+    system.stats.inc("snapshot.restored")
     return counts
 
 
 def _reject(system, reason: str) -> "dict[str, int]":
-    system.stats.increment("snapshot.rejected")
+    system.stats.inc("snapshot.rejected")
     raise SnapshotError(reason)

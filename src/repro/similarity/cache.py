@@ -14,8 +14,8 @@ adversarial input streams.
 
 from __future__ import annotations
 
+from repro.obs.metrics import MetricsRegistry
 from repro.perf.lru import LRUCache
-from repro.perf.stats import PerfStats
 
 _MISSING = object()
 
@@ -41,7 +41,7 @@ class MemoizedSimilarity:
         self,
         fn,
         maxsize: int = DEFAULT_MEMO_SIZE,
-        stats: PerfStats | None = None,
+        stats: MetricsRegistry | None = None,
         name: str = "similarity",
     ) -> None:
         self._fn = fn
@@ -56,12 +56,12 @@ class MemoizedSimilarity:
         score = self.cache.get(key, _MISSING)
         if score is not _MISSING:
             if self._stats is not None:
-                self._stats.increment(f"{self._name}.memo.hits")
+                self._stats.inc(f"{self._name}.memo.hits")
             return score
         score = self._fn(a, b)
         self.cache.put(key, score)
         if self._stats is not None:
-            self._stats.increment(f"{self._name}.memo.misses")
+            self._stats.inc(f"{self._name}.memo.misses")
         return score
 
     def snapshot(self) -> dict[str, int | float]:
@@ -77,7 +77,7 @@ class MemoizedSimilarity:
 def memoize_similarity(
     fn,
     maxsize: int = DEFAULT_MEMO_SIZE,
-    stats: PerfStats | None = None,
+    stats: MetricsRegistry | None = None,
     name: str = "similarity",
 ) -> MemoizedSimilarity:
     """Wrap ``fn`` unless it is already memoized (idempotent)."""

@@ -42,8 +42,8 @@ module's ``_np`` attribute to ``None``.
 
 **Observability** — operators publish ``sparql.columnar.*`` counters
 (batches, rows, row widths, per-strategy join counts, filter/ORDER memo
-hits, rows ranked from shipped ranks) through the shared
-:class:`repro.perf.stats.PerfStats`; see docs/observability.md.
+hits, rows ranked from shipped ranks) into the engine's
+:class:`repro.obs.metrics.MetricsRegistry`; see docs/observability.md.
 
 Correctness is pinned by the differential harness
 (``tests/sparql/test_columnar_differential.py``): term-space oracle vs
@@ -63,7 +63,7 @@ try:  # optional vectorized backend; every operator has a pure-python twin
 except ImportError:  # pragma: no cover - exercised via monkeypatch in tests
     _np = None
 
-from repro.perf.stats import PerfStats
+from repro.obs.metrics import MetricsRegistry
 from repro.rdf.datatypes import XSD_INTEGER
 from repro.rdf.graph import Graph
 from repro.rdf.order import order_ranks
@@ -102,9 +102,9 @@ def numpy_enabled() -> bool:
     return _np is not None
 
 
-def _count(stats: PerfStats | None, name: str, amount: int = 1) -> None:
+def _count(stats: MetricsRegistry | None, name: str, amount: int = 1) -> None:
     if stats is not None and amount:
-        stats.increment(name, amount)
+        stats.inc(name, amount)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +601,7 @@ def join_pattern(
 
 
 def filter_id_equality(
-    batch: ColumnBatch, closure, stats: PerfStats | None = None
+    batch: ColumnBatch, closure, stats: MetricsRegistry | None = None
 ) -> ColumnBatch:
     """Vectorized ``?var = <iri>`` / ``!=`` filter: one column mask.
 
@@ -641,7 +641,7 @@ def filter_memoized(
     batch: ColumnBatch,
     closure,
     width: int,
-    stats: PerfStats | None = None,
+    stats: MetricsRegistry | None = None,
     memo: dict | None = None,
 ) -> ColumnBatch:
     """General filter over a batch, memoized per distinct slot values.
@@ -688,7 +688,7 @@ def filter_memoized(
 
 def apply_filters(
     filters: Sequence, batch: ColumnBatch, width: int,
-    stats: PerfStats | None = None, memo: dict | None = None,
+    stats: MetricsRegistry | None = None, memo: dict | None = None,
 ) -> ColumnBatch:
     for closure in filters:
         if batch.length == 0:
@@ -827,7 +827,7 @@ def _resume_from_memo_batch(
         if hit is None:
             continue
         if stats is not None:
-            stats.increment("sparql.prefix_memo.hits")
+            stats.inc("sparql.prefix_memo.hits")
         names, stored = hit
         slots = [plan.slot_by_name[name] for name in names]
         count = len(stored)
@@ -840,7 +840,7 @@ def _resume_from_memo_batch(
                 columns[slot] = array("q", values)
         return ColumnBatch(plan.width, columns, count), length
     if stats is not None:
-        stats.increment("sparql.prefix_memo.misses")
+        stats.inc("sparql.prefix_memo.misses")
     return None, 0
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable
 
-from repro.perf.stats import PerfStats
+from repro.obs.metrics import MetricsRegistry
 from repro.rdf.graph import Graph
 from repro.rdf.terms import BNode, IRI, Term, Triple, Variable
 from repro.sparql.ast import (
@@ -140,7 +140,7 @@ class ExecContext:
     def __init__(
         self,
         graph: Graph,
-        stats: PerfStats | None = None,
+        stats: MetricsRegistry | None = None,
         prefix_memo: PrefixMemo | None = None,
         filter_memo: dict | None = None,
     ) -> None:

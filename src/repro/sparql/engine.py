@@ -37,8 +37,8 @@ from __future__ import annotations
 import threading
 from typing import Iterable
 
+from repro.obs.metrics import MetricsRegistry
 from repro.perf.lru import LRUCache
-from repro.perf.stats import PerfStats
 from repro.rdf.datatypes import XSD_INTEGER
 from repro.rdf.graph import Graph
 from repro.rdf.order import order_key
@@ -88,11 +88,11 @@ class SparqlEngine:
         self,
         graph: Graph,
         cache_size: int = DEFAULT_CACHE_SIZE,
-        stats: PerfStats | None = None,
+        stats: MetricsRegistry | None = None,
         idspace: bool = True,
     ) -> None:
         self._graph = graph
-        self._stats = stats if stats is not None else PerfStats()
+        self._stats = stats if stats is not None else MetricsRegistry()
         self._parse_cache = LRUCache(cache_size)
         self._result_cache = LRUCache(cache_size)
         # Plans never go stale (see module docstring), so the plan cache
@@ -117,7 +117,7 @@ class SparqlEngine:
         return self._graph
 
     @property
-    def stats(self) -> PerfStats:
+    def stats(self) -> MetricsRegistry:
         """The engine's perf counters (shared with the owning system)."""
         return self._stats
 
@@ -211,8 +211,8 @@ class SparqlEngine:
         for ast, result in state["results"]:
             self._result_cache.put(ast, result)
             results += 1
-        self._stats.increment("sparql.snapshot.plans_restored", plans)
-        self._stats.increment("sparql.snapshot.results_restored", results)
+        self._stats.inc("sparql.snapshot.plans_restored", plans)
+        self._stats.inc("sparql.snapshot.results_restored", results)
         return {"plans": plans, "results": results}
 
     def query(self, query: str | SelectQuery | AskQuery) -> SelectResult | AskResult:
@@ -232,11 +232,11 @@ class SparqlEngine:
         self._validate_result_cache()
         cached = self._result_cache.get(query)
         if cached is not None:
-            self._stats.increment("sparql.result_cache.hits")
+            self._stats.inc("sparql.result_cache.hits")
             if self._tracers:
                 self._trace_event("sparql.result_cache", outcome="hit")
             return cached
-        self._stats.increment("sparql.result_cache.misses")
+        self._stats.inc("sparql.result_cache.misses")
         if self._tracers:
             self._trace_event("sparql.result_cache", outcome="miss")
         # Failure containment (docs/reliability.md): the cache is filled
@@ -246,7 +246,7 @@ class SparqlEngine:
         try:
             result = self._evaluate(query, plan)
         except Exception:
-            self._stats.increment("sparql.errors")
+            self._stats.inc("sparql.errors")
             raise
         self._result_cache.put(query, result)
         return result
@@ -255,11 +255,11 @@ class SparqlEngine:
         """Fetch or compile the id-space plan for a query AST."""
         plan = self._plan_cache.get(query)
         if plan is not None:
-            self._stats.increment("sparql.plan_cache.hits")
+            self._stats.inc("sparql.plan_cache.hits")
             if self._tracers:
                 self._trace_event("sparql.plan_cache", outcome="hit")
             return plan
-        self._stats.increment("sparql.plan_cache.misses")
+        self._stats.inc("sparql.plan_cache.misses")
         if self._tracers:
             self._trace_event("sparql.plan_cache", outcome="miss")
         plan = compile_query(query, self._graph)
@@ -276,17 +276,17 @@ class SparqlEngine:
             return parse_query(text)
         ast = self._parse_cache.get(text)
         if ast is not None:
-            self._stats.increment("sparql.parse_cache.hits")
+            self._stats.inc("sparql.parse_cache.hits")
             if self._tracers:
                 self._trace_event("sparql.parse_cache", outcome="hit")
             return ast
-        self._stats.increment("sparql.parse_cache.misses")
+        self._stats.inc("sparql.parse_cache.misses")
         if self._tracers:
             self._trace_event("sparql.parse_cache", outcome="miss")
         try:
             ast = parse_query(text)
         except Exception:
-            self._stats.increment("sparql.parse_errors")
+            self._stats.inc("sparql.parse_errors")
             raise
         self._parse_cache.put(text, ast)
         return ast
@@ -304,7 +304,7 @@ class SparqlEngine:
             if generation != self._cached_generation:
                 self._result_cache.clear()
                 self._cached_generation = generation
-                self._stats.increment("sparql.result_cache.invalidations")
+                self._stats.inc("sparql.result_cache.invalidations")
 
     def _evaluate(
         self,

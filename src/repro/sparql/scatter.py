@@ -81,8 +81,8 @@ from repro.kb.shard import (
     ShardResultCache,
     shard_of_subject,
 )
+from repro.obs.metrics import MetricsRegistry
 from repro.perf.lru import LRUCache
-from repro.perf.stats import PerfStats
 from repro.rdf.terms import Variable
 from repro.sparql import columnar
 from repro.sparql.ast import BGP, Filter, TermExpr
@@ -251,7 +251,7 @@ def _execute_shard(
     view,
     seeds=None,
     keys=None,
-    stats: PerfStats | None = None,
+    stats: MetricsRegistry | None = None,
     memo: dict | None = None,
 ) -> ColumnBatch:
     """Run a compiled plan's operator tree over one shard view, columnar.
@@ -311,7 +311,7 @@ class ScatterGatherExecutor:
         self,
         backend: SegmentedBackend,
         processes: int = 0,
-        stats: PerfStats | None = None,
+        stats: MetricsRegistry | None = None,
     ) -> None:
         if processes != 0:
             raise ValueError(
@@ -363,14 +363,14 @@ class ScatterGatherExecutor:
             self._generation += 1
             self._plans.clear()
         if self._stats is not None:
-            self._stats.increment("kb.shard_cache.invalidations")
+            self._stats.inc("kb.shard_cache.invalidations")
 
     def invalidate_caches(self) -> None:
         """Empty every per-shard result cache (generation bump)."""
         with self._lock:
             self._generation += 1
         if self._stats is not None:
-            self._stats.increment("kb.shard_cache.invalidations")
+            self._stats.inc("kb.shard_cache.invalidations")
 
     # -- caches --------------------------------------------------------
 
@@ -413,22 +413,22 @@ class ScatterGatherExecutor:
             # bound to (e.g. a hot reload raced the install): answering
             # would read the wrong segments.  Fall back.
             if stats is not None:
-                stats.increment("sparql.scatter.foreign_graph_fallbacks")
+                stats.inc("sparql.scatter.foreign_graph_fallbacks")
             return None
         spec = partition_spec(
             plan.query, object_shards=backend.object_shard_count > 0
         )
         if spec is None:
             if stats is not None:
-                stats.increment("sparql.scatter.fallback_queries")
+                stats.inc("sparql.scatter.fallback_queries")
             return None
         if _min_pattern_count(context.graph, plan) < FANOUT_MIN_ROWS:
             if stats is not None:
-                stats.increment("sparql.scatter.local_queries")
+                stats.inc("sparql.scatter.local_queries")
             return None
         kind, payload = spec
         if stats is not None:
-            stats.increment("sparql.scatter.queries")
+            stats.inc("sparql.scatter.queries")
         # One filter-verdict memo for every shard of this gather.
         memo: dict = {}
         if kind == "twostar":
@@ -436,12 +436,12 @@ class ScatterGatherExecutor:
                 backend, plan, payload, context, stats, memo
             )
         if stats is not None and kind == "object":
-            stats.increment("sparql.scatter.object_queries")
+            stats.inc("sparql.scatter.object_queries")
         batch = self._gather(
             backend, plan, kind, stats=stats, ask=plan.is_ask, memo=memo
         )
         if stats is not None:
-            stats.increment("sparql.scatter.rows_gathered", batch.length)
+            stats.inc("sparql.scatter.rows_gathered", batch.length)
         if plan.is_ask:
             return AskResult(batch.length > 0)
         # Global shaping on the coordinator: ORDER BY sorts the complete
@@ -460,7 +460,7 @@ class ScatterGatherExecutor:
         kind: str,
         seeds_by_shard: dict | None = None,
         keys=None,
-        stats: PerfStats | None = None,
+        stats: MetricsRegistry | None = None,
         ask: bool = False,
         memo: dict | None = None,
     ) -> ColumnBatch:
@@ -473,7 +473,7 @@ class ScatterGatherExecutor:
         else:
             indices = list(range(backend.partition_count(kind)))
         if stats is not None:
-            stats.increment("sparql.scatter.shards_scanned", len(indices))
+            stats.inc("sparql.scatter.shards_scanned", len(indices))
         token = (backend.fingerprint()["content"], self._generation)
         keys_token = _keys_token(keys)
         batches: list = []
@@ -485,7 +485,7 @@ class ScatterGatherExecutor:
             cache_key = (plan.query, seeds, keys_token)
             batch = cache.get(token, cache_key)
             if stats is not None:
-                stats.increment(
+                stats.inc(
                     "kb.shard_cache.misses"
                     if batch is None
                     else "kb.shard_cache.hits"
@@ -515,11 +515,11 @@ class ScatterGatherExecutor:
         plan: ColumnarQuery,
         sliced: TwoStarSlice,
         context: ExecContext,
-        stats: PerfStats | None,
+        stats: MetricsRegistry | None,
         memo: dict,
     ) -> SelectResult | AskResult:
         if stats is not None:
-            stats.increment("sparql.scatter.semijoin.queries")
+            stats.inc("sparql.scatter.semijoin.queries")
         graph = context.graph
         star_plans = [
             self._local_plan(backend, star.query) for star in sliced.stars
@@ -540,8 +540,8 @@ class ScatterGatherExecutor:
         )
         keyset = set(keys_lead)
         if stats is not None:
-            stats.increment("sparql.scatter.rows_gathered", batch_lead.length)
-            stats.increment(
+            stats.inc("sparql.scatter.rows_gathered", batch_lead.length)
+            stats.inc(
                 "sparql.scatter.semijoin.keys_shipped", len(keyset)
             )
 
@@ -566,7 +566,7 @@ class ScatterGatherExecutor:
                 for index, ids in by_shard.items()
             }
             if stats is not None:
-                stats.increment(
+                stats.inc(
                     "sparql.scatter.semijoin.shipped_ids", len(subject_ids)
                 )
             batch_trail = self._gather(
@@ -582,7 +582,7 @@ class ScatterGatherExecutor:
             # trailing star: broadcast the key set to every shard as a
             # per-shard semi-join filter.
             if stats is not None:
-                stats.increment("sparql.scatter.semijoin.broadcasts")
+                stats.inc("sparql.scatter.semijoin.broadcasts")
             batch_trail = self._gather(
                 backend,
                 plan_trail,
@@ -592,7 +592,7 @@ class ScatterGatherExecutor:
                 memo=memo,
             )
         if stats is not None:
-            stats.increment(
+            stats.inc(
                 "sparql.scatter.rows_gathered", batch_trail.length
             )
 
@@ -633,7 +633,7 @@ class ScatterGatherExecutor:
                 stats,
             )
         if stats is not None:
-            stats.increment(
+            stats.inc(
                 "sparql.scatter.semijoin.rows_joined", joined.length
             )
         if plan.is_ask:

@@ -18,7 +18,7 @@ from repro.core.mapping import CandidateTriple, PredicateCandidate
 from repro.core.querygen import QueryGenerator
 from repro.core.triples import Slot, SlotKind, TriplePattern
 from repro.kb.ontology import PropertyKind
-from repro.perf import PerfStats
+from repro.obs.metrics import MetricsRegistry
 from repro.rdf.terms import IRI, Variable
 
 VAR = Variable("x")
@@ -68,7 +68,7 @@ class TestDeduplication:
         assert all(q.sources == ("pattern",) for q in queries)
 
     def test_duplicate_counter_increments(self):
-        stats = PerfStats()
+        stats = MetricsRegistry()
         generator = QueryGenerator(stats=stats)
         generator.generate(
             [candidate([pred("author", 1.0, "pattern"),
@@ -151,11 +151,11 @@ class TestPrunedMatchesExhaustive:
         ]
         config = PipelineConfig()._replace(max_queries=4)
 
-        full_stats = PerfStats()
+        full_stats = MetricsRegistry()
         QueryGenerator(
             config._replace(enable_early_termination=False), stats=full_stats
         ).generate(mapped)
-        pruned_stats = PerfStats()
+        pruned_stats = MetricsRegistry()
         pruned_queries = QueryGenerator(config, stats=pruned_stats).generate(mapped)
         full_queries = QueryGenerator(
             config._replace(enable_early_termination=False)

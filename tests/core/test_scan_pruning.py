@@ -108,9 +108,9 @@ class TestMapperIntegration:
 
     def test_pruning_counter_increments(self, kb, pattern_store, similar_pairs,
                                         adjective_map):
-        from repro.perf.stats import PerfStats
+        from repro.obs.metrics import MetricsRegistry
 
-        stats = PerfStats()
+        stats = MetricsRegistry()
         fresh = TripleMapper(
             kb, pattern_store, similar_pairs, adjective_map, stats=stats
         )

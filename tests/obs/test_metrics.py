@@ -1,6 +1,8 @@
 """MetricsRegistry units and the repro.metrics/v1 schema golden test."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -13,7 +15,6 @@ from repro.obs import (
     trace_document,
     write_metrics,
 )
-from repro.perf.stats import PerfStats
 
 
 class TestRegistryUnit:
@@ -43,19 +44,45 @@ class TestRegistryUnit:
         histogram.update(0, 99.0)  # empty batch is ignored
         assert histogram.count == 15
 
-    def test_absorb_perf_stats(self):
-        stats = PerfStats()
-        stats.record("annotate", 0.5)
-        stats.record("annotate", 1.5)
-        stats.increment("reliability.failures.map", 2)
+    def test_timer_accumulates(self):
         registry = MetricsRegistry()
-        registry.absorb_perf_stats(stats)
-        doc = registry.snapshot()
-        annotate = doc["histograms"]["stage.annotate.seconds"]
-        assert annotate["count"] == 2
-        assert annotate["total"] == 2.0
-        # Counters keep their documented names, unrenamed.
-        assert doc["counters"]["reliability.failures.map"] == 2
+        with registry.timer("stage"):
+            pass
+        with registry.timer("stage"):
+            pass
+        entry = registry.snapshot()["histograms"]["stage.stage.seconds"]
+        assert entry["count"] == 2
+        assert 0.0 <= entry["min"] <= entry["mean"] <= entry["max"]
+
+    def test_counter_reads_zero_for_unknown_name(self):
+        registry = MetricsRegistry()
+        registry.inc("hits")
+        registry.inc("hits", 4)
+        assert registry.counter("hits") == 5
+        assert registry.counter("unknown") == 0
+        assert "unknown" not in registry.snapshot()["counters"]
+
+    def test_concurrent_increments_do_not_lose_updates(self):
+        registry = MetricsRegistry()
+
+        def worker():
+            for _ in range(1000):
+                registry.inc("n")
+                registry.observe("h", 1.0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert registry.counter("n") == 4000
+        assert registry.snapshot()["histograms"]["h"]["count"] == 4000
 
     def test_absorb_cache_stats(self):
         registry = MetricsRegistry()
@@ -130,9 +157,16 @@ class TestSchemaGolden:
         traced_qa.answer("Which book is written by Orhan Pamuk?")
         doc = traced_qa.metrics()
         assert doc["schema"] == METRICS_SCHEMA
-        # Stage timers arrive as histograms...
+        # Stage timers arrive as histograms with real extremes...
         for stage in ("annotate", "extract", "map", "generate", "execute"):
             assert f"stage.{stage}.seconds" in doc["histograms"]
+        stages = {
+            name: entry for name, entry in doc["histograms"].items()
+            if name.startswith("stage.") and name.endswith(".seconds")
+        }
+        for name, entry in stages.items():
+            assert entry["min"] is not None and entry["max"] is not None, name
+            assert entry["min"] <= entry["mean"] <= entry["max"], name
         # ...the engine caches as gauges...
         assert "sparql.result_cache.hits" in doc["gauges"]
         assert "sparql.parse_cache.hits" in doc["gauges"]

@@ -1,10 +1,11 @@
-"""Unit tests for the perf primitives: LRUCache and PerfStats."""
+"""Unit tests for the perf primitive LRUCache (the metrics registry is
+covered by tests/obs/test_metrics.py)."""
 
 import threading
 
 import pytest
 
-from repro.perf import LRUCache, PerfStats
+from repro.perf import LRUCache
 
 
 class TestLRUCache:
@@ -69,60 +70,3 @@ class TestLRUCache:
             thread.join()
         assert len(cache) <= 128
 
-
-class TestPerfStats:
-    def test_timer_accumulates(self):
-        stats = PerfStats()
-        with stats.timer("stage"):
-            pass
-        with stats.timer("stage"):
-            pass
-        entry = stats.snapshot()["timers"]["stage"]
-        assert entry["calls"] == 2
-        assert entry["total_seconds"] >= 0.0
-
-    def test_counters(self):
-        stats = PerfStats()
-        stats.increment("hits")
-        stats.increment("hits", 4)
-        assert stats.counter("hits") == 5
-        assert stats.counter("unknown") == 0
-
-    def test_merge(self):
-        a, b = PerfStats(), PerfStats()
-        a.increment("n", 1)
-        b.increment("n", 2)
-        b.record("stage", 0.5)
-        a.merge(b)
-        snap = a.snapshot()
-        assert snap["counters"]["n"] == 3
-        assert snap["timers"]["stage"]["calls"] == 1
-
-    def test_reset(self):
-        stats = PerfStats()
-        stats.increment("n")
-        stats.record("stage", 0.1)
-        stats.reset()
-        assert stats.snapshot() == {"timers": {}, "counters": {}}
-
-    def test_format_table_mentions_stages(self):
-        stats = PerfStats()
-        stats.record("annotate", 0.25)
-        stats.increment("cache.hits", 3)
-        table = stats.format_table()
-        assert "annotate" in table
-        assert "cache.hits = 3" in table
-
-    def test_concurrent_increments_do_not_lose_updates(self):
-        stats = PerfStats()
-
-        def worker():
-            for _ in range(1000):
-                stats.increment("n")
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert stats.counter("n") == 4000

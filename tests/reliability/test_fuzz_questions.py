@@ -10,8 +10,8 @@ Two generators feed the same invariant:
 
 The invariant: the call returns an :class:`~repro.core.system.Answer` for
 exactly the question asked, with ``failure`` set whenever it is
-unanswered, and the :class:`~repro.perf.stats.PerfStats` counters stay
-consistent (non-negative, and the annotate timer advances once per call).
+unanswered, and the system's metrics stay consistent (counters
+non-negative, and the annotate timer advances once per call).
 """
 
 import pytest
@@ -73,8 +73,10 @@ class TestAdversarialCorpus:
         for name, value in after["counters"].items():
             assert value >= 0, name
             assert value >= before["counters"].get(name, 0), name
-        annotate_before = before["timers"].get("annotate", {}).get("calls", 0)
-        annotate_after = after["timers"]["annotate"]["calls"]
+        annotate_before = before["histograms"].get(
+            "stage.annotate.seconds", {}
+        ).get("count", 0)
+        annotate_after = after["histograms"]["stage.annotate.seconds"]["count"]
         # Every non-empty-fault question annotates exactly once per call.
         assert annotate_after == annotate_before + len(questions)
         # The never-raise last resort must not have been needed.

@@ -11,7 +11,7 @@ import pytest
 
 from repro.api import QuestionAnsweringSystem, load_kb
 from repro.kb import SegmentedBackend, build_segments
-from repro.perf.stats import PerfStats
+from repro.obs.metrics import MetricsRegistry
 from repro.qald.devset import load_dev_questions
 from repro.rdf import Triple, Variable
 from repro.serve.server import ResilientServer, ServerConfig
@@ -93,7 +93,7 @@ def test_hot_reload_empties_every_shard_cache(segment_dir, segmented_system):
     server = ResilientServer(segmented_system, ServerConfig(workers=2))
     try:
         backend = segmented_system.kb.backend
-        stats = PerfStats()
+        stats = MetricsRegistry()
         probe = SparqlEngine(backend.graph_view(), cache_size=0, stats=stats)
         probe.install_scatter(server.scatter)
         query = _star_query()

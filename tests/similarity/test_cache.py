@@ -2,7 +2,7 @@
 
 import itertools
 
-from repro.perf import PerfStats
+from repro.obs.metrics import MetricsRegistry
 from repro.similarity.cache import MemoizedSimilarity, memoize_similarity
 from repro.similarity.lcs import subsequence_similarity
 
@@ -40,7 +40,7 @@ class TestAgreement:
 
 class TestCounters:
     def test_hit_and_miss_counters(self):
-        stats = PerfStats()
+        stats = MetricsRegistry()
         cached = MemoizedSimilarity(
             subsequence_similarity, stats=stats, name="similarity"
         )

@@ -24,7 +24,7 @@ from hypothesis import given
 
 from repro.kb import InMemoryBackend, SegmentedBackend, build_segments
 from repro.kb import segment
-from repro.perf.stats import PerfStats
+from repro.obs.metrics import MetricsRegistry
 from repro.rdf.order import ORDER_VERSION
 from repro.sparql import ScatterGatherExecutor, columnar
 from repro.sparql.engine import SparqlEngine
@@ -110,7 +110,7 @@ def _assert_identical(engine, oracle, queries):
 @pytest.mark.parametrize("seed", GRAPH_SEEDS)
 def test_scatter_engine_matches_oracle(directories, seed, shards, object_shards):
     graph = _graph(seed)
-    stats = PerfStats()
+    stats = MetricsRegistry()
     with SegmentedBackend(directories[seed, shards, object_shards]) as backend:
         assert backend.dictionary.order_ranks is not None
         engine = _scatter_engine(backend, stats)
@@ -137,7 +137,7 @@ def test_in_memory_engine_ranks_locally(directories):
     locally, with the same answers."""
     seed = GRAPH_SEEDS[1]
     graph = _graph(seed)
-    stats = PerfStats()
+    stats = MetricsRegistry()
     engine = SparqlEngine(graph, cache_size=0, stats=stats)
     _assert_identical(engine, _oracle(graph), _queries(seed))
     assert stats.counter("sparql.columnar.order.shipped_rows") == 0
@@ -159,7 +159,7 @@ def parent_directory(tmp_path_factory):
 def test_parent_format_directory_answers_identically(parent_directory):
     """Answers equal the oracle's, hence the ranked directory's too."""
     seed = GRAPH_SEEDS[2]
-    stats = PerfStats()
+    stats = MetricsRegistry()
     with SegmentedBackend(parent_directory) as backend:
         assert backend.dictionary.order_ranks is None
         _assert_identical(
@@ -180,7 +180,7 @@ def test_other_order_version_is_ignored(directories, tmp_path):
     other = stamp.replace(b"/v1", b"/v0")
     assert data.count(stamp) == 1 and len(other) == len(stamp)
     path.write_bytes(data.replace(stamp, other))
-    stats = PerfStats()
+    stats = MetricsRegistry()
     with SegmentedBackend(copy) as backend:
         assert backend.dictionary.order_ranks is None
         _assert_identical(

@@ -13,7 +13,7 @@ from collections import Counter
 import pytest
 
 from repro.kb import SegmentedBackend, build_segments
-from repro.perf.stats import PerfStats
+from repro.obs.metrics import MetricsRegistry
 from repro.rdf import Graph, IRI, Triple, Variable
 from repro.rdf.datatypes import XSD_INTEGER
 from repro.rdf.terms import Literal
@@ -166,7 +166,7 @@ class TestInlineDifferential:
         )
         backend = _segmented(graph, tmp_path)
         oracle = SparqlEngine(graph, cache_size=0)
-        stats = PerfStats()
+        stats = MetricsRegistry()
         engine = SparqlEngine(
             backend.graph_view(), cache_size=0, stats=stats
         )
@@ -187,7 +187,7 @@ class TestInlineDifferential:
         graph, __ = querygen.random_workload(5, queries=0, graph_size=80)
         backend = _segmented(graph, tmp_path)
         oracle = SparqlEngine(graph, cache_size=0)
-        stats = PerfStats()
+        stats = MetricsRegistry()
         engine = SparqlEngine(backend.graph_view(), cache_size=0, stats=stats)
         engine.install_scatter(ScatterGatherExecutor(backend))
         for query in [
@@ -265,7 +265,7 @@ class TestInlineDifferential:
     def test_uninstall_restores_plain_execution(self, tmp_path):
         graph, __ = querygen.random_workload(2, queries=0, graph_size=30)
         backend = _segmented(graph, tmp_path)
-        stats = PerfStats()
+        stats = MetricsRegistry()
         engine = SparqlEngine(backend.graph_view(), cache_size=0, stats=stats)
         engine.install_scatter(ScatterGatherExecutor(backend))
         engine.query(_star_query())
@@ -418,7 +418,7 @@ class TestSlicingGuard:
         ]
         backend = _segmented(graph, tmp_path)
         oracle = SparqlEngine(graph, cache_size=0)
-        stats = PerfStats()
+        stats = MetricsRegistry()
         engine = SparqlEngine(backend.graph_view(), cache_size=0, stats=stats)
         engine.install_scatter(ScatterGatherExecutor(backend))
         for query in queries:
@@ -436,7 +436,7 @@ class TestObjectStarDifferential:
         graph = querygen.random_graph(random.Random(21), 80)
         backend = _segmented(graph, tmp_path)
         oracle = SparqlEngine(graph, cache_size=0)
-        stats = PerfStats()
+        stats = MetricsRegistry()
         engine = SparqlEngine(backend.graph_view(), cache_size=0, stats=stats)
         engine.install_scatter(ScatterGatherExecutor(backend))
         for query in [
@@ -460,7 +460,7 @@ class TestObjectStarDifferential:
         backend = SegmentedBackend(tmp_path).open()
         assert backend.object_shard_count == 0
         oracle = SparqlEngine(graph, cache_size=0)
-        stats = PerfStats()
+        stats = MetricsRegistry()
         engine = SparqlEngine(backend.graph_view(), cache_size=0, stats=stats)
         engine.install_scatter(ScatterGatherExecutor(backend))
         query = _object_star_query()
@@ -477,7 +477,7 @@ class TestSemiJoinDifferential:
         )
         backend = _segmented(graph, tmp_path)
         oracle = SparqlEngine(graph, cache_size=0)
-        stats = PerfStats()
+        stats = MetricsRegistry()
         engine = SparqlEngine(backend.graph_view(), cache_size=0, stats=stats)
         engine.install_scatter(ScatterGatherExecutor(backend))
         for query in queries:
@@ -494,7 +494,7 @@ class TestSemiJoinDifferential:
         graph = querygen.random_graph(random.Random(33), 90)
         backend = _segmented(graph, tmp_path)
         oracle = SparqlEngine(graph, cache_size=0)
-        stats = PerfStats()
+        stats = MetricsRegistry()
         engine = SparqlEngine(backend.graph_view(), cache_size=0, stats=stats)
         engine.install_scatter(ScatterGatherExecutor(backend))
         query = _two_star_query()
@@ -530,7 +530,7 @@ class TestShardCache:
         )
         backend = _segmented(graph, tmp_path)
         oracle = SparqlEngine(graph, cache_size=0)
-        stats = PerfStats()
+        stats = MetricsRegistry()
         engine = SparqlEngine(backend.graph_view(), cache_size=0, stats=stats)
         executor = ScatterGatherExecutor(backend, stats=stats)
         engine.install_scatter(executor)
@@ -563,7 +563,7 @@ class TestShardCache:
 
         graph = querygen.random_graph(random.Random(8), 40)
         backend = _segmented(graph, tmp_path)
-        stats = PerfStats()
+        stats = MetricsRegistry()
         engine = SparqlEngine(backend.graph_view(), cache_size=0, stats=stats)
         engine.install_scatter(ScatterGatherExecutor(backend))
         x = Variable("x")
@@ -664,7 +664,7 @@ class TestBackendBinding:
         assert engine_a.query(query).rows == oracle_a.query(query).rows
         assert rebinds == [hook]
 
-        stats = PerfStats()
+        stats = MetricsRegistry()
         engine_b = SparqlEngine(
             backend_b.graph_view(), cache_size=0, stats=stats
         )
@@ -674,7 +674,7 @@ class TestBackendBinding:
 
     def test_foreign_graph_falls_back(self, bound):
         (backend_a, __), (backend_b, oracle_b) = bound
-        stats = PerfStats()
+        stats = MetricsRegistry()
         engine = SparqlEngine(
             backend_b.graph_view(), cache_size=0, stats=stats
         )

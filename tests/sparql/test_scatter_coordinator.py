@@ -8,7 +8,7 @@ Every answer is checked against the term-space oracle
 import pytest
 
 from repro.kb import SegmentedBackend, build_segments
-from repro.perf.stats import PerfStats
+from repro.obs.metrics import MetricsRegistry
 from repro.rdf import Graph, IRI, Triple
 from repro.rdf.datatypes import XSD_INTEGER
 from repro.rdf.terms import Literal
@@ -82,7 +82,7 @@ def force_fanout(monkeypatch):
 
 
 def _engine(backend):
-    stats = PerfStats()
+    stats = MetricsRegistry()
     engine = SparqlEngine(backend.graph_view(), cache_size=0, stats=stats)
     executor = ScatterGatherExecutor(backend)
     engine.install_scatter(executor)
