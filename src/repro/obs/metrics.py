@@ -226,8 +226,8 @@ class MetricsRegistry:
         ``<prefix><cache>.<field>`` — for the current engine that yields
         the ``sparql.parse_cache.*``, ``sparql.plan_cache.*`` and
         ``sparql.result_cache.*`` families (hits/misses/hit_rate/
-        evictions/size) plus ``sparql.prefix_memo.size``.  New caches
-        added to the engine surface here with no registry changes.
+        evictions/size).  New caches added to the engine surface here
+        with no registry changes.
         """
         for cache_name, stats in caches.items():
             if not isinstance(stats, Mapping):

@@ -2,21 +2,19 @@
 
 :mod:`repro.sparql.compiler` turns a query into a pattern tree over
 dense variable slots — slot layout, planned pattern order, expression
-closures, prefix-memo keys.  This module executes that tree, batch at a
-time, and is the only executor of id-space plans (the term-space
-evaluator in :mod:`repro.sparql.executor` remains as the reference
-oracle):
+closures.  This module executes that tree, batch at a time, and is the
+only executor of id-space plans (the term-space evaluator in
+:mod:`repro.sparql.executor` remains as the reference oracle):
 
 * a solution set is a :class:`ColumnBatch`: one ``array('q')`` id column
   per variable slot, with :data:`~repro.sparql.compiler.UNBOUND` (-1)
   holes — no per-row tuple objects between operators;
 * joins move whole columns: a **hash join** probes one key column against
-  a single scan, a **sort-merge join** (single-key, numpy fast path)
-  sorts the scan side once and binary-searches every probe key in one
-  vectorized shot, and a **radix-partitioned join** splits both sides by
-  key radix before hashing partition-wise — the strategy is chosen by
-  :func:`repro.sparql.planner.choose_batch_join` once the existing
-  hash-join admission thresholds are met;
+  a single scan, and a **sort-merge join** (single-key, numpy only) sorts
+  the scan side once and binary-searches every probe key in one
+  vectorized shot — :func:`repro.sparql.planner.choose_batch_join` picks
+  between them once a batch is large enough to leave the row carrier
+  (small joined intermediates extend row at a time, see :func:`_run_bgp`);
 * FILTERs evaluate over whole columns: ``?var = <iri>`` id-equality
   becomes one column mask, everything else is memoized per *distinct*
   value combination of the slots the expression actually reads
@@ -36,8 +34,9 @@ backend could replace an operator without touching compilation.
 
 **numpy fast path** — when numpy is importable, gathers, masks and the
 sort-merge join run vectorized over zero-copy ``int64`` views of the id
-columns; without numpy every operator falls back to pure-python code with
-identical semantics.  Tests force the fallback by monkeypatching the
+columns; without numpy every operator but the sort-merge join falls back
+to pure-python code with identical semantics, and the planner never
+picks the merge join.  Tests force the fallback by monkeypatching the
 module's ``_np`` attribute to ``None``.
 
 **Observability** — operators publish ``sparql.columnar.*`` counters
@@ -55,10 +54,9 @@ id-order tie-break, see docs/performance.md).
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
-try:  # optional vectorized backend; every operator has a pure-python twin
+try:  # optional vectorized backend; the merge join has no pure-python twin
     import numpy as _np  # type: ignore
 except ImportError:  # pragma: no cover - exercised via monkeypatch in tests
     _np = None
@@ -94,12 +92,6 @@ _MISSING = object()
 
 #: Column boundness states (see :func:`column_state`).
 BOUND, UNBOUND_COL, MIXED = "bound", "unbound", "mixed"
-
-
-def numpy_enabled() -> bool:
-    """Whether the vectorized fast path is active (numpy importable and
-    not disabled by a test monkeypatch)."""
-    return _np is not None
 
 
 def _count(stats: MetricsRegistry | None, name: str, amount: int = 1) -> None:
@@ -144,11 +136,8 @@ class ColumnBatch:
         ]
         return cls(width, columns, len(rows))
 
-    def row(self, index: int) -> Row:
-        return tuple(column[index] for column in self.columns)
-
     def rows(self) -> list[Row]:
-        """Materialise the batch as row tuples (memo/fallback boundary)."""
+        """Materialise the batch as row tuples (row-carrier/fallback boundary)."""
         if self.width == 0:
             return [()] * self.length
         return list(zip(*self.columns))
@@ -213,23 +202,6 @@ def column_state(column: array, length: int) -> str:
         if saw_bound and saw_unbound:
             return MIXED
     return BOUND if saw_bound else UNBOUND_COL
-
-
-def radix_partition(keys: Iterable, partitions: int | None = None) -> list[list[int]]:
-    """Partition key positions by radix: ``hash(key) & (P - 1)``.
-
-    Integer keys use their own value (ids are non-negative, so the masked
-    value is already in range); composite tuple keys use ``hash``.  Every
-    input index lands in exactly one partition — the property suite
-    asserts disjointness and completeness.
-    """
-    count = partitions if partitions is not None else _planner.RADIX_JOIN_PARTITIONS
-    mask = count - 1
-    parts: list[list[int]] = [[] for __ in range(count)]
-    for index, key in enumerate(keys):
-        value = key if isinstance(key, int) else hash(key)
-        parts[value & mask].append(index)
-    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -400,11 +372,10 @@ def extend_merge(
     """Sort-merge join on a single key: sort the scan side once, then
     locate every probe key by binary search.
 
-    The numpy path is fully vectorized — ``argsort`` + two
-    ``searchsorted`` calls + index arithmetic produce the complete
-    (probe, scan) match pairing with no per-row python.  The pure-python
-    path bisects per probe row over the same sorted scan, with identical
-    output ordering (probe order, then scan sort order within a key).
+    numpy only (the planner picks it only when numpy is importable):
+    ``argsort`` + two ``searchsorted`` calls + index arithmetic produce the
+    complete (probe, scan) match pairing with no per-row python, in probe
+    order and then scan sort order within a key.
     """
     if len(bound_items) != 1:
         raise SparqlError("merge join requires exactly one join key")
@@ -415,106 +386,37 @@ def extend_merge(
         return ColumnBatch.empty(batch.width)
     length = batch.length
     np = _np
-    if np is not None and length >= 2 and matches >= 2:
-        scan_keys = np.fromiter(
-            (match[position] for match in scan_rows), np.int64, matches
-        )
-        order = np.argsort(scan_keys, kind="stable")
-        sorted_keys = scan_keys[order]
-        probe = np.frombuffer(batch.columns[slot], dtype=np.int64)
-        left = np.searchsorted(sorted_keys, probe, side="left")
-        right = np.searchsorted(sorted_keys, probe, side="right")
-        counts = right - left
-        total = int(counts.sum())
-        if total == 0:
-            return ColumnBatch.empty(batch.width)
-        probe_idx = np.repeat(np.arange(length, dtype=np.int64), counts)
-        starts = np.repeat(left, counts)
-        run_starts = np.repeat(np.cumsum(counts) - counts, counts)
-        within = np.arange(total, dtype=np.int64) - run_starts
-        scan_positions = order[starts + within]
-        out = batch.gather(probe_idx)
-        for free_position, free_slot in free_items:
-            values = np.fromiter(
-                (match[free_position] for match in scan_rows), np.int64, matches
-            )[scan_positions]
-            column = array("q")
-            column.frombytes(values.astype(np.int64).tobytes())
-            out.columns[free_slot] = column
-        return out
-    keyed = sorted((match[position], j) for j, match in enumerate(scan_rows))
-    keys = [key for key, __ in keyed]
-    column = batch.columns[slot]
-    probe_idx_l: list[int] = []
-    scan_idx_l: list[int] = []
-    for i in range(length):
-        key = column[i]
-        lo = bisect_left(keys, key)
-        if lo == matches or keys[lo] != key:
-            continue
-        hi = bisect_right(keys, key, lo)
-        probe_idx_l.extend([i] * (hi - lo))
-        scan_idx_l.extend(keyed[t][1] for t in range(lo, hi))
-    if not probe_idx_l:
+    scan_keys = np.fromiter(
+        (match[position] for match in scan_rows), np.int64, matches
+    )
+    order = np.argsort(scan_keys, kind="stable")
+    sorted_keys = scan_keys[order]
+    probe = np.frombuffer(batch.columns[slot], dtype=np.int64)
+    left = np.searchsorted(sorted_keys, probe, side="left")
+    right = np.searchsorted(sorted_keys, probe, side="right")
+    counts = right - left
+    total = int(counts.sum())
+    if total == 0:
         return ColumnBatch.empty(batch.width)
-    return _assemble(batch, scan_rows, probe_idx_l, scan_idx_l, free_items)
-
-
-def extend_radix(
-    graph: Graph,
-    batch: ColumnBatch,
-    pattern: CompiledPattern,
-    bound_items: Sequence[tuple[int, int]],
-    free_items: Sequence[tuple[int, int]],
-    constraints: Sequence[tuple[int, int]],
-) -> ColumnBatch:
-    """Radix-partitioned hash join for large intermediates: both sides are
-    split by key radix, then hash-joined partition by partition, keeping
-    every hash table small.  Output order is partition-major (the ORDER BY
-    tie-break makes final ordering deterministic regardless)."""
-    scan_rows = _materialize_scan(graph, pattern, constraints)
-    if not scan_rows:
-        return ColumnBatch.empty(batch.width)
-    positions = [position for position, __ in bound_items]
-    if len(positions) == 1:
-        p0 = positions[0]
-        scan_keys: Sequence = [match[p0] for match in scan_rows]
-        probe_keys: Sequence = batch.columns[bound_items[0][1]]
-    else:
-        scan_keys = [
-            tuple(match[position] for position in positions)
-            for match in scan_rows
-        ]
-        probe_keys = list(
-            zip(*(batch.columns[slot] for __, slot in bound_items))
-        )
-    scan_parts = radix_partition(scan_keys)
-    probe_parts = radix_partition(probe_keys)
-    probe_idx: list[int] = []
-    scan_idx: list[int] = []
-    for part in range(len(scan_parts)):
-        scan_members = scan_parts[part]
-        probe_members = probe_parts[part]
-        if not scan_members or not probe_members:
-            continue
-        table: dict = {}
-        for j in scan_members:
-            table.setdefault(scan_keys[j], []).append(j)
-        get = table.get
-        for i in probe_members:
-            bucket = get(probe_keys[i])
-            if bucket:
-                probe_idx.extend([i] * len(bucket))
-                scan_idx.extend(bucket)
-    if not probe_idx:
-        return ColumnBatch.empty(batch.width)
-    return _assemble(batch, scan_rows, probe_idx, scan_idx, free_items)
+    probe_idx = np.repeat(np.arange(length, dtype=np.int64), counts)
+    starts = np.repeat(left, counts)
+    run_starts = np.repeat(np.cumsum(counts) - counts, counts)
+    within = np.arange(total, dtype=np.int64) - run_starts
+    scan_positions = order[starts + within]
+    out = batch.gather(probe_idx)
+    for free_position, free_slot in free_items:
+        values = np.fromiter(
+            (match[free_position] for match in scan_rows), np.int64, matches
+        )[scan_positions]
+        column = array("q")
+        column.frombytes(values.astype(np.int64).tobytes())
+        out.columns[free_slot] = column
+    return out
 
 
 _JOIN_OPS: dict[str, Callable] = {
     "hash": extend_hash,
     "merge": extend_merge,
-    "radix": extend_radix,
 }
 
 
@@ -525,11 +427,12 @@ def join_pattern(
 ) -> ColumnBatch:
     """Join one compiled pattern into the batch, picking the operator.
 
-    Admission: per-row index lookups for batches below
-    ``HASH_JOIN_MIN_ROWS`` or scans larger than
-    ``HASH_JOIN_MAX_SCAN_FACTOR`` times the batch, a batch join otherwise
-    — and then :func:`repro.sparql.planner.choose_batch_join` selects
-    hash, merge, or radix.
+    :func:`_run_bgp` hands over only batches that left the row carrier:
+    at least ``HASH_JOIN_MIN_ROWS`` rows, or no bound cell at all (the
+    cartesian leaf).  Admission: per-row index lookups for scans larger
+    than ``HASH_JOIN_MAX_SCAN_FACTOR`` times the batch, a batch join
+    otherwise — and then :func:`repro.sparql.planner.choose_batch_join`
+    selects hash or merge.
     """
     graph = context.graph
     stats = context.stats
@@ -577,9 +480,6 @@ def join_pattern(
     if not bound_items:
         _count(stats, "sparql.columnar.joins.cartesian")
         return extend_cartesian(graph, batch, pattern, unique_free, constraints)
-    if length < _compiler.HASH_JOIN_MIN_ROWS:
-        _count(stats, "sparql.columnar.joins.index_loop")
-        return extend_index_loop(graph, batch, pattern)
     scan = graph.count_ids(pattern.s_id, pattern.p_id, pattern.o_id)
     if scan > length * _compiler.HASH_JOIN_MAX_SCAN_FACTOR:
         _count(stats, "sparql.columnar.joins.index_loop")
@@ -816,69 +716,6 @@ def _run_optional(
     return concat(pieces, batch.width)
 
 
-def _resume_from_memo_batch(
-    node: CompiledBGP, context: ExecContext, memo, keys: list[tuple], plan
-) -> tuple[ColumnBatch | None, int]:
-    """Resume from the longest memoized prefix, rebuilt straight into
-    columns; ``(None, 0)`` when no prefix is memoized."""
-    stats = context.stats
-    for length in range(len(node.patterns) - 1, 0, -1):
-        hit = memo.get(tuple(keys[:length]))
-        if hit is None:
-            continue
-        if stats is not None:
-            stats.inc("sparql.prefix_memo.hits")
-        names, stored = hit
-        slots = [plan.slot_by_name[name] for name in names]
-        count = len(stored)
-        # Sharing one all-UNBOUND column across slots is safe: operators
-        # never mutate a column in place, they only build fresh arrays.
-        unbound_column = array("q", (UNBOUND,)) * count
-        columns = [unbound_column] * plan.width
-        if count:
-            for slot, values in zip(slots, zip(*stored)):
-                columns[slot] = array("q", values)
-        return ColumnBatch(plan.width, columns, count), length
-    if stats is not None:
-        stats.inc("sparql.prefix_memo.misses")
-    return None, 0
-
-
-def _prefix_names(prefix_keys: tuple) -> tuple[str, ...]:
-    """The name-sorted variables a memoized prefix binds."""
-    return tuple(
-        sorted(
-            {
-                position[1]
-                for pattern_key in prefix_keys
-                for position in pattern_key
-                if isinstance(position, tuple)
-            }
-        )
-    )
-
-
-def _store_prefix(memo, key: tuple, rows: list[Row], plan) -> None:
-    """Store a row-carrier prefix's rows projected to its own bound
-    variables."""
-    names = _prefix_names(key)
-    slots = [plan.slot_by_name[name] for name in names]
-    projected = tuple(tuple(row[slot] for slot in slots) for row in rows)
-    memo.put(key, names, projected)
-
-
-def _store_prefix_batch(memo, key: tuple, batch: ColumnBatch, plan) -> None:
-    """Batch form of :func:`_store_prefix`: project the prefix's bound
-    columns and zip them into the memo's row format."""
-    names = _prefix_names(key)
-    slots = [plan.slot_by_name[name] for name in names]
-    if slots:
-        projected = tuple(zip(*(batch.columns[slot] for slot in slots)))
-    else:
-        projected = ((),) * batch.length
-    memo.put(key, names, projected)
-
-
 def _has_bound_cell(batch: ColumnBatch) -> bool:
     return any(
         value != UNBOUND for column in batch.columns for value in column
@@ -890,25 +727,13 @@ def _run_bgp(
 ) -> ColumnBatch:
     if batch.length == 0:
         return batch
-    patterns = node.patterns
-    memo = context.prefix_memo if node.memo_eligible else None
-    keys: list[tuple] | None = None
-    start = 0
-    if memo is not None and batch.length == 1 and len(patterns) > 1:
-        keys = [pattern.memo_key(plan.slot_names) for pattern in patterns]
-        resumed, start = _resume_from_memo_batch(
-            node, context, memo, keys, plan
-        )
-        if resumed is not None:
-            batch = resumed
     # Row-carrier mode: below the hash-join admission threshold the batch
     # conversions cost more than they save, so small *joined* intermediates
     # (at least one bound cell — the all-unbound seed stays columnar, its
     # first pattern materialises straight into columns) ride as plain row
     # tuples and promote back to columns once they outgrow the threshold.
     rows: list[Row] | None = None
-    for index in range(start, len(patterns)):
-        pattern = patterns[index]
+    for pattern in node.patterns:
         if rows is not None and len(rows) >= _compiler.HASH_JOIN_MIN_ROWS:
             batch = ColumnBatch.from_rows(rows, plan.width)
             rows = None
@@ -925,16 +750,6 @@ def _run_bgp(
         else:
             batch = join_pattern(context, batch, pattern)
             length = batch.length
-        if (
-            keys is not None
-            and index + 1 < len(patterns)
-            and length <= _compiler.PREFIX_MEMO_MAX_ROWS
-        ):
-            prefix = tuple(keys[: index + 1])
-            if rows is not None:
-                _store_prefix(memo, prefix, rows, plan)
-            else:
-                _store_prefix_batch(memo, prefix, batch, plan)
         if length == 0:
             break
     if rows is not None:
@@ -951,7 +766,7 @@ class ColumnarQuery(CompiledQuery):
     """A compiled id-space plan executed over :class:`ColumnBatch` objects.
 
     Compilation (slot layout, planned pattern order, expression closures,
-    constant resolution, prefix-memo keys) is inherited from
+    constant resolution) is inherited from
     :class:`~repro.sparql.compiler.CompiledQuery`; this class adds
     execution and result shaping.
     """

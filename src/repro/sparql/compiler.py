@@ -24,18 +24,13 @@ once into a plan over the integer id space the dictionary-encoded
 
 This module only compiles.  Execution lives in :mod:`repro.sparql.columnar`,
 whose :class:`~repro.sparql.columnar.ColumnarQuery` runs the compiled
-pattern tree over whole id-column batches.
-
-The engine caches compiled plans keyed on the (structurally hashable) AST
-and shares a **prefix memo** across plans: the near-identical candidate
-queries of one question (same BGP prefix, different final predicate) reuse
-the prefix's id-level solution set within a graph generation — see
-:class:`PrefixMemo` and docs/performance.md ("Engine architecture").
+pattern tree over whole id-column batches.  The engine caches compiled
+plans keyed on the (structurally hashable) AST — see docs/performance.md
+("Engine architecture").
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Callable
 
 from repro.obs.metrics import MetricsRegistry
@@ -78,53 +73,7 @@ HASH_JOIN_MIN_ROWS = 64
 #: than the row set it replaces per-row lookups for.
 HASH_JOIN_MAX_SCAN_FACTOR = 8
 
-#: Prefix solution sets above this many rows are not memoized (the memo
-#: targets the QA candidate sets, whose prefixes are selective).
-PREFIX_MEMO_MAX_ROWS = 8192
-
 Row = tuple[int, ...]
-
-
-class PrefixMemo:
-    """Shared id-level solution sets for BGP prefixes, one graph generation.
-
-    Candidate queries generated for one question differ only in a predicate
-    or an orientation; their compiled BGPs therefore share join prefixes.
-    The memo maps a canonical prefix key — the resolved (id, slot-name)
-    shape of the first *k* planned patterns — to the id rows that prefix
-    produced, so the next candidate resumes the join after the shared part
-    instead of recomputing it.
-
-    Entries are only valid for the generation they were computed in; the
-    owning engine calls :meth:`invalidate` whenever the graph mutates (the
-    same hook that clears the result cache), so a lookup can never observe
-    rows from another generation.
-    """
-
-    def __init__(self, maxsize: int = 512) -> None:
-        self._maxsize = maxsize
-        self._data: dict[tuple, tuple[tuple[str, ...], tuple[Row, ...]]] = {}
-        self._lock = threading.Lock()
-
-    def get(self, key: tuple) -> tuple[tuple[str, ...], tuple[Row, ...]] | None:
-        with self._lock:
-            return self._data.get(key)
-
-    def put(self, key: tuple, names: tuple[str, ...], rows: tuple[Row, ...]) -> None:
-        if self._maxsize <= 0 or len(rows) > PREFIX_MEMO_MAX_ROWS:
-            return
-        with self._lock:
-            if key not in self._data and len(self._data) >= self._maxsize:
-                return  # full: keep the warm entries, skip the newcomer
-            self._data[key] = (names, rows)
-
-    def invalidate(self) -> None:
-        with self._lock:
-            self._data.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
 
 
 class ExecContext:
@@ -135,18 +84,16 @@ class ExecContext:
     of one scatter gather — evaluate each combination once.
     """
 
-    __slots__ = ("graph", "stats", "prefix_memo", "filter_memo")
+    __slots__ = ("graph", "stats", "filter_memo")
 
     def __init__(
         self,
         graph: Graph,
         stats: MetricsRegistry | None = None,
-        prefix_memo: PrefixMemo | None = None,
         filter_memo: dict | None = None,
     ) -> None:
         self.graph = graph
         self.stats = stats
-        self.prefix_memo = prefix_memo
         self.filter_memo = filter_memo
 
 
@@ -197,21 +144,6 @@ class CompiledPattern:
             self.p_id = graph.lookup_id(self.p_term)
         if self.o_term is not None and (self.o_id is None or self.o_id < 0):
             self.o_id = graph.lookup_id(self.o_term)
-
-    def memo_key(self, names: dict[int, str]) -> tuple:
-        """Canonical shape of the resolved pattern for the prefix memo.
-
-        Constants contribute their dictionary id, variables their name (the
-        candidate generator reuses variable names, which is what makes
-        prefixes collide across candidates).  Absent constants contribute
-        -1: any such pattern matches nothing, so key collisions between
-        different absent terms are harmless (both memoize empty row sets).
-        """
-        return (
-            self.s_id if self.s_slot is None else ("v", names[self.s_slot]),
-            self.p_id if self.p_slot is None else ("v", names[self.p_slot]),
-            self.o_id if self.o_slot is None else ("v", names[self.o_slot]),
-        )
 
     # -- execution -----------------------------------------------------
 
@@ -442,18 +374,12 @@ def _compile_id_equality(
 
 
 class CompiledBGP:
-    """A basic graph pattern: its patterns in planned join order.
+    """A basic graph pattern: its patterns in planned join order."""
 
-    ``memo_eligible`` marks the first BGP of the top-level group, the one
-    whose join prefixes the engine's :class:`PrefixMemo` shares across
-    candidate queries.
-    """
+    __slots__ = ("patterns",)
 
-    __slots__ = ("patterns", "memo_eligible")
-
-    def __init__(self, patterns: list[CompiledPattern], memo_eligible: bool) -> None:
+    def __init__(self, patterns: list[CompiledPattern]) -> None:
         self.patterns = patterns
-        self.memo_eligible = memo_eligible
 
 
 class CompiledOptional:
@@ -526,9 +452,7 @@ class CompiledQuery:
         self._patterns: list[CompiledPattern] = []
         self._id_equality_cells: list[Any] = []
         decode = graph.decode_id
-        self.root = self._compile_group(
-            query.where, graph, decode, set(), top_level=True
-        )
+        self.root = self._compile_group(query.where, graph, decode, set())
         if not self.is_ask:
             self._compile_select_tail(query, decode)
         self._resolved_generation = -1
@@ -559,27 +483,21 @@ class CompiledQuery:
         graph: Graph,
         decode: Callable[[int], Term],
         bound: set[Variable],
-        top_level: bool = False,
     ) -> CompiledGroup:
         """Compile one group, tracking which variables are *definitely*
         bound at each child (intersection semantics: OPTIONAL guarantees
         nothing, UNION guarantees the branches' intersection)."""
         children: list[Any] = []
         filters: list[Valuation] = []
-        first = True
         for child in group.patterns:
             if isinstance(child, BGP):
-                compiled = self._compile_bgp(
-                    child, graph, bound, memo_eligible=top_level and first
-                )
-                children.append(compiled)
+                children.append(self._compile_bgp(child, graph, bound))
                 for triple in child.triples:
                     bound |= triple.variables()
             elif isinstance(child, Filter):
                 filters.append(
                     self._register_filter(child.expression, decode)
                 )
-                continue  # filters don't advance the child sequence
             elif isinstance(child, OptionalPattern):
                 children.append(
                     CompiledOptional(
@@ -605,7 +523,6 @@ class CompiledQuery:
                 raise SparqlError(
                     f"unknown pattern node {type(child).__name__}"
                 )
-            first = False
         return CompiledGroup(children, filters)
 
     def _register_filter(
@@ -626,12 +543,11 @@ class CompiledQuery:
         bgp: BGP,
         graph: Graph,
         bound: set[Variable],
-        memo_eligible: bool,
     ) -> CompiledBGP:
         ordered = plan_bgp(graph, bgp.triples, bound)
         compiled = [CompiledPattern(triple, self.slot_of) for triple in ordered]
         self._patterns.extend(compiled)
-        return CompiledBGP(compiled, memo_eligible)
+        return CompiledBGP(compiled)
 
     def _compile_select_tail(
         self, query: SelectQuery, decode: Callable[[int], Term]

@@ -15,12 +15,6 @@ The engine carries three LRU caches:
   wholesale whenever :attr:`repro.rdf.Graph.generation` moves — i.e. on
   any triple assertion or retraction.
 
-The engine also keeps a cross-query **prefix memo**
-(:class:`repro.sparql.compiler.PrefixMemo`): candidate queries for one
-question share BGP join prefixes, and the memo lets a later candidate
-resume from an earlier candidate's id-level prefix rows within a graph
-generation.
-
 All caches are thread-safe and both result types
 (:class:`~repro.sparql.results.SelectResult`,
 :class:`~repro.sparql.results.AskResult`) are immutable, so cached objects
@@ -49,7 +43,7 @@ from repro.sparql.ast import (
     SelectQuery,
 )
 from repro.sparql.columnar import ColumnarQuery, compile_query
-from repro.sparql.compiler import ExecContext, PrefixMemo
+from repro.sparql.compiler import ExecContext
 from repro.sparql.errors import SparqlError, SparqlTypeError
 from repro.sparql.executor import Solution, evaluate_group
 from repro.sparql.functions import evaluate as evaluate_expression
@@ -99,8 +93,6 @@ class SparqlEngine:
         # stays on even when result caching is disabled — compiling per
         # call would just re-do structurally identical work.
         self._plan_cache = LRUCache(cache_size if cache_size > 0 else DEFAULT_CACHE_SIZE)
-        self._prefix_memo = PrefixMemo()
-        self._memo_generation = graph.generation
         self._cache_lock = threading.Lock()
         self._cached_generation = graph.generation
         self.cache_enabled = cache_size > 0
@@ -162,14 +154,12 @@ class SparqlEngine:
             "parse_cache": self._parse_cache.stats(),
             "plan_cache": self._plan_cache.stats(),
             "result_cache": self._result_cache.stats(),
-            "prefix_memo": {"size": len(self._prefix_memo)},
         }
 
     def clear_caches(self) -> None:
         self._parse_cache.clear()
         self._plan_cache.clear()
         self._result_cache.clear()
-        self._prefix_memo.invalidate()
 
     # -- warm-state snapshot (repro.serve.snapshot) ---------------------
 
@@ -226,19 +216,17 @@ class SparqlEngine:
         # AST), not only result-cache misses, and the plan is already in
         # hand when a result-cache entry gets invalidated later.
         plan = self._plan(query) if self.idspace else None
-        if not self.cache_enabled:
-            return self._evaluate(query, plan)
-
-        self._validate_result_cache()
-        cached = self._result_cache.get(query)
-        if cached is not None:
-            self._stats.inc("sparql.result_cache.hits")
+        if self.cache_enabled:
+            self._validate_result_cache()
+            cached = self._result_cache.get(query)
+            if cached is not None:
+                self._stats.inc("sparql.result_cache.hits")
+                if self._tracers:
+                    self._trace_event("sparql.result_cache", outcome="hit")
+                return cached
+            self._stats.inc("sparql.result_cache.misses")
             if self._tracers:
-                self._trace_event("sparql.result_cache", outcome="hit")
-            return cached
-        self._stats.inc("sparql.result_cache.misses")
-        if self._tracers:
-            self._trace_event("sparql.result_cache", outcome="miss")
+                self._trace_event("sparql.result_cache", outcome="miss")
         # Failure containment (docs/reliability.md): the cache is filled
         # only after a *successful* evaluation — an evaluation that raises
         # leaves both caches untouched, so a faulted run can never poison
@@ -248,7 +236,8 @@ class SparqlEngine:
         except Exception:
             self._stats.inc("sparql.errors")
             raise
-        self._result_cache.put(query, result)
+        if self.cache_enabled:
+            self._result_cache.put(query, result)
         return result
 
     def _plan(self, query: SelectQuery | AskQuery) -> ColumnarQuery:
@@ -272,23 +261,23 @@ class SparqlEngine:
         Like the result cache, the parse cache only ever holds successful
         parses: a raising parse is counted and propagated, never stored.
         """
-        if not self.cache_enabled:
-            return parse_query(text)
-        ast = self._parse_cache.get(text)
-        if ast is not None:
-            self._stats.inc("sparql.parse_cache.hits")
+        if self.cache_enabled:
+            ast = self._parse_cache.get(text)
+            if ast is not None:
+                self._stats.inc("sparql.parse_cache.hits")
+                if self._tracers:
+                    self._trace_event("sparql.parse_cache", outcome="hit")
+                return ast
+            self._stats.inc("sparql.parse_cache.misses")
             if self._tracers:
-                self._trace_event("sparql.parse_cache", outcome="hit")
-            return ast
-        self._stats.inc("sparql.parse_cache.misses")
-        if self._tracers:
-            self._trace_event("sparql.parse_cache", outcome="miss")
+                self._trace_event("sparql.parse_cache", outcome="miss")
         try:
             ast = parse_query(text)
         except Exception:
             self._stats.inc("sparql.parse_errors")
             raise
-        self._parse_cache.put(text, ast)
+        if self.cache_enabled:
+            self._parse_cache.put(text, ast)
         return ast
 
     def _validate_result_cache(self) -> None:
@@ -318,16 +307,7 @@ class SparqlEngine:
         return self._run_ask(query)
 
     def _execute_plan(self, plan: ColumnarQuery) -> SelectResult | AskResult:
-        # The prefix memo lives outside the result cache (it must also
-        # serve cache-disabled engines), so it checks the generation here
-        # on every execution rather than in _validate_result_cache.
-        generation = self._graph.generation
-        if generation != self._memo_generation:
-            with self._cache_lock:
-                if generation != self._memo_generation:
-                    self._prefix_memo.invalidate()
-                    self._memo_generation = generation
-        context = ExecContext(self._graph, self._stats, self._prefix_memo)
+        context = ExecContext(self._graph, self._stats)
         if self._scatter is not None:
             result = self._scatter.maybe_execute(plan, context)
             if result is not None:

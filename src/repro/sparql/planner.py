@@ -31,16 +31,6 @@ BOUND_VARIABLE_FACTOR = 20.0
 #: sort + binary-search plan amortises over large runs of duplicate keys).
 MERGE_JOIN_MIN_ROWS = 64
 
-#: Minimum rows on both sides before a composite-key join is partitioned
-#: by key radix and hash-joined per partition.  Partitioning only pays for
-#: itself when the monolithic hash table would be large enough that
-#: per-partition tables improve locality and bound probe-chain length.
-RADIX_JOIN_MIN_ROWS = 4096
-
-#: Number of radix partitions (must be a power of two; the partition of a
-#: key is ``hash(key) & (RADIX_JOIN_PARTITIONS - 1)``).
-RADIX_JOIN_PARTITIONS = 64
-
 
 def choose_batch_join(
     probe_rows: int,
@@ -50,23 +40,20 @@ def choose_batch_join(
 ) -> str:
     """Pick the columnar join operator for one pattern.
 
-    Called by :func:`repro.sparql.columnar.join_pattern` only after its
-    admission test (``HASH_JOIN_MIN_ROWS`` / ``HASH_JOIN_MAX_SCAN_FACTOR``
-    in :mod:`repro.sparql.compiler`) has decided that a batch join beats
+    Called by :func:`repro.sparql.columnar.join_pattern` only after the
+    columnar admission tests (a batch of ``HASH_JOIN_MIN_ROWS`` rows, a
+    scan at most ``HASH_JOIN_MAX_SCAN_FACTOR`` times larger; both in
+    :mod:`repro.sparql.compiler`) have decided that a batch join beats
     per-row index lookups; this function only chooses *which* batch join:
 
     * ``merge`` — single join key, both sides large, and a vectorized
       backend (numpy) is available: sort the scan side once, then binary-
       search every probe key in one shot;
-    * ``radix`` — both sides exceed :data:`RADIX_JOIN_MIN_ROWS`: partition
-      both sides by key radix and hash-join partition-wise;
     * ``hash`` — everything else: one scan hashed, one probe per row.
     """
     smaller = min(probe_rows, scan_rows)
     if vectorized and key_count == 1 and smaller >= MERGE_JOIN_MIN_ROWS:
         return "merge"
-    if smaller >= RADIX_JOIN_MIN_ROWS:
-        return "radix"
     return "hash"
 
 

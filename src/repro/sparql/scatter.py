@@ -274,7 +274,7 @@ def _execute_shard(
         columns = [array("q", (UNBOUND,)) * len(ids)] * plan.width
         columns[plan.slot_by_name[name]] = array("q", ids)
         batch = ColumnBatch(plan.width, columns, len(ids))
-    context = ExecContext(view, stats, None, memo)
+    context = ExecContext(view, stats, memo)
     batch = columnar._run_node(plan.root, context, batch, plan)
     if keys is not None and batch.length:
         names, keyset = keys

@@ -100,28 +100,25 @@ def test_count_agrees(graph, where, distinct, variable):
 @given(querygen.graphs, querygen.conjunctive_queries)
 def test_agrees_with_batch_joins_forced(graph, query):
     """Drop the admission thresholds so tiny generated inputs exercise the
-    batch join operators (hash/merge/radix) instead of the index loop."""
+    batch join operators (hash and merge) instead of the index loop."""
     oracle, col = _engines(graph)
     expected = oracle.query(query)
     saved = (
         compiler.HASH_JOIN_MIN_ROWS,
         compiler.HASH_JOIN_MAX_SCAN_FACTOR,
         columnar._planner.MERGE_JOIN_MIN_ROWS,
-        columnar._planner.RADIX_JOIN_MIN_ROWS,
     )
     compiler.HASH_JOIN_MIN_ROWS = 1
     compiler.HASH_JOIN_MAX_SCAN_FACTOR = 10**9
     try:
-        for merge_min, radix_min in ((1, 10**9), (10**9, 1), (10**9, 10**9)):
+        for merge_min in (1, 10**9):
             columnar._planner.MERGE_JOIN_MIN_ROWS = merge_min
-            columnar._planner.RADIX_JOIN_MIN_ROWS = radix_min
             _assert_select_agrees(query, expected, col.query(query), oracle)
     finally:
         (
             compiler.HASH_JOIN_MIN_ROWS,
             compiler.HASH_JOIN_MAX_SCAN_FACTOR,
             columnar._planner.MERGE_JOIN_MIN_ROWS,
-            columnar._planner.RADIX_JOIN_MIN_ROWS,
         ) = saved
 
 

@@ -1,11 +1,12 @@
 """Per-operator property suites for the columnar batch engine.
 
-Each batch operator — the column filters, the sort-merge join, the
-radix-partitioned join — is exercised standalone against a naive
-row-space reference (the nested-index-loop ``CompiledPattern.extend``,
-and per-row closure application for filters), across empty-column,
-single-row, and duplicate-key edge cases, with and without the numpy
-fast path.
+Each batch operator — the column filters, the hash and sort-merge
+joins — is exercised standalone against a naive row-space reference (the
+nested-index-loop ``CompiledPattern.extend``, and per-row closure
+application for filters), across empty-column, single-row, and
+duplicate-key edge cases, with and without the numpy fast path.  The
+merge join is numpy only (the planner never picks it without numpy), so
+it runs on the numpy backend alone.
 """
 
 from collections import Counter
@@ -22,10 +23,8 @@ from repro.sparql.columnar import (
     extend_hash,
     extend_index_loop,
     extend_merge,
-    extend_radix,
     filter_id_equality,
     filter_memoized,
-    radix_partition,
 )
 from repro.sparql.compiler import (
     UNBOUND,
@@ -49,6 +48,15 @@ def backend(request, monkeypatch):
     elif columnar._np is None:  # pragma: no cover - numpy always in image
         pytest.skip("numpy unavailable")
     return request.param
+
+
+#: (backend, operator) pairs for the join edge cases: the merge join has
+#: no pure-python run.
+JOIN_CASES = [
+    ("numpy", extend_hash),
+    ("numpy", extend_merge),
+    ("pure", extend_hash),
+]
 
 
 _graphs = st.lists(
@@ -146,6 +154,7 @@ def test_hash_join_matches_row_reference(data, backend):
     assert Counter(out.rows()) == _reference(graph, batch, pattern)
 
 
+@pytest.mark.parametrize("backend", ["numpy"], indirect=True)
 @settings(max_examples=120, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=_joins)
@@ -159,22 +168,6 @@ def test_merge_join_matches_row_reference(data, backend):
     bound, free, constraints = _split(pattern, batch)
     assume(len(bound) == 1)  # merge join is single-key
     out = extend_merge(graph, batch, pattern, bound, free, constraints)
-    assert Counter(out.rows()) == _reference(graph, batch, pattern)
-
-
-@settings(max_examples=120, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=_joins, extra_bound=st.integers(min_value=0, max_value=2))
-def test_radix_join_matches_row_reference(data, extra_bound, backend):
-    graph, triple, raw_keys = data
-    pattern = _compiled(graph, triple)
-    items = _var_items(pattern)
-    assume(items)
-    bound_slots = {slot for __, slot in items[: 1 + extra_bound]}
-    batch = _make_batch(graph, bound_slots, _key_ids(graph, raw_keys))
-    bound, free, constraints = _split(pattern, batch)
-    assume(bound)
-    out = extend_radix(graph, batch, pattern, bound, free, constraints)
     assert Counter(out.rows()) == _reference(graph, batch, pattern)
 
 
@@ -193,9 +186,7 @@ def test_cartesian_matches_row_reference(data, backend):
     assert Counter(out.rows()) == _reference(graph, batch, pattern)
 
 
-@pytest.mark.parametrize(
-    "operator", [extend_hash, extend_merge, extend_radix]
-)
+@pytest.mark.parametrize("backend,operator", JOIN_CASES, indirect=["backend"])
 def test_join_empty_batch(operator, backend):
     graph = Graph([Triple(IRIS[0], IRIS[1], IRIS[2])])
     pattern = _compiled(graph, Triple(X, IRIS[1], Y))
@@ -205,9 +196,7 @@ def test_join_empty_batch(operator, backend):
     assert out.rows() == []
 
 
-@pytest.mark.parametrize(
-    "operator", [extend_hash, extend_merge, extend_radix]
-)
+@pytest.mark.parametrize("backend,operator", JOIN_CASES, indirect=["backend"])
 def test_join_single_row(operator, backend):
     graph = Graph([
         Triple(IRIS[0], IRIS[1], IRIS[2]),
@@ -221,9 +210,7 @@ def test_join_single_row(operator, backend):
     assert out.length == 2
 
 
-@pytest.mark.parametrize(
-    "operator", [extend_hash, extend_merge, extend_radix]
-)
+@pytest.mark.parametrize("backend,operator", JOIN_CASES, indirect=["backend"])
 def test_join_duplicate_keys_multiply(operator, backend):
     """Probe-side duplicates each match independently (bag semantics)."""
     graph = Graph([
@@ -253,42 +240,6 @@ def test_repeated_free_variable_constrained(backend):
     out = extend_cartesian(graph, batch, pattern, free, constraints)
     assert Counter(out.rows()) == _reference(graph, batch, pattern)
     assert out.length == 1
-
-
-# ---------------------------------------------------------------------------
-# Radix partitioning
-# ---------------------------------------------------------------------------
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.lists(
-        st.one_of(
-            st.integers(min_value=0, max_value=10**6),
-            st.tuples(st.integers(0, 100), st.integers(0, 100)),
-        ),
-        max_size=200,
-    ),
-    st.sampled_from([1, 2, 8, 64]),
-)
-def test_radix_partition_is_a_partition(keys, partitions):
-    parts = radix_partition(keys, partitions)
-    assert len(parts) == partitions
-    flat = [index for part in parts for index in part]
-    # Complete and disjoint: every input index appears exactly once.
-    assert sorted(flat) == list(range(len(keys)))
-    # Stable: each partition preserves input order.
-    assert all(part == sorted(part) for part in parts)
-    # Deterministic routing: equal keys land in the same partition.
-    routing = {}
-    for number, part in enumerate(parts):
-        for index in part:
-            routing.setdefault(keys[index], set()).add(number)
-    assert all(len(targets) == 1 for targets in routing.values())
-
-
-def test_radix_partition_empty():
-    assert all(part == [] for part in radix_partition([], 8))
 
 
 # ---------------------------------------------------------------------------

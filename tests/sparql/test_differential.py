@@ -17,6 +17,7 @@ import pytest
 from repro.rdf import Graph, IRI, Literal, Triple, Variable
 from repro.sparql.ast import BGP, Group, SelectQuery
 from repro.sparql.engine import SparqlEngine
+from repro.sparql.errors import SparqlError, SparqlParseError
 
 # -- the oracle (naive reference evaluator) ------------------------------
 
@@ -142,6 +143,21 @@ def test_cache_invalidation_tracks_graph_mutation():
     graph.add(Triple(_NODES[0], _PREDS[0], _NODES[5]))
     variables, expected = oracle_multiset(graph, patterns)
     assert engine_multiset(engine, query, variables) == expected
+
+
+@pytest.mark.parametrize("cache_size", (0, 512))
+@pytest.mark.parametrize("idspace", (True, False))
+def test_errors_are_counted_with_and_without_caches(cache_size, idspace):
+    """A malformed query ticks ``sparql.parse_errors`` and a failing
+    evaluation ticks ``sparql.errors`` whether or not the engine caches."""
+    graph = make_graph(random.Random(3))
+    engine = SparqlEngine(graph, cache_size=cache_size, idspace=idspace)
+    with pytest.raises(SparqlParseError):
+        engine.query("SELECT ?x WHERE { broken")
+    with pytest.raises(SparqlError, match="COUNT cannot be mixed"):
+        engine.query("SELECT ?x (COUNT(?y) AS ?n) WHERE { ?x ?p ?y }")
+    assert engine.stats.counter("sparql.parse_errors") == 1
+    assert engine.stats.counter("sparql.errors") == 1
 
 
 def test_failed_parse_never_poisons_the_cache():
