@@ -2,12 +2,12 @@
 
 The engines (:mod:`repro.sparql`) and the mapper never touch storage
 internals — everything goes through the duck-typed read surface of
-:class:`repro.rdf.Graph` (``match_ids`` / ``count_ids`` / ``lookup_id`` /
-``decode_id`` / the term-level views).  This module makes that boundary a
-real API: a :class:`KBBackend` owns the triples and the term dictionary,
-and :meth:`KBBackend.graph_view` hands the engines a Graph-compatible view
-of it.  Backends are therefore interchangeable without touching a single
-engine line:
+:class:`repro.rdf.Graph` (``match_ids`` / ``match_columns`` / ``count_ids``
+/ ``lookup_id`` / ``decode_id`` / the term-level views).  This module
+makes that boundary a real API: a :class:`KBBackend` owns the triples and
+the term dictionary, and :meth:`KBBackend.graph_view` hands the engines a
+Graph-compatible view of it.  Backends are therefore interchangeable
+without touching a single engine line:
 
 * :class:`InMemoryBackend` wraps the current dict-indexed
   :class:`~repro.rdf.Graph` (its graph view *is* the graph — zero
@@ -15,35 +15,62 @@ engine line:
 * :class:`repro.kb.shard.SegmentedBackend` serves the same protocol from
   hash-partitioned, mmap-loaded on-disk segments
   (:mod:`repro.kb.segment`), read-only and out-of-core;
-* future native backends implement the same five-method core.
+* future native backends implement the same core.
 
 The protocol core is deliberately small:
 
-==================  =====================================================
-``open()/close()``  acquire/release storage resources (mmap handles);
-                    backends are context managers
-``scan(s, p, o)``   id-space pattern scan; ``None`` is a wildcard, ``-1``
-                    (an absent constant) matches nothing
-``count(s, p, o)``  exact match count, answered without enumeration
-                    where the storage layout allows
-``lookup(term)``    term -> dictionary id (``-1`` when never interned)
-``dictionary``      the term dictionary view (``lookup`` / ``decode`` /
-                    ``__len__``)
-``fingerprint()``   content identity for snapshot invalidation
-                    (``repro.snapshot/v1`` embeds it)
-``stats()``         backend counters (``kb.segments.*`` for segments)
-==================  =====================================================
+=====================  ==================================================
+``open()/close()``     acquire/release storage resources (mmap handles);
+                       backends are context managers
+``scan(s, p, o)``      id-space pattern scan; ``None`` is a wildcard,
+                       ``-1`` (an absent constant) matches nothing
+``scan_columns(...)``  the same rows as three id columns (s, p, o), in
+                       ``scan``'s order — what the batch join operators
+                       read; built from ``scan`` unless the storage is
+                       columnar already
+``count(s, p, o)``     exact match count, answered without enumeration
+                       where the storage layout allows
+``lookup(term)``       term -> dictionary id (``-1`` when never interned)
+``dictionary``         the term dictionary view (``lookup`` / ``decode`` /
+                       ``__len__``)
+``fingerprint()``      content identity for snapshot invalidation
+                       (``repro.snapshot/v1`` embeds it)
+``stats()``            backend counters (``kb.segments.*`` for segments)
+=====================  ==================================================
+
+A column from ``scan_columns`` may be a view into storage (a slice of a
+shard's mapping), valid only until the backend closes: whatever keeps a
+column copies it first (:func:`to_array`).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterator
+from array import array
+from typing import Iterable, Iterator
 
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Term, Triple
 
 IdTriple = tuple[int, int, int]
+
+
+def columns_of(rows: Iterable[IdTriple]) -> tuple[array, array, array]:
+    """Three id columns (s, p, o) holding ``rows`` in order."""
+    s_column, p_column, o_column = columns = array("q"), array("q"), array("q")
+    for s, p, o in rows:
+        s_column.append(s)
+        p_column.append(p)
+        o_column.append(o)
+    return columns
+
+
+def to_array(column) -> array:
+    """An owned ``array('q')`` copy of an int64 column — a storage view,
+    an array or a numpy result — made with one ``frombytes``."""
+    out = array("q")
+    out.frombytes(memoryview(column).cast("B"))
+    return out
 
 
 class BackendError(RuntimeError):
@@ -58,10 +85,12 @@ class KBBackend(ABC):
     """Abstract storage backend behind the knowledge base.
 
     Subclasses implement the id-space core (``scan`` / ``count`` /
-    ``lookup`` / ``dictionary`` / ``fingerprint`` / ``stats``); the
-    Graph-compatible view the engines consume is derived from it by
-    :class:`BackendGraph` unless the backend provides a cheaper native
-    view (the in-memory backend returns its wrapped graph directly).
+    ``lookup`` / ``decode`` / ``dictionary`` / ``fingerprint`` /
+    ``stats``) and may serve ``scan_columns`` natively (the default
+    builds the columns from ``scan``); the Graph-compatible view the
+    engines consume is derived from it by :class:`BackendGraph` unless
+    the backend provides a cheaper native view (the in-memory backend
+    returns its wrapped graph directly).
     """
 
     # -- lifecycle -----------------------------------------------------
@@ -91,6 +120,18 @@ class KBBackend(ABC):
         dictionary" and matches nothing.  The iteration order is
         backend-defined but deterministic for a fixed backend state.
         """
+
+    def scan_columns(
+        self, s: int | None, p: int | None, o: int | None
+    ) -> tuple:
+        """:meth:`scan`'s rows as three id columns in (s, p, o) position
+        order, row for row in ``scan``'s order.
+
+        This default builds them from ``scan``; columnar storage serves
+        them without a tuple per triple, possibly as views valid only
+        until :meth:`close` (copy one with :func:`to_array` to keep it).
+        """
+        return columns_of(self.scan(s, p, o))
 
     @abstractmethod
     def count(
@@ -219,9 +260,10 @@ class BackendGraph:
     """Graph-compatible **read-only** view over any :class:`KBBackend`.
 
     Implements the exact duck-typed surface the engines and KB lookups
-    consume from :class:`~repro.rdf.Graph` — ``match_ids`` / ``count_ids``
-    / ``lookup_id`` / ``decode_id`` / ``generation`` / ``dictionary`` plus
-    the term-level views — by delegating to the backend's id-space core.
+    consume from :class:`~repro.rdf.Graph` — ``match_ids`` /
+    ``match_columns`` / ``count_ids`` / ``lookup_id`` / ``decode_id`` /
+    ``generation`` / ``dictionary`` plus the term-level views — by
+    delegating to the backend's id-space core.
     Mutation raises :class:`ReadOnlyGraphError`: out-of-core backends are
     immutable snapshots; rebuild the segments to change the data.
     """
@@ -284,6 +326,13 @@ class BackendGraph:
         if -1 in (s, p, o):
             return iter(())
         return self._backend.scan(s, p, o)
+
+    def match_columns(
+        self, s: int | None, p: int | None, o: int | None
+    ) -> tuple:
+        """:meth:`match_ids`'s rows as three id columns
+        (:meth:`KBBackend.scan_columns`)."""
+        return self._backend.scan_columns(s, p, o)
 
     def count_ids(
         self, s: int | None = None, p: int | None = None, o: int | None = None

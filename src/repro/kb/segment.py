@@ -33,9 +33,11 @@ subject id:
     One shard's triples in three sorted orderings — SPO, POS and OSP —
     each as three parallel int64 columns.  The columns are
     ``array('q')``-compatible: readers cast the mmap to a ``'q'``
-    memoryview and the columnar engine's batch operators consume the ids
-    with zero copies.  Every bound-prefix pattern scan is a binary-search
-    range narrowing; counts are range subtractions.
+    memoryview, and a pattern scan hands the columnar engine's batch
+    operators its range as zero-copy column slices
+    (:meth:`SegmentShard.scan_columns`).  Every pattern scan is a
+    binary-search range narrowing over the ordering its shape selects
+    (:func:`scan_order`); counts are range subtractions.
 
 ``kb_index.res`` and ``patty_store.res``
     Resources derived from the triples when the directory is built: the
@@ -63,11 +65,13 @@ import json
 import mmap
 import os
 import threading
+from array import array
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterator, Sequence
 
-from repro.kb.backend import BackendError
+from repro.kb.backend import BackendError, columns_of
 from repro.rdf.order import ORDER_VERSION, order_ranks
 from repro.rdf.terms import BNode, IRI, Literal, Term
 
@@ -237,8 +241,6 @@ def write_dictionary(path: str, terms: Sequence[Term]) -> str:
     term's order rank (:func:`repro.rdf.order.order_ranks`), so the
     columnar engine sorts ORDER BY keys without decoding a term.
     """
-    from array import array
-
     records = [encode_term(term) for term in terms]
     offsets = array("q", [0])
     position = 0
@@ -358,27 +360,58 @@ class SegmentDictionary:
 # Shard segments
 # ---------------------------------------------------------------------------
 
-#: Column permutations per ordering: position-in-tuple for stored columns.
-_SPO, _POS, _OSP = 0, 1, 2
+#: The three stored orderings: the (s, p, o) positions their columns
+#: hold, most significant first.
+_SPO, _POS, _OSP = (0, 1, 2), (1, 2, 0), (2, 0, 1)
+
+
+def scan_order(
+    s: int | None, p: int | None, o: int | None
+) -> tuple[int, int, int]:
+    """The ordering that serves a pattern shape: the stored ordering led
+    by exactly the bound positions, mirroring the in-memory graph's index
+    choice table (:mod:`repro.rdf.graph`).
+
+    ====================  =========
+    bound slots           ordering
+    ====================  =========
+    s / s,p / s,p,o       SPO
+    p / p,o               POS
+    o / o,s               OSP
+    (none)                SPO
+    ====================  =========
+
+    A shard scan emits its rows sorted under this ordering, which depends
+    only on the pattern *shape*: equal-shaped scans of every shard sort
+    the same way, so they merge into one globally sorted scan
+    (:func:`scan_order_key`, and the column sort of
+    :meth:`repro.kb.shard.SegmentedBackend.scan_columns`).
+    """
+    if s is not None and (p is not None or o is None):
+        return _SPO
+    if o is not None and p is None:
+        return _OSP
+    if p is not None:
+        return _POS
+    return _SPO
+
+
+def scan_order_key(s: int | None, p: int | None, o: int | None):
+    """The sort key of :meth:`SegmentShard.scan` output for a pattern
+    shape (:func:`scan_order`); None for the natural (s, p, o) order."""
+    ordering = scan_order(s, p, o)
+    return None if ordering == _SPO else itemgetter(*ordering)
 
 
 def write_shard(path: str, shard: int, triples: Sequence[IdTriple]) -> str:
     """Serialize one shard's triples (three sorted orderings); returns the
     body checksum."""
-    from array import array
-
-    spo = sorted(triples)
-    pos = sorted(triples, key=lambda t: (t[1], t[2], t[0]))
-    osp = sorted(triples, key=lambda t: (t[2], t[0], t[1]))
     columns: list[bytes] = []
-    for ordering, permutation in (
-        (spo, (0, 1, 2)),
-        (pos, (1, 2, 0)),
-        (osp, (2, 0, 1)),
-    ):
-        for position in permutation:
+    for ordering in (_SPO, _POS, _OSP):
+        rows = sorted(triples, key=itemgetter(*ordering))
+        for position in ordering:
             columns.append(
-                array("q", (triple[position] for triple in ordering)).tobytes()
+                array("q", (triple[position] for triple in rows)).tobytes()
             )
     return _write_with_header(
         path, _SHARD_MAGIC, {"shard": shard, "triples": len(triples)},
@@ -392,21 +425,10 @@ class SegmentShard:
     Opened lazily (the first scan or count maps the file and validates the
     checksum — once, however many threads touch the shard first); every
     pattern scan narrows a binary-search range over the ordering that
-    serves the bound prefix, mirroring the in-memory graph's index choice
-    table (:mod:`repro.rdf.graph`):
-
-    ====================  =========  =================
-    bound slots           ordering   emit order
-    ====================  =========  =================
-    s / s,p / s,p,o       SPO        (s, p, o)
-    p / p,o               POS        (p, o, s)
-    o / o,s               OSP        (o, s, p)
-    (none)                SPO        (s, p, o)
-    ====================  =========  =================
-
-    The emit order depends only on the pattern *shape*, so equal-shaped
-    scans of different shards merge into one globally sorted stream
-    (:func:`scan_order_key`).
+    serves the pattern's shape (:func:`scan_order`).  The range is served
+    as three zero-copy column slices (:meth:`scan_columns`, what the batch
+    join operators read) or as id triples (:meth:`scan`, in the same
+    order); counts are range subtractions.
     """
 
     __slots__ = ("_path", "_shard", "_mapped", "_triples", "_cols", "_lock")
@@ -416,7 +438,7 @@ class SegmentShard:
         self._shard = shard
         self._mapped: _MappedFile | None = None
         self._triples = -1
-        self._cols: dict[int, tuple] = {}
+        self._cols: dict[tuple[int, int, int], tuple] = {}
         self._lock = threading.Lock()
 
     @property
@@ -451,12 +473,16 @@ class SegmentShard:
             mapped.close()
             raise
         whole = mapped.body.cast("q")
-        cols: dict[int, tuple] = {}
+        cols: dict[tuple[int, int, int], tuple] = {}
         for block, ordering in enumerate((_SPO, _POS, _OSP)):
             base = block * 3 * triples
-            cols[ordering] = tuple(
+            stored = [
                 whole[base + column * triples: base + (column + 1) * triples]
                 for column in range(3)
+            ]
+            # Kept in (s, p, o) position order, whatever the stored order.
+            cols[ordering] = tuple(
+                stored[ordering.index(position)] for position in range(3)
             )
         self._triples = triples
         self._cols = cols
@@ -476,89 +502,55 @@ class SegmentShard:
         self.open()
         return self._triples
 
-    # -- range narrowing -----------------------------------------------
-
-    @staticmethod
-    def _narrow(column, value: int, lo: int, hi: int) -> tuple[int, int]:
-        return (
-            bisect_left(column, value, lo, hi),
-            bisect_right(column, value, lo, hi),
-        )
-
     def _range(
-        self, ordering: int, first: int | None, second: int | None,
-        third: int | None = None,
-    ) -> tuple[int, int]:
-        """The [lo, hi) row range matching a bound prefix of an ordering."""
-        a, b, c = self._cols[ordering]
+        self, s: int | None, p: int | None, o: int | None
+    ) -> tuple[tuple, int, int]:
+        """The ordering that serves the pattern's shape
+        (:func:`scan_order`) as its (s, p, o) columns, and the [lo, hi)
+        row range of it matching the pattern's bound positions, which
+        lead the ordering."""
+        self.open()
+        ordering = scan_order(s, p, o)
+        columns = self._cols[ordering]
+        bound = (s, p, o)
         lo, hi = 0, self._triples
-        if first is not None:
-            lo, hi = self._narrow(a, first, lo, hi)
-            if second is not None and lo < hi:
-                lo, hi = self._narrow(b, second, lo, hi)
-                if third is not None and lo < hi:
-                    lo, hi = self._narrow(c, third, lo, hi)
-        return lo, hi
+        for position in ordering:
+            value = bound[position]
+            if value is None or lo == hi:
+                break
+            column = columns[position]
+            lo, hi = (
+                bisect_left(column, value, lo, hi),
+                bisect_right(column, value, lo, hi),
+            )
+        return columns, lo, hi
 
     # -- protocol core ---------------------------------------------------
+
+    def scan_columns(
+        self, s: int | None, p: int | None, o: int | None
+    ) -> tuple:
+        """The matching rows as three ``'q'`` columns in (s, p, o) position
+        order, sorted under :func:`scan_order`: zero-copy slices of the
+        mapping, valid until the shard closes.  A caller that keeps a
+        column copies it (:func:`repro.kb.backend.to_array`)."""
+        if -1 in (s, p, o):
+            return columns_of(())
+        (s_column, p_column, o_column), lo, hi = self._range(s, p, o)
+        return s_column[lo:hi], p_column[lo:hi], o_column[lo:hi]
 
     def scan(
         self, s: int | None, p: int | None, o: int | None
     ) -> Iterator[IdTriple]:
-        """Iterate matching (s, p, o) id triples in the serving ordering."""
+        """Iterate matching (s, p, o) id triples, in :meth:`scan_columns`
+        order."""
         if -1 in (s, p, o):
             return
-        self.open()
-        if s is not None and (p is not None or o is None):
-            cs, cp, co = self._cols[_SPO]
-            lo, hi = self._range(_SPO, s, p, o)
-            for index in range(lo, hi):
-                yield (cs[index], cp[index], co[index])
-        elif o is not None and p is None:
-            # (o) or (o, s) bound: OSP serves both without post-filtering.
-            co, cs, cp = self._cols[_OSP]
-            lo, hi = self._range(_OSP, o, s)
-            for index in range(lo, hi):
-                yield (cs[index], cp[index], co[index])
-        elif p is not None:
-            cp, co, cs = self._cols[_POS]
-            lo, hi = self._range(_POS, p, o)
-            for index in range(lo, hi):
-                yield (cs[index], cp[index], co[index])
-        else:
-            cs, cp, co = self._cols[_SPO]
-            for index in range(self._triples):
-                yield (cs[index], cp[index], co[index])
-
-    def scan_columns(
-        self, s: int | None, p: int | None, o: int | None
-    ):
-        """The matching rows as three zero-copy ``'q'`` memoryview columns
-        in (s, p, o) position order — the ``array('q')`` form the columnar
-        batch operators consume directly.
-
-        Only bound-prefix patterns are contiguous in one ordering; a
-        pattern needing post-filtering (``(s, None, o)``) returns None and
-        callers fall back to :meth:`scan`.
-        """
-        if -1 in (s, p, o):
-            return None
-        self.open()
-        if s is not None and (p is not None or o is None):
-            cs, cp, co = self._cols[_SPO]
-            lo, hi = self._range(_SPO, s, p, o)
-        elif o is not None and s is None and p is None:
-            co, cs, cp = self._cols[_OSP]
-            lo, hi = self._range(_OSP, o, None)
-        elif p is not None and s is None:
-            cp, co, cs = self._cols[_POS]
-            lo, hi = self._range(_POS, p, o)
-        elif s is None and p is None and o is None:
-            cs, cp, co = self._cols[_SPO]
-            lo, hi = 0, self._triples
-        else:
-            return None
-        return (cs[lo:hi], cp[lo:hi], co[lo:hi])
+        # Indexes the columns in place: the row carrier's point lookups
+        # would pay three slices for one or two rows.
+        (s_column, p_column, o_column), lo, hi = self._range(s, p, o)
+        for index in range(lo, hi):
+            yield (s_column[index], p_column[index], o_column[index])
 
     def count(
         self, s: int | None = None, p: int | None = None, o: int | None = None
@@ -566,44 +558,19 @@ class SegmentShard:
         """Exact match count by range subtraction (no enumeration)."""
         if -1 in (s, p, o):
             return 0
-        self.open()
-        if s is None and p is None and o is None:
-            return self._triples
-        if s is not None and (p is not None or o is None):
-            lo, hi = self._range(_SPO, s, p, o)
-        elif o is not None and p is None:
-            lo, hi = self._range(_OSP, o, s)
-        else:
-            lo, hi = self._range(_POS, p, o)
+        __, lo, hi = self._range(s, p, o)
         return hi - lo
 
     def distinct_ids(self, position: int) -> Iterator[int]:
         """Distinct subject (0) / predicate (1) / object (2) ids, sorted."""
         self.open()
-        ordering = (_SPO, _POS, _OSP)[position]
-        column = self._cols[ordering][0]
+        column = self._cols[(_SPO, _POS, _OSP)[position]][position]
         previous: int | None = None
         for index in range(self._triples):
             value = column[index]
             if value != previous:
                 previous = value
                 yield value
-
-
-def scan_order_key(s: int | None, p: int | None, o: int | None):
-    """The sort key of :meth:`SegmentShard.scan` output for a pattern shape.
-
-    Equal-shaped scans of every shard are sorted under this key, which is
-    what lets :class:`repro.kb.shard.SegmentedBackend` heap-merge per-shard
-    streams into one globally sorted, deterministic scan.
-    """
-    if s is not None and (p is not None or o is None):
-        return None  # natural (s, p, o) tuple order
-    if o is not None and p is None:
-        return lambda triple: (triple[2], triple[0], triple[1])
-    if p is not None:
-        return lambda triple: (triple[1], triple[2], triple[0])
-    return None
 
 
 # ---------------------------------------------------------------------------

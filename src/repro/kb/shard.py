@@ -18,7 +18,7 @@ repartitioned by a mixed hash of the **object id**.  That gives the two
 mirror properties for the POS/OSP side of the index:
 
 * an object-bound scan (``s`` free) touches exactly **one** object shard
-  (:func:`shard_of_object` routes it — no heap-merge across the subject
+  (:func:`shard_of_object` routes it — no merge across the subject
   shards), and
 * every solution of an object-star BGP (all patterns sharing one object
   variable) lives entirely inside one object shard, so predicate-bound
@@ -26,12 +26,14 @@ mirror properties for the POS/OSP side of the index:
 
 :class:`SegmentedBackend` serves the :class:`repro.kb.backend.KBBackend`
 protocol from such a directory: the dictionary and the shard columns stay
-mmapped (out-of-core — the heap never holds the triple set), multi-shard
-scans heap-merge the per-shard sorted streams into one deterministic
-globally sorted stream, and counts are sums of per-shard range
-subtractions.  Directories written before the secondary partition existed
-(no ``object_shards`` manifest key) still open and serve; only the
-object-routing fast paths stay off.
+mmapped (out-of-core — the heap never holds the triple set), a routed
+scan reads one shard, a multi-shard scan merges the per-shard sorted runs
+into one deterministic globally sorted scan (``heapq.merge`` over tuple
+streams; one stable sort of the concatenated runs over column scans),
+and counts are sums of per-shard range subtractions.  Directories
+written before the secondary partition existed (no ``object_shards``
+manifest key) still open and serve; only the object-routing fast paths
+stay off.
 
 The builder also derives, once, what a server would otherwise rebuild
 from the triples at every start: the KB's lookup indexes and the mined
@@ -53,7 +55,18 @@ import threading
 import time
 from typing import Iterator
 
-from repro.kb.backend import KBBackend, BackendGraph, IdTriple
+try:  # optional: sorts merged column scans; heapq.merge without it
+    import numpy as _np  # type: ignore
+except ImportError:  # pragma: no cover - exercised via monkeypatch in tests
+    _np = None
+
+from repro.kb.backend import (
+    KBBackend,
+    BackendGraph,
+    IdTriple,
+    columns_of,
+    to_array,
+)
 from repro.kb.segment import (
     INDEX_RESOURCE,
     PATTERNS_RESOURCE,
@@ -63,6 +76,7 @@ from repro.kb.segment import (
     SegmentShard,
     read_manifest,
     read_resource,
+    scan_order,
     scan_order_key,
     write_dictionary,
     write_manifest,
@@ -272,8 +286,8 @@ class SegmentedBackend(KBBackend):
     shard raises the typed
     :class:`~repro.kb.segment.SegmentIntegrityError` at first use, never
     silently returns wrong rows).  All scans are deterministic: per-shard
-    streams are sorted by construction and multi-shard scans merge them
-    under the pattern shape's order key.
+    runs are sorted by construction and multi-shard scans merge them
+    under the pattern shape's order (:func:`~repro.kb.segment.scan_order`).
 
     Counters (``kb.segments.*`` — see docs/observability.md) land in the
     instance's :class:`~repro.obs.metrics.MetricsRegistry` (:attr:`perf`),
@@ -365,29 +379,58 @@ class SegmentedBackend(KBBackend):
         self._require_open()
         return self._object_shards[index]
 
-    def scan(
+    def _route(
         self, s: int | None, p: int | None, o: int | None
-    ) -> Iterator[IdTriple]:
-        if -1 in (s, p, o):
-            return iter(())
+    ) -> SegmentShard | None:
+        """The one shard that can match the pattern, or None when every
+        subject shard must be scanned; counts the scan either way."""
         manifest = self._require_open()
         self._stats.inc("kb.segments.scans")
         if s is not None:
             # Subject-bound: the router pins the one shard that can match.
             self._stats.inc("kb.segments.single_shard_scans")
-            shard = shard_of_subject(s, manifest["shards"])
-            return self._shards[shard].scan(s, p, o)
+            return self._shards[shard_of_subject(s, manifest["shards"])]
         if o is not None and self._object_shards:
             # Object-bound, subject free: the secondary partition pins one
-            # object shard.  Its stream is sorted under the same shape key
+            # object shard.  Its run is sorted under the same shape order
             # and holds exactly the triples with this object, so it is
-            # byte-identical to the merged subject-shard stream.
+            # identical to the merged subject-shard scan.
             self._stats.inc("kb.segments.object_routed_scans")
-            shard = shard_of_object(o, len(self._object_shards))
-            return self._object_shards[shard].scan(s, p, o)
+            return self._object_shards[
+                shard_of_object(o, len(self._object_shards))
+            ]
         self._stats.inc("kb.segments.merged_scans")
+        return None
+
+    def scan(
+        self, s: int | None, p: int | None, o: int | None
+    ) -> Iterator[IdTriple]:
+        if -1 in (s, p, o):
+            return iter(())
+        shard = self._route(s, p, o)
+        if shard is not None:
+            return shard.scan(s, p, o)
         streams = [shard.scan(s, p, o) for shard in self._shards]
         return heapq.merge(*streams, key=scan_order_key(s, p, o))
+
+    def scan_columns(
+        self, s: int | None, p: int | None, o: int | None
+    ) -> tuple:
+        """:meth:`scan`'s rows as three id columns, routed and counted
+        exactly like :meth:`scan`.
+
+        A routed scan is the shard's zero-copy slices (valid until
+        :meth:`close`).  An unrouted scan concatenates every subject
+        shard's run and restores :meth:`scan`'s global order with one
+        stable sort on the shape's order (:func:`_merge_runs`).
+        """
+        if -1 in (s, p, o):
+            return columns_of(())
+        shard = self._route(s, p, o)
+        if shard is not None:
+            return shard.scan_columns(s, p, o)
+        runs = [shard.scan_columns(s, p, o) for shard in self._shards]
+        return _merge_runs(runs, s, p, o)
 
     def count(
         self, s: int | None = None, p: int | None = None, o: int | None = None
@@ -517,6 +560,34 @@ class SegmentedBackend(KBBackend):
         )
 
 
+def _merge_runs(runs: list, s: int | None, p: int | None, o: int | None):
+    """One column scan from the shards' runs of one pattern shape, in the
+    order ``heapq.merge`` of the shards' :meth:`SegmentShard.scan` yields.
+
+    Every run is sorted under :func:`~repro.kb.segment.scan_order` and
+    the runs are disjoint (a triple lives in one subject shard), so one
+    stable sort of their concatenation on that order gives the same rows
+    in the same order: ``numpy.lexsort`` when numpy imports, and without
+    numpy ``heapq.merge`` over the runs.
+    """
+    np = _np
+    if np is None:
+        merged = heapq.merge(
+            *(zip(*run) for run in runs), key=scan_order_key(s, p, o)
+        )
+        return columns_of(merged)
+    columns = [
+        np.concatenate(
+            [np.frombuffer(run[position], dtype=np.int64) for run in runs]
+        )
+        for position in range(3)
+    ]
+    permutation = np.lexsort(
+        [columns[position] for position in reversed(scan_order(s, p, o))]
+    )
+    return tuple(to_array(column[permutation]) for column in columns)
+
+
 class _SingleShardBackend(KBBackend):
     """One shard of a :class:`SegmentedBackend` behind the same protocol.
 
@@ -551,6 +622,11 @@ class _SingleShardBackend(KBBackend):
         if -1 in (s, p, o):
             return iter(())
         return self._shard().scan(s, p, o)
+
+    def scan_columns(
+        self, s: int | None, p: int | None, o: int | None
+    ) -> tuple:
+        return self._shard().scan_columns(s, p, o)
 
     def count(
         self, s: int | None = None, p: int | None = None, o: int | None = None

@@ -19,12 +19,17 @@ joins by selectivity without scanning.
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, Iterator
 
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.terms import BNode, IRI, Literal, Term, Triple
 
 _Index = dict[int, dict[int, set[int]]]
+
+
+def _repeat(value: int, times: int) -> array:
+    return array("q", (value,)) * times
 
 
 def _index_add(index: _Index, a: int, b: int, c: int) -> None:
@@ -210,6 +215,59 @@ class Graph:
             for p_id, objects in by_p.items():
                 for o_id in objects:
                     yield (s_id, p_id, o_id)
+
+    def match_columns(
+        self, s: int | None, p: int | None, o: int | None
+    ) -> tuple[array, array, array]:
+        """:meth:`match_ids`'s rows as three id columns (s, p, o), row for
+        row in its order: the batch join operators' scan.
+
+        Built from the index levels — a level's set extends a column, a
+        constant repeats — never one tuple per triple.
+        """
+        s_column, p_column, o_column = array("q"), array("q"), array("q")
+        if -1 in (s, p, o):
+            return s_column, p_column, o_column
+        if s is not None:
+            by_p = self._spo.get(s, {})
+            if p is not None:
+                objects = by_p.get(p, ())
+                if o is None:
+                    o_column.extend(objects)
+                elif o in objects:
+                    o_column.append(o)
+                p_column = _repeat(p, len(o_column))
+            else:
+                for p_id, objects in by_p.items():
+                    if o is None:
+                        o_column.extend(objects)
+                        p_column.extend(_repeat(p_id, len(objects)))
+                    elif o in objects:
+                        p_column.append(p_id)
+                if o is not None:
+                    o_column = _repeat(o, len(p_column))
+            return _repeat(s, len(o_column)), p_column, o_column
+        if p is not None:
+            by_o = self._pos.get(p, {})
+            if o is not None:
+                s_column.extend(by_o.get(o, ()))
+                o_column = _repeat(o, len(s_column))
+            else:
+                for o_id, subjects in by_o.items():
+                    s_column.extend(subjects)
+                    o_column.extend(_repeat(o_id, len(subjects)))
+            return s_column, _repeat(p, len(s_column)), o_column
+        if o is not None:
+            for s_id, predicates in self._osp.get(o, {}).items():
+                p_column.extend(predicates)
+                s_column.extend(_repeat(s_id, len(predicates)))
+            return s_column, p_column, _repeat(o, len(s_column))
+        for s_id, by_p in self._spo.items():
+            for p_id, objects in by_p.items():
+                o_column.extend(objects)
+                p_column.extend(_repeat(p_id, len(objects)))
+            s_column.extend(_repeat(s_id, len(o_column) - len(s_column)))
+        return s_column, p_column, o_column
 
     def count(
         self,

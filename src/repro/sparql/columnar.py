@@ -9,12 +9,21 @@ only executor of id-space plans (the term-space evaluator in
 * a solution set is a :class:`ColumnBatch`: one ``array('q')`` id column
   per variable slot, with :data:`~repro.sparql.compiler.UNBOUND` (-1)
   holes — no per-row tuple objects between operators;
+* a batch operator reads a pattern's matches as three id columns straight
+  from storage (:func:`scan_pattern`: ``match_columns`` of the graph
+  view — zero-copy slices of a shard file over segments, index levels
+  in the heap), never as one tuple per triple; a repeated variable
+  (``?x ?p ?x``) is a mask over them.  A scanned column may be a view
+  into a shard's mapping, so it lives only until the operator returns:
+  whatever enters a batch is copied into an ``array('q')`` first
+  (:func:`repro.kb.backend.to_array`);
 * joins move whole columns: a **hash join** probes one key column against
   a single scan, and a **sort-merge join** (single-key, numpy only) sorts
   the scan side once and binary-searches every probe key in one
   vectorized shot — :func:`repro.sparql.planner.choose_batch_join` picks
   between them once a batch is large enough to leave the row carrier
-  (small joined intermediates extend row at a time, see :func:`_run_bgp`);
+  (small joined intermediates extend row at a time through
+  ``match_ids``, see :func:`_run_bgp`);
 * FILTERs evaluate over whole columns: ``?var = <iri>`` id-equality
   becomes one column mask, everything else is memoized per *distinct*
   value combination of the slots the expression actually reads
@@ -28,9 +37,10 @@ only executor of id-space plans (the term-space evaluator in
 * ids decode to Terms only at final projection, once per distinct id of
   the rows returned.
 
-The operator boundary is explicit — batch in, batch out, each operator a
-pure function of ``(graph, batch, pattern)`` — so a native (C/Rust)
-backend could replace an operator without touching compilation.
+The operator boundary is explicit — batch and scan columns in, batch out,
+each join operator a pure function of ``(batch, scan, key and free
+positions)`` — so a native (C/Rust) backend could replace an operator
+without touching compilation.
 
 **numpy fast path** — when numpy is importable, gathers, masks and the
 sort-merge join run vectorized over zero-copy ``int64`` views of the id
@@ -61,6 +71,7 @@ try:  # optional vectorized backend; the merge join has no pure-python twin
 except ImportError:  # pragma: no cover - exercised via monkeypatch in tests
     _np = None
 
+from repro.kb.backend import to_array
 from repro.obs.metrics import MetricsRegistry
 from repro.rdf.datatypes import XSD_INTEGER
 from repro.rdf.graph import Graph
@@ -151,12 +162,10 @@ class ColumnBatch:
         if np is not None and length >= NUMPY_MIN_ROWS:
             if not isinstance(indexes, np.ndarray):
                 indexes = np.fromiter(indexes, dtype=np.int64, count=length)
-            columns = []
-            for column in self.columns:
-                view = np.frombuffer(column, dtype=np.int64)
-                out = array("q")
-                out.frombytes(view[indexes].astype(np.int64).tobytes())
-                columns.append(out)
+            columns = [
+                to_array(np.frombuffer(column, dtype=np.int64)[indexes])
+                for column in self.columns
+            ]
             return ColumnBatch(self.width, columns, length)
         columns = [
             array("q", map(column.__getitem__, indexes))
@@ -205,31 +214,34 @@ def column_state(column: array, length: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Scan materialisation
+# Column scans
 # ---------------------------------------------------------------------------
 
 
-def _materialize_scan(
+def scan_pattern(
     graph: Graph,
     pattern: CompiledPattern,
     constraints: Sequence[tuple[int, int]],
-) -> list[tuple[int, int, int]]:
-    """One scan of the pattern's matches, with repeated-variable positions
-    (``?x ?p ?x`` where ``?x`` is free) pre-filtered to agree."""
-    matches = graph.match_ids(pattern.s_id, pattern.p_id, pattern.o_id)
-    if constraints:
-        return [
-            match
-            for match in matches
-            if all(match[a] == match[b] for a, b in constraints)
-        ]
-    return list(matches)
+) -> tuple:
+    """The pattern's matches as three id columns (s, p, o), in
+    ``match_ids`` order, straight from storage
+    (:meth:`~repro.rdf.Graph.match_columns`).
 
-
-def _scan_column(
-    scan_rows: Sequence[tuple[int, int, int]], position: int
-) -> array:
-    return array("q", (match[position] for match in scan_rows))
+    A repeated free variable (``?x ?p ?x``) becomes a column mask: only
+    the rows whose ``constraints`` positions agree survive.  A column may
+    be a view into a shard's mapping, so it must not outlive the operator
+    that scanned it: every operator copies what it keeps.
+    """
+    columns = graph.match_columns(pattern.s_id, pattern.p_id, pattern.o_id)
+    if not constraints:
+        return columns
+    keep = [
+        i for i in range(len(columns[0]))
+        if all(columns[a][i] == columns[b][i] for a, b in constraints)
+    ]
+    return tuple(
+        array("q", map(column.__getitem__, keep)) for column in columns
+    )
 
 
 def _dedup_free(
@@ -250,25 +262,8 @@ def _dedup_free(
 
 
 # ---------------------------------------------------------------------------
-# Join operators (batch in -> batch out)
+# Join operators (batch + scan columns in -> batch out)
 # ---------------------------------------------------------------------------
-
-
-def _assemble(
-    batch: ColumnBatch,
-    scan_rows: Sequence[tuple[int, int, int]],
-    probe_idx: Sequence[int],
-    scan_idx: Sequence[int],
-    free_items: Sequence[tuple[int, int]],
-) -> ColumnBatch:
-    """Build the join output: gather surviving probe rows, then overwrite
-    each free slot's column from the matching scan rows."""
-    out = batch.gather(probe_idx)
-    for position, slot in free_items:
-        out.columns[slot] = array(
-            "q", (scan_rows[j][position] for j in scan_idx)
-        )
-    return out
 
 
 def extend_index_loop(
@@ -281,20 +276,17 @@ def extend_index_loop(
 
 
 def extend_cartesian(
-    graph: Graph,
     batch: ColumnBatch,
-    pattern: CompiledPattern,
+    scan: Sequence,
     free_items: Sequence[tuple[int, int]],
-    constraints: Sequence[tuple[int, int]],
 ) -> ColumnBatch:
-    """No bound join key: one shared scan crossed with every input row.
+    """No bound join key: the scan's columns crossed with every input row.
 
     Covers the leaf case (the all-unbound seed row — the common path that
-    materialises the first pattern straight into columns) and genuine
+    copies the first pattern's scan straight into columns) and genuine
     disconnected-pattern products.
     """
-    scan_rows = _materialize_scan(graph, pattern, constraints)
-    matches = len(scan_rows)
+    matches = len(scan[0])
     if matches == 0:
         return ColumnBatch.empty(batch.width)
     length = batch.length
@@ -302,7 +294,7 @@ def extend_cartesian(
     columns: list[array] = []
     for slot in range(batch.width):
         if slot in free_slot_position:
-            values = _scan_column(scan_rows, free_slot_position[slot])
+            values = to_array(scan[free_slot_position[slot]])
             columns.append(values if length == 1 else values * length)
         else:
             column = batch.columns[slot]
@@ -317,57 +309,47 @@ def extend_cartesian(
 
 
 def extend_hash(
-    graph: Graph,
     batch: ColumnBatch,
-    pattern: CompiledPattern,
+    scan: Sequence,
     bound_items: Sequence[tuple[int, int]],
     free_items: Sequence[tuple[int, int]],
-    constraints: Sequence[tuple[int, int]],
 ) -> ColumnBatch:
-    """Hash join: one scan of the pattern hashed on the bound positions,
-    one probe per input row against the key column(s)."""
-    scan_rows = _materialize_scan(graph, pattern, constraints)
-    if not scan_rows:
+    """Hash join: the scan hashed on the bound positions' columns, one
+    probe per input row against the key column(s)."""
+    if not len(scan[0]):
         return ColumnBatch.empty(batch.width)
-    probe_idx: list[int] = []
-    scan_idx: list[int] = []
     if len(bound_items) == 1:
         position, slot = bound_items[0]
-        table: dict[int, list[int]] = {}
-        for j, match in enumerate(scan_rows):
-            table.setdefault(match[position], []).append(j)
-        get = table.get
-        column = batch.columns[slot]
-        for i in range(batch.length):
-            bucket = get(column[i])
-            if bucket:
-                probe_idx.extend([i] * len(bucket))
-                scan_idx.extend(bucket)
+        scan_keys = scan[position]
+        probe_keys = batch.columns[slot]
     else:
-        positions = [position for position, __ in bound_items]
-        key_columns = [batch.columns[slot] for __, slot in bound_items]
-        table_t: dict[tuple[int, ...], list[int]] = {}
-        for j, match in enumerate(scan_rows):
-            key = tuple(match[position] for position in positions)
-            table_t.setdefault(key, []).append(j)
-        get_t = table_t.get
-        for i, key in enumerate(zip(*key_columns)):
-            bucket = get_t(key)
-            if bucket:
-                probe_idx.extend([i] * len(bucket))
-                scan_idx.extend(bucket)
+        scan_keys = zip(*(scan[position] for position, __ in bound_items))
+        probe_keys = zip(*(batch.columns[slot] for __, slot in bound_items))
+    table: dict = {}
+    for j, key in enumerate(scan_keys):
+        table.setdefault(key, []).append(j)
+    get = table.get
+    probe_idx: list[int] = []
+    scan_idx: list[int] = []
+    for i, key in enumerate(probe_keys):
+        bucket = get(key)
+        if bucket:
+            probe_idx.extend([i] * len(bucket))
+            scan_idx.extend(bucket)
     if not probe_idx:
         return ColumnBatch.empty(batch.width)
-    return _assemble(batch, scan_rows, probe_idx, scan_idx, free_items)
+    out = batch.gather(probe_idx)
+    for position, slot in free_items:
+        column = scan[position]
+        out.columns[slot] = array("q", map(column.__getitem__, scan_idx))
+    return out
 
 
 def extend_merge(
-    graph: Graph,
     batch: ColumnBatch,
-    pattern: CompiledPattern,
+    scan: Sequence,
     bound_items: Sequence[tuple[int, int]],
     free_items: Sequence[tuple[int, int]],
-    constraints: Sequence[tuple[int, int]],
 ) -> ColumnBatch:
     """Sort-merge join on a single key: sort the scan side once, then
     locate every probe key by binary search.
@@ -380,15 +362,12 @@ def extend_merge(
     if len(bound_items) != 1:
         raise SparqlError("merge join requires exactly one join key")
     position, slot = bound_items[0]
-    scan_rows = _materialize_scan(graph, pattern, constraints)
-    matches = len(scan_rows)
+    matches = len(scan[0])
     if matches == 0:
         return ColumnBatch.empty(batch.width)
     length = batch.length
     np = _np
-    scan_keys = np.fromiter(
-        (match[position] for match in scan_rows), np.int64, matches
-    )
+    scan_keys = np.frombuffer(scan[position], dtype=np.int64)
     order = np.argsort(scan_keys, kind="stable")
     sorted_keys = scan_keys[order]
     probe = np.frombuffer(batch.columns[slot], dtype=np.int64)
@@ -405,12 +384,8 @@ def extend_merge(
     scan_positions = order[starts + within]
     out = batch.gather(probe_idx)
     for free_position, free_slot in free_items:
-        values = np.fromiter(
-            (match[free_position] for match in scan_rows), np.int64, matches
-        )[scan_positions]
-        column = array("q")
-        column.frombytes(values.astype(np.int64).tobytes())
-        out.columns[free_slot] = column
+        values = np.frombuffer(scan[free_position], dtype=np.int64)
+        out.columns[free_slot] = to_array(values[scan_positions])
     return out
 
 
@@ -479,17 +454,20 @@ def join_pattern(
 
     if not bound_items:
         _count(stats, "sparql.columnar.joins.cartesian")
-        return extend_cartesian(graph, batch, pattern, unique_free, constraints)
-    scan = graph.count_ids(pattern.s_id, pattern.p_id, pattern.o_id)
-    if scan > length * _compiler.HASH_JOIN_MAX_SCAN_FACTOR:
+        return extend_cartesian(
+            batch, scan_pattern(graph, pattern, constraints), unique_free
+        )
+    matches = graph.count_ids(pattern.s_id, pattern.p_id, pattern.o_id)
+    if matches > length * _compiler.HASH_JOIN_MAX_SCAN_FACTOR:
         _count(stats, "sparql.columnar.joins.index_loop")
         return extend_index_loop(graph, batch, pattern)
     strategy = _planner.choose_batch_join(
-        length, scan, len(bound_items), _np is not None
+        length, matches, len(bound_items), _np is not None
     )
     _count(stats, f"sparql.columnar.joins.{strategy}")
     out = _JOIN_OPS[strategy](
-        graph, batch, pattern, bound_items, unique_free, constraints
+        batch, scan_pattern(graph, pattern, constraints), bound_items,
+        unique_free,
     )
     _count(stats, "sparql.columnar.rows_out", out.length)
     return out

@@ -7,6 +7,7 @@ import os
 import random
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.kb import (
     shard_of_subject,
 )
 from repro.kb import segment
+from repro.kb import shard as shard_module
 from repro.kb.segment import (
     SegmentDictionary,
     SegmentShard,
@@ -49,6 +51,68 @@ def _random_graph(seed: int = 7, size: int = 200) -> Graph:
             )
         )
     return graph
+
+
+def _patterns(graph: Graph):
+    """Patterns of all eight bound masks, each over sampled ids (with
+    ``-1`` and an id past the dictionary) and over the ids of real
+    triples, so every shape — ``(s, None, o)`` included — also scans
+    matching rows.  Deterministic, duplicates dropped."""
+    rng = random.Random(3)
+    size = len(graph.dictionary)
+    ids = [rng.randrange(size) for __ in range(40)] + [-1, size + 7]
+    triples = sorted(graph.match_ids(None, None, None))
+    real = rng.sample(triples, min(12, len(triples)))
+    patterns = []
+    for mask in itertools.product([False, True], repeat=3):
+        for sample in range(12):
+            patterns.append((
+                ids[(sample * 3) % len(ids)] if mask[0] else None,
+                ids[(sample * 5 + 1) % len(ids)] if mask[1] else None,
+                ids[(sample * 7 + 2) % len(ids)] if mask[2] else None,
+            ))
+        for triple in real:
+            patterns.append(tuple(
+                value if bound else None for value, bound in zip(triple, mask)
+            ))
+    return list(dict.fromkeys(patterns))
+
+
+def _segment_counters(backend) -> Counter:
+    counters = backend.perf.snapshot()["counters"]
+    return Counter(
+        {name: value for name, value in counters.items()
+         if name.startswith("kb.segments.")}
+    )
+
+
+def _assert_column_scans(graph, backend, monkeypatch) -> None:
+    """Column scans equal tuple scans row for row, order included, on the
+    in-heap graph, the full view and every subject and object shard view;
+    the full view's column scan bumps the same ``kb.segments.*`` counters
+    as its tuple scan.  Merged scans run with numpy's sort and with the
+    ``heapq`` fallback."""
+    full = backend.graph_view()
+    views = [graph, full]
+    views += [backend.shard_view(i) for i in range(backend.shard_count)]
+    views += [
+        backend.object_shard_view(i)
+        for i in range(backend.object_shard_count)
+    ]
+    merges = [shard_module._np]
+    if shard_module._np is not None:
+        merges.append(None)
+    for numpy in merges:
+        monkeypatch.setattr(shard_module, "_np", numpy)
+        for s, p, o in _patterns(graph):
+            before = _segment_counters(backend)
+            rows = list(full.match_ids(s, p, o))
+            scanned = _segment_counters(backend)
+            assert list(zip(*full.match_columns(s, p, o))) == rows
+            assert _segment_counters(backend) - scanned == scanned - before
+            for view in views:
+                columns = view.match_columns(s, p, o)
+                assert list(zip(*columns)) == list(view.match_ids(s, p, o))
 
 
 @pytest.fixture(scope="module")
@@ -104,21 +168,14 @@ class TestDictionarySegment:
 
 
 class TestDifferential:
-    def test_all_pattern_shapes_agree(self, curated_segments):
+    def test_all_pattern_shapes_agree(self, curated_segments, monkeypatch):
         graph, backend = curated_segments
         view = backend.graph_view()
-        rng = random.Random(3)
-        ids = [
-            rng.randrange(len(graph.dictionary)) for __ in range(40)
-        ] + [-1, len(graph.dictionary) + 7]
-        for mask in itertools.product([False, True], repeat=3):
-            for sample in range(12):
-                s = ids[(sample * 3) % len(ids)] if mask[0] else None
-                p = ids[(sample * 5 + 1) % len(ids)] if mask[1] else None
-                o = ids[(sample * 7 + 2) % len(ids)] if mask[2] else None
-                expected = sorted(graph.match_ids(s, p, o))
-                assert sorted(view.match_ids(s, p, o)) == expected
-                assert view.count_ids(s, p, o) == len(expected)
+        for s, p, o in _patterns(graph):
+            expected = sorted(graph.match_ids(s, p, o))
+            assert sorted(view.match_ids(s, p, o)) == expected
+            assert view.count_ids(s, p, o) == len(expected)
+        _assert_column_scans(graph, backend, monkeypatch)
 
     def test_multi_shard_scans_are_globally_sorted(self, curated_segments):
         graph, backend = curated_segments
@@ -152,7 +209,7 @@ class TestDifferential:
 
 
 class TestShardEdgeCases:
-    def test_empty_shards_are_valid(self, tmp_path):
+    def test_empty_shards_are_valid(self, tmp_path, monkeypatch):
         graph = Graph()
         graph.add(Triple(DBR["Only"], RDF.type, DBO["Thing"]))
         manifest = build_segments(graph, tmp_path, shards=8)
@@ -162,9 +219,10 @@ class TestShardEdgeCases:
         assert list(backend.scan(None, None, None)) == sorted(
             graph.match_ids(None, None, None)
         )
+        _assert_column_scans(graph, backend, monkeypatch)
         backend.close()
 
-    def test_all_one_shard_skew(self, tmp_path):
+    def test_all_one_shard_skew(self, tmp_path, monkeypatch):
         graph = _random_graph(size=60)
         build_segments(graph, tmp_path, shards=1)
         backend = SegmentedBackend(tmp_path).open()
@@ -172,6 +230,7 @@ class TestShardEdgeCases:
         assert sorted(backend.scan(None, None, None)) == sorted(
             graph.match_ids(None, None, None)
         )
+        _assert_column_scans(graph, backend, monkeypatch)
         backend.close()
 
     def test_absent_term_and_out_of_range_id(self, tmp_path):
@@ -364,7 +423,9 @@ class TestObjectPartition:
         finally:
             backend.close()
 
-    def test_directory_without_object_shards_opens(self, tmp_path):
+    def test_directory_without_object_shards_opens(
+        self, tmp_path, monkeypatch
+    ):
         graph = _random_graph(13)
         manifest = build_segments(graph, tmp_path, shards=4, object_shards=0)
         assert "object_shards" not in manifest
@@ -378,6 +439,7 @@ class TestObjectPartition:
                 (t for t in backend.scan(None, None, None) if t[2] == o),
             )
             assert sorted(backend.scan(None, None, o)) == expected
+            _assert_column_scans(graph, backend, monkeypatch)
         finally:
             backend.close()
 

@@ -25,6 +25,7 @@ from repro.sparql.columnar import (
     extend_merge,
     filter_id_equality,
     filter_memoized,
+    scan_pattern,
 )
 from repro.sparql.compiler import (
     UNBOUND,
@@ -150,7 +151,8 @@ def test_hash_join_matches_row_reference(data, backend):
     batch = _make_batch(graph, bound_slots, _key_ids(graph, raw_keys))
     bound, free, constraints = _split(pattern, batch)
     assume(bound)
-    out = extend_hash(graph, batch, pattern, bound, free, constraints)
+    scan = scan_pattern(graph, pattern, constraints)
+    out = extend_hash(batch, scan, bound, free)
     assert Counter(out.rows()) == _reference(graph, batch, pattern)
 
 
@@ -167,7 +169,8 @@ def test_merge_join_matches_row_reference(data, backend):
     batch = _make_batch(graph, bound_slots, _key_ids(graph, raw_keys))
     bound, free, constraints = _split(pattern, batch)
     assume(len(bound) == 1)  # merge join is single-key
-    out = extend_merge(graph, batch, pattern, bound, free, constraints)
+    scan = scan_pattern(graph, pattern, constraints)
+    out = extend_merge(batch, scan, bound, free)
     assert Counter(out.rows()) == _reference(graph, batch, pattern)
 
 
@@ -182,7 +185,8 @@ def test_cartesian_matches_row_reference(data, backend):
     batch = ColumnBatch.seed(WIDTH)
     bound, free, constraints = _split(pattern, batch)
     assert not bound
-    out = extend_cartesian(graph, batch, pattern, free, constraints)
+    scan = scan_pattern(graph, pattern, constraints)
+    out = extend_cartesian(batch, scan, free)
     assert Counter(out.rows()) == _reference(graph, batch, pattern)
 
 
@@ -191,7 +195,8 @@ def test_join_empty_batch(operator, backend):
     graph = Graph([Triple(IRIS[0], IRIS[1], IRIS[2])])
     pattern = _compiled(graph, Triple(X, IRIS[1], Y))
     batch = ColumnBatch.empty(WIDTH)
-    out = operator(graph, batch, pattern, [(0, 0)], [(2, 1)], [])
+    scan = scan_pattern(graph, pattern, [])
+    out = operator(batch, scan, [(0, 0)], [(2, 1)])
     assert out.length == 0
     assert out.rows() == []
 
@@ -205,7 +210,8 @@ def test_join_single_row(operator, backend):
     pattern = _compiled(graph, Triple(X, IRIS[1], Y))
     row = (graph.lookup_id(IRIS[0]), UNBOUND, UNBOUND)
     batch = ColumnBatch.from_rows([row], WIDTH)
-    out = operator(graph, batch, pattern, [(0, 0)], [(2, 1)], [])
+    scan = scan_pattern(graph, pattern, [])
+    out = operator(batch, scan, [(0, 0)], [(2, 1)])
     assert Counter(out.rows()) == _reference(graph, batch, pattern)
     assert out.length == 2
 
@@ -222,7 +228,8 @@ def test_join_duplicate_keys_multiply(operator, backend):
     a, e = graph.lookup_id(IRIS[0]), graph.lookup_id(IRIS[4])
     rows = [(a, UNBOUND, UNBOUND)] * 3 + [(e, UNBOUND, UNBOUND)] * 2
     batch = ColumnBatch.from_rows(rows, WIDTH)
-    out = operator(graph, batch, pattern, [(0, 0)], [(2, 1)], [])
+    scan = scan_pattern(graph, pattern, [])
+    out = operator(batch, scan, [(0, 0)], [(2, 1)])
     assert Counter(out.rows()) == _reference(graph, batch, pattern)
     assert out.length == 3 * 2 + 2 * 1
 
@@ -237,7 +244,8 @@ def test_repeated_free_variable_constrained(backend):
     batch = ColumnBatch.seed(WIDTH)
     bound, free, constraints = _split(pattern, batch)
     assert constraints  # the repeated ?x produced an equality constraint
-    out = extend_cartesian(graph, batch, pattern, free, constraints)
+    scan = scan_pattern(graph, pattern, constraints)
+    out = extend_cartesian(batch, scan, free)
     assert Counter(out.rows()) == _reference(graph, batch, pattern)
     assert out.length == 1
 
