@@ -21,8 +21,8 @@ subject id:
       arrays — no term->id dict is ever built in the heap;
     * the rank column — *n* words, each term's dense position under
       :func:`repro.rdf.order.order_key` (equal keys share a rank), which
-      the columnar engine gathers to sort ORDER BY keys without decoding
-      a term;
+      the columnar engine gathers to sort ORDER BY keys, and to test
+      range FILTERs against a number or date, without decoding a term;
     * the payload — canonical JSON records (exact term round-trip).
 
     A file without the ``order`` key (written before ranks shipped) has
@@ -71,8 +71,13 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Iterator, Sequence
 
-from repro.kb.backend import BackendError, columns_of
-from repro.rdf.order import ORDER_VERSION, order_ranks
+try:  # optional: builds the rank representatives; a python loop without it
+    import numpy as _np  # type: ignore
+except ImportError:  # pragma: no cover - exercised via monkeypatch in tests
+    _np = None
+
+from repro.kb.backend import BackendError, columns_of, to_array
+from repro.rdf.order import ORDER_VERSION, order_key, order_ranks
 from repro.rdf.terms import BNode, IRI, Literal, Term
 
 #: Schema identifier stamped into the manifest and every segment header.
@@ -275,6 +280,11 @@ class SegmentDictionary:
     view (``order_ranks[id]`` is the term's order rank), or None when the
     file has no column (written before ranks shipped) or its ``order``
     header names another key version than :data:`ORDER_VERSION`.
+    :meth:`first_rank` finds where an order key falls among the ranks —
+    the bounds of a range FILTER's interval.  Its search reads one
+    representative id per rank, a heap column built on the first call
+    (O(terms), vectorized when numpy imports); threads that race to
+    build it build the same column.
     """
 
     def __init__(self, path: str, cache_size: int = 65536) -> None:
@@ -315,6 +325,7 @@ class SegmentDictionary:
                 f"{path}: dictionary payload length mismatch"
             )
         self._decode_cached = lru_cache(maxsize=cache_size)(self._decode_slice)
+        self._representatives: array | None = None
 
     def __len__(self) -> int:
         return self._terms
@@ -345,6 +356,57 @@ class SegmentDictionary:
         if not 0 <= term_id < self._terms:
             raise KeyError(f"no term with id {term_id}")
         return self._decode_cached(term_id)
+
+    def first_rank(self, key: tuple, above: bool = False) -> int:
+        """The first order rank whose key is not below ``key`` — or, with
+        ``above``, is above it; one past the last rank when none is.
+
+        ``key`` is an :func:`~repro.rdf.order.order_key`, or a bare
+        ``(kind,)``, which sorts before every key of that kind.  A binary
+        search over one representative id per rank: it decodes about
+        log2(terms) ids.
+        """
+        representatives = self._rank_representatives()
+        search = bisect_right if above else bisect_left
+        return search(
+            range(len(representatives)), key,
+            key=lambda rank: order_key(self.decode(representatives[rank])),
+        )
+
+    def _rank_representatives(self) -> array:
+        """``representatives[rank]`` is one term id of that rank."""
+        representatives = self._representatives
+        if representatives is not None:
+            return representatives
+        ranks = self.order_ranks
+        if ranks is None:
+            raise SegmentError(f"{self._path}: the dictionary ships no ranks")
+        # A valid column is dense: its ranks are exactly 0..max, max < n.
+        count = len(ranks)
+        np = _np
+        if np is not None:
+            column = np.frombuffer(ranks, dtype=np.int64)
+            valid = not count or (column.min() >= 0 and column.max() < count)
+            if valid:
+                built = np.full(
+                    int(column.max()) + 1 if count else 0, -1, dtype=np.int64
+                )
+                built[column] = np.arange(count, dtype=np.int64)
+                valid = not (built < 0).any()
+                representatives = to_array(built)
+        else:
+            valid = not count or (min(ranks) >= 0 and max(ranks) < count)
+            if valid:
+                representatives = (
+                    array("q", [-1]) * (max(ranks, default=-1) + 1)
+                )
+                for term_id, rank in enumerate(ranks):
+                    representatives[rank] = term_id
+                valid = -1 not in representatives
+        if not valid:
+            raise SegmentIntegrityError(f"{self._path}: order ranks not dense")
+        self._representatives = representatives
+        return representatives
 
     def close(self) -> None:
         self.order_ranks = None

@@ -12,6 +12,24 @@ module are never paired with this one.
 The order is a total preorder: kinds first (unbound < blank node < IRI <
 number < NaN < date < other literal), then native values within a kind.
 Every NaN sorts equal to every other NaN, right after all numbers.
+
+The order also decides range FILTERs against a constant.  For a constant
+``c`` of kind :data:`NUMBER_KIND` or :data:`DATE_KIND` and ``OP`` one of
+``<``, ``<=``, ``>``, ``>=``, :func:`repro.sparql.functions.compare_values`
+(``OP``, ``t``, ``c``) is true exactly when ``order_key(t)`` has ``c``'s
+kind and ``order_key(t) OP order_key(c)``:
+
+* a term of any other kind is a type error there, so the filter fails —
+  strings, booleans, IRIs and blank nodes, and numbers against dates;
+* NaN compares false against everything, and has a kind of its own;
+* a malformed number or date is a type error there, and ranks among the
+  other literals by its lexical form;
+* values equal across datatypes share a key (``2.5``, ``2.50`` and
+  ``2.5E0``; ``-0.0`` and ``0``; a date and a dateTime on that day).
+
+So the terms that pass such a filter form one interval of ranks, which
+the columnar engine tests without decoding a term
+(:meth:`repro.kb.segment.SegmentDictionary.first_rank`).
 """
 
 from __future__ import annotations
@@ -26,6 +44,13 @@ from repro.rdf.terms import BNode, IRI, Literal
 #: changes, so shipped rank columns built under the old key are ignored.
 ORDER_VERSION = "repro.order/v1"
 
+#: The kinds of :func:`order_key`, in their sort order (the first field
+#: of every key).
+(
+    UNBOUND_KIND, BNODE_KIND, IRI_KIND, NUMBER_KIND, NAN_KIND, DATE_KIND,
+    LITERAL_KIND, OTHER_KIND,
+) = range(8)
+
 
 def order_key(value: Any) -> tuple[int, Any]:
     """Sort key for ORDER BY: groups by kind then compares within the kind.
@@ -37,28 +62,28 @@ def order_key(value: Any) -> tuple[int, Any]:
     on input order.
     """
     if value is None:
-        return (0, "")
+        return (UNBOUND_KIND, "")
     if isinstance(value, BNode):
-        return (1, value.label)
+        return (BNODE_KIND, value.label)
     if isinstance(value, IRI):
-        return (2, value.value)
+        return (IRI_KIND, value.value)
     if isinstance(value, Literal):
         if is_numeric_literal(value):
             native = literal_value(value)
             if not isinstance(native, str):
                 if native != native:  # NaN
-                    return (4, 0)
-                return (3, native)
+                    return (NAN_KIND, 0)
+                return (NUMBER_KIND, native)
         if is_date_literal(value):
             native = literal_value(value)
             if isinstance(native, dt.datetime):
-                return (5, native.date().toordinal())
+                return (DATE_KIND, native.date().toordinal())
             if isinstance(native, dt.date):
-                return (5, native.toordinal())
+                return (DATE_KIND, native.toordinal())
             if isinstance(native, int):
-                return (5, dt.date(native, 1, 1).toordinal())
-        return (6, value.lexical)
-    return (7, str(value))
+                return (DATE_KIND, dt.date(native, 1, 1).toordinal())
+        return (LITERAL_KIND, value.lexical)
+    return (OTHER_KIND, str(value))
 
 
 def order_ranks(values: Sequence[Any]) -> list[int]:

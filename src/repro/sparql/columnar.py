@@ -25,10 +25,14 @@ only executor of id-space plans (the term-space evaluator in
   (small joined intermediates extend row at a time through
   ``match_ids``, see :func:`_run_bgp`);
 * FILTERs evaluate over whole columns: ``?var = <iri>`` id-equality
-  becomes one column mask, everything else is memoized per *distinct*
-  value combination of the slots the expression actually reads
-  (``closure.slots_used``), so a filter runs once per distinct key, not
-  once per row;
+  becomes one column mask; a range comparison of a variable with a number
+  or date constant (a :class:`~repro.sparql.compiler.RangeFilter`) over
+  a dictionary that ships order ranks becomes an interval test on the
+  gathered rank column, its bounds found once per execution by
+  :meth:`~repro.kb.segment.SegmentDictionary.first_rank`; everything
+  else is memoized per *distinct* value combination of the slots the
+  expression actually reads (``closure.slots_used``), so a filter runs
+  once per distinct key, not once per row;
 * ORDER BY sorts in rank space: every key becomes an int64 order-rank
   column (:mod:`repro.rdf.order`) — gathered from the rank column a
   segment dictionary ships for a plain-variable key, ranked over the
@@ -51,7 +55,7 @@ module's ``_np`` attribute to ``None``.
 
 **Observability** — operators publish ``sparql.columnar.*`` counters
 (batches, rows, row widths, per-strategy join counts, filter/ORDER memo
-hits, rows ranked from shipped ranks) into the engine's
+hits, rows filtered or ranked from shipped ranks) into the engine's
 :class:`repro.obs.metrics.MetricsRegistry`; see docs/observability.md.
 
 Correctness is pinned by the differential harness
@@ -89,6 +93,7 @@ from repro.sparql.compiler import (
     CompiledQuery,
     CompiledUnion,
     ExecContext,
+    RangeFilter,
     Row,
 )
 from repro.sparql.errors import SparqlError, SparqlTypeError
@@ -564,14 +569,64 @@ def filter_memoized(
     return batch.gather(keep)
 
 
-def apply_filters(
-    filters: Sequence, batch: ColumnBatch, width: int,
-    stats: MetricsRegistry | None = None, memo: dict | None = None,
+def rank_interval(dictionary, range_filter: RangeFilter) -> tuple[int, int]:
+    """The ranks ``[lo, hi)`` of the terms that pass a
+    :class:`~repro.sparql.compiler.RangeFilter`: the constant's kind,
+    cut at the constant (see :mod:`repro.rdf.order`).  Two rank searches."""
+    operator, key = range_filter.operator, range_filter.key
+    if operator in (">", ">="):
+        kind_end = dictionary.first_rank((key[0] + 1,))
+        return dictionary.first_rank(key, above=operator == ">"), kind_end
+    kind_start = dictionary.first_rank((key[0],))
+    return kind_start, dictionary.first_rank(key, above=operator == "<=")
+
+
+def filter_rank_interval(
+    batch: ColumnBatch,
+    slot: int,
+    interval: tuple[int, int],
+    ranks,
+    stats: MetricsRegistry | None = None,
 ) -> ColumnBatch:
+    """Keep the rows whose id in ``slot`` has a shipped order rank in
+    ``[lo, hi)``: no decode, no closure call.  An unbound cell gathers
+    rank -1, below every interval, so it fails the filter."""
+    lo, hi = interval
+    length = batch.length
+    _count(stats, "sparql.columnar.filter.rank_rows", length)
+    if lo >= hi:
+        return ColumnBatch.empty(batch.width)
+    column = gather_ranks(batch.columns[slot], ranks, length)
+    np = _np
+    if np is not None and isinstance(column, np.ndarray):
+        return batch.gather(np.nonzero((column >= lo) & (column < hi))[0])
+    return batch.gather(
+        [i for i, rank in enumerate(column) if lo <= rank < hi]
+    )
+
+
+def apply_filters(
+    filters: Sequence, batch: ColumnBatch, width: int, context: ExecContext
+) -> ColumnBatch:
+    """Apply a group's filters in turn, each by the cheapest exact path:
+    a rank interval, an id-equality mask, or the memoized closure."""
+    stats, memo = context.stats, context.filter_memo
+    dictionary = context.graph.dictionary
+    ranks = getattr(dictionary, "order_ranks", None)
     for closure in filters:
         if batch.length == 0:
             break
-        if (
+        range_filter = getattr(closure, "range_filter", None)
+        if range_filter is not None and ranks is not None:
+            interval = None if memo is None else memo.get(closure)
+            if interval is None:
+                interval = rank_interval(dictionary, range_filter)
+                if memo is not None:
+                    memo[closure] = interval
+            batch = filter_rank_interval(
+                batch, range_filter.slot, interval, ranks, stats
+            )
+        elif (
             getattr(closure, "slot", None) is not None
             and getattr(closure, "constant_box", None) is not None
         ):
@@ -674,10 +729,7 @@ def _run_group(
         if batch.length == 0:
             break
     if batch.length and group.filters:
-        batch = apply_filters(
-            group.filters, batch, plan.width, context.stats,
-            context.filter_memo,
-        )
+        batch = apply_filters(group.filters, batch, plan.width, context)
     return batch
 
 

@@ -18,7 +18,10 @@ once into a plan over the integer id space the dictionary-encoded
   :meth:`~repro.rdf.Graph.match_ids`;
 * FILTER / ORDER BY expressions compile once into closures over slot
   indices (:func:`compile_expression`) instead of re-walking the AST per
-  solution, with an id-level fast path for ``?var = <iri>`` equality;
+  solution, with an id-level fast path for ``?var = <iri>`` equality; a
+  top-level ``?var < 10`` against a number or date constant is also
+  tagged as a :class:`RangeFilter`, which the columnar engine tests in
+  order-rank space;
 * ids decode to Terms only at final projection, after DISTINCT collapsed
   duplicate id rows.
 
@@ -31,11 +34,12 @@ plans keyed on the (structurally hashable) AST — see docs/performance.md
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.rdf.graph import Graph
-from repro.rdf.terms import BNode, IRI, Term, Triple, Variable
+from repro.rdf.order import DATE_KIND, NUMBER_KIND, order_key
+from repro.rdf.terms import BNode, IRI, Literal, Term, Triple, Variable
 from repro.sparql.ast import (
     AskQuery,
     BGP,
@@ -80,8 +84,10 @@ class ExecContext:
     """Per-execution plumbing handed through the operator tree.
 
     ``filter_memo`` maps a compiled filter closure to its verdicts per
-    distinct id combination; executions that share one dict — every shard
-    of one scatter gather — evaluate each combination once.
+    distinct id combination, or a range filter's closure to its interval
+    of order ranks.  One dict serves one execution, or every shard of one
+    scatter gather, which then evaluates each combination and searches
+    each interval once; none outlives the query.
     """
 
     __slots__ = ("graph", "stats", "filter_memo")
@@ -321,6 +327,55 @@ def compile_expression(
     raise SparqlTypeError(f"cannot compile {type(expression).__name__}")
 
 
+#: ``c OP ?v`` reads as ``?v FLIPPED[OP] c``.
+_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+class RangeFilter(NamedTuple):
+    """A top-level FILTER ``?v OP c`` whose constant ``c`` is a number or
+    a date, with the variable normalised to the left.
+
+    The terms that pass it form one interval of order ranks (the
+    invariant stated in :mod:`repro.rdf.order`), so over a dictionary
+    that ships ranks the columnar engine keeps a row on
+    ``lo <= ranks[id] < hi`` without decoding a term.
+    """
+
+    slot: int
+    operator: str
+    key: tuple
+
+
+def _range_filter(
+    expression: Expression, slot_of: dict[Variable, int]
+) -> RangeFilter | None:
+    """The :class:`RangeFilter` form of a FILTER expression, or None when
+    it is not a range comparison of one bound variable with a number or
+    date constant (NaN and malformed constants have other kinds)."""
+    if not isinstance(expression, Comparison):
+        return None
+    operator = expression.operator
+    left, right = expression.left, expression.right
+    if operator not in _FLIPPED or not (
+        isinstance(left, TermExpr) and isinstance(right, TermExpr)
+    ):
+        return None
+    if isinstance(right.term, Variable):
+        left, right = right, left
+        operator = _FLIPPED[operator]
+    variable, constant = left.term, right.term
+    if not (isinstance(variable, Variable) and isinstance(constant, Literal)):
+        return None
+    slot = slot_of.get(variable)
+    try:
+        key = order_key(constant)
+    except ValueError:  # a gYear outside the years a date can hold
+        return None
+    if slot is None or key[0] not in (NUMBER_KIND, DATE_KIND):
+        return None
+    return RangeFilter(slot, operator, key)
+
+
 def _compile_id_equality(
     expression: Comparison, slot_of: dict[Variable, int]
 ) -> Valuation | None:
@@ -495,9 +550,11 @@ class CompiledQuery:
                 for triple in child.triples:
                     bound |= triple.variables()
             elif isinstance(child, Filter):
-                filters.append(
-                    self._register_filter(child.expression, decode)
-                )
+                closure = self._register_filter(child.expression, decode)
+                range_filter = _range_filter(child.expression, self.slot_of)
+                if range_filter is not None:
+                    closure.range_filter = range_filter  # type: ignore[attr-defined]
+                filters.append(closure)
             elif isinstance(child, OptionalPattern):
                 children.append(
                     CompiledOptional(

@@ -307,7 +307,7 @@ class SparqlEngine:
         return self._run_ask(query)
 
     def _execute_plan(self, plan: ColumnarQuery) -> SelectResult | AskResult:
-        context = ExecContext(self._graph, self._stats)
+        context = ExecContext(self._graph, self._stats, {})
         if self._scatter is not None:
             result = self._scatter.maybe_execute(plan, context)
             if result is not None:

@@ -146,8 +146,13 @@ def compare_values(operator: str, lhs: Any, rhs: Any) -> bool:
         raise SparqlTypeError("IRIs only support = and !=")
     lhs_value = _comparable(lhs)
     rhs_value = _comparable(rhs)
-    if isinstance(lhs_value, str) != isinstance(rhs_value, str) or (
-        isinstance(lhs_value, dt.date) != isinstance(rhs_value, dt.date)
+    # Strings, dates and booleans compare only within their own kind:
+    # SPARQL maps no operator from xsd:boolean to a number, although a
+    # Python bool is an int.
+    if (
+        isinstance(lhs_value, str) != isinstance(rhs_value, str)
+        or isinstance(lhs_value, dt.date) != isinstance(rhs_value, dt.date)
+        or isinstance(lhs_value, bool) != isinstance(rhs_value, bool)
     ):
         if operator == "=":
             return False

@@ -40,9 +40,9 @@ engine (:mod:`repro.sparql.columnar`), from shard to answer:
    tree on a :class:`~repro.sparql.columnar.ColumnBatch` over a
    single-shard view, in the calling thread; the dictionary is global,
    so constants and slot layouts resolve identically on every shard.
-   All shards of one gather share one filter-verdict memo: a compiled
-   filter reads only global ids, so its verdict for an id combination
-   is the same on every shard.
+   All shards of one gather share one filter memo: a compiled filter
+   reads only global ids, so its verdict for an id combination — and a
+   range filter's interval of order ranks — is the same on every shard.
 3. **Gather** — the coordinator concatenates the per-shard batches in
    shard order and shapes them with
    :meth:`ColumnarQuery._shape_select_batch` (ORDER BY keys sorted as
@@ -429,16 +429,16 @@ class ScatterGatherExecutor:
         kind, payload = spec
         if stats is not None:
             stats.inc("sparql.scatter.queries")
-        # One filter-verdict memo for every shard of this gather.
-        memo: dict = {}
         if kind == "twostar":
             return self._execute_semijoin(
-                backend, plan, payload, context, stats, memo
+                backend, plan, payload, context, stats
             )
         if stats is not None and kind == "object":
             stats.inc("sparql.scatter.object_queries")
+        # The execution's filter memo serves every shard of this gather.
         batch = self._gather(
-            backend, plan, kind, stats=stats, ask=plan.is_ask, memo=memo
+            backend, plan, kind, stats=stats, ask=plan.is_ask,
+            memo=context.filter_memo,
         )
         if stats is not None:
             stats.inc("sparql.scatter.rows_gathered", batch.length)
@@ -516,11 +516,11 @@ class ScatterGatherExecutor:
         sliced: TwoStarSlice,
         context: ExecContext,
         stats: MetricsRegistry | None,
-        memo: dict,
     ) -> SelectResult | AskResult:
         if stats is not None:
             stats.inc("sparql.scatter.semijoin.queries")
         graph = context.graph
+        memo = context.filter_memo
         star_plans = [
             self._local_plan(backend, star.query) for star in sliced.stars
         ]
@@ -630,7 +630,7 @@ class ScatterGatherExecutor:
                 [plan.root.filters[index] for index in sliced.residual],
                 joined,
                 plan.width,
-                stats,
+                ExecContext(graph, stats, memo),
             )
         if stats is not None:
             stats.inc(

@@ -89,6 +89,29 @@ class TestEvaluate:
         )
         assert evaluate(expr, {}) is True
 
+    @pytest.mark.parametrize("operator", ["<", "<=", ">", ">="])
+    @pytest.mark.parametrize("flipped", [False, True])
+    def test_boolean_vs_number_ordering_is_error(self, operator, flipped):
+        # SPARQL 1.1 maps no operator from xsd:boolean to a number,
+        # although a Python bool is an int.
+        sides = [lit("true", datatype=XSD.boolean.value), num(0)]
+        if flipped:
+            sides.reverse()
+        with pytest.raises(SparqlTypeError):
+            evaluate(Comparison(operator, *sides), {})
+
+    @pytest.mark.parametrize("value", [0, 1, 1.0])
+    def test_boolean_vs_number_equality_is_false(self, value):
+        true = lit("true", datatype=XSD.boolean.value)
+        assert evaluate(Comparison("=", true, num(value)), {}) is False
+        assert evaluate(Comparison("!=", num(value), true), {}) is True
+
+    def test_booleans_order_among_themselves(self):
+        true = lit("true", datatype=XSD.boolean.value)
+        false = lit("false", datatype=XSD.boolean.value)
+        assert evaluate(Comparison(">", true, false), {}) is True
+        assert evaluate(Comparison("=", true, true), {}) is True
+
     def test_and_short_circuit_absorbs_error(self):
         # false && error -> false (three-valued logic)
         expr = BooleanOp("&&", Comparison("=", num(1), num(2)), var("missing"))

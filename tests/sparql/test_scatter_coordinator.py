@@ -174,20 +174,21 @@ class TestResidualFilters:
 @pytest.mark.usefixtures("force_fanout")
 class TestSharedFilterMemo:
     """A pushed-down filter reads global dictionary ids only, so one
-    verdict per distinct id serves every shard of the gather."""
+    verdict per distinct id serves every shard of the gather.  The
+    filters compare with ``!=``, a shape the rank path does not take."""
 
     @pytest.mark.parametrize(
         "text",
         [
             # subject star, filter on the only non-subject variable
             "SELECT ?x WHERE { ?x ex:age ?a . ?x ex:livesIn ?c . "
-            "FILTER(?a > 2) } ORDER BY ?x",
+            "FILTER(?a != 3) } ORDER BY ?x",
             # two-star, filter pushed into the ?x star
             "SELECT ?x ?y WHERE { ?x ex:age ?a . ?x ex:knows ?y . "
-            "?y ex:livesIn ?c . FILTER(?a > 2) } ORDER BY ?x ?y",
+            "?y ex:livesIn ?c . FILTER(?a != 3) } ORDER BY ?x ?y",
             # two-star, filter pushed into the ?y star
             "SELECT ?x ?y WHERE { ?x ex:knows ?y . ?y ex:age ?b . "
-            "FILTER(?b <= 4) } ORDER BY ?x ?y",
+            "FILTER(?b != 4) } ORDER BY ?x ?y",
         ],
     )
     def test_each_distinct_id_evaluated_once(self, backend, oracle, text):
@@ -200,6 +201,20 @@ class TestSharedFilterMemo:
         # 7 distinct ages across 4 shards: a memo per shard would
         # evaluate up to 28 times.
         assert 0 < counters["sparql.columnar.filter.evaluated"] <= AGES
+
+    def test_range_filter_tests_ranks_and_calls_no_closure(
+        self, backend, oracle
+    ):
+        query = parse_query(
+            PREFIX + "SELECT ?x WHERE { ?x ex:age ?a . ?x ex:livesIn ?c . "
+            "FILTER(?a > 2) } ORDER BY ?x"
+        )
+        engine, __, stats = _engine(backend)
+        assert engine.query(query).rows == oracle.query(query).rows
+        counters = _counters(stats)
+        assert counters["sparql.scatter.queries"] == 1
+        assert counters["sparql.columnar.filter.rank_rows"] > 0
+        assert counters.get("sparql.columnar.filter.evaluated", 0) == 0
 
 
 class TestFanoutGate:
