@@ -293,8 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     soak.add_argument("--segmented", action="store_true",
                       help="serve from an on-disk segment directory: the "
                            "worker threads share one mmap'd SegmentedBackend "
-                           "and one scatter executor (peak RSS and scatter "
-                           "traffic reported)")
+                           "(peak RSS reported)")
     soak.add_argument("--json", metavar="PATH",
                       help="write the machine-readable soak report")
     return parser
@@ -568,8 +567,8 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         with tempfile.TemporaryDirectory() as tmp:
             if args.segmented:
                 # One segment directory, shared by every serving worker
-                # (and the hot-reload twin) through one mmap'd backend +
-                # scatter executor — the shared-segment serving mode.
+                # (and the hot-reload twin) through one mmap'd backend —
+                # the shared-segment serving mode.
                 from repro.kb import build_segments
 
                 segment_dir = os.path.join(tmp, "segments")
@@ -604,8 +603,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             "post_soak_identical": report.post_soak_identical,
             "shared_segments": report.shared_segments,
             "peak_rss_mb": report.peak_rss_mb,
-            "scatter_queries": report.scatter_queries,
-            "scatter_local_queries": report.scatter_local_queries,
             "ok": report.ok,
         }
         with open(args.json, "w", encoding="utf-8") as handle:

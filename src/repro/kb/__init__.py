@@ -28,7 +28,6 @@ from repro.kb.segment import SegmentError, SegmentIntegrityError
 from repro.kb.shard import (
     DEFAULT_SHARDS,
     SegmentedBackend,
-    ShardResultCache,
     build_segments,
     shard_of_object,
     shard_of_subject,
@@ -59,6 +58,5 @@ __all__ = [
     "build_segments",
     "shard_of_subject",
     "shard_of_object",
-    "ShardResultCache",
     "DEFAULT_SHARDS",
 ]

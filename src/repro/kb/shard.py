@@ -14,15 +14,9 @@ query layer leans on:
 
 Alongside the subject partition the builder writes a **secondary
 object-hash partition** (``oshard_NNN.seg``): the same triples,
-repartitioned by a mixed hash of the **object id**.  That gives the two
-mirror properties for the POS/OSP side of the index:
-
-* an object-bound scan (``s`` free) touches exactly **one** object shard
-  (:func:`shard_of_object` routes it — no merge across the subject
-  shards), and
-* every solution of an object-star BGP (all patterns sharing one object
-  variable) lives entirely inside one object shard, so predicate-bound
-  stars fan out per shard exactly like subject stars do.
+repartitioned by a mixed hash of the **object id**, so an object-bound
+scan or count (``s`` free) touches exactly **one** object shard
+(:func:`shard_of_object` routes it — no merge across the subject shards).
 
 :class:`SegmentedBackend` serves the :class:`repro.kb.backend.KBBackend`
 protocol from such a directory: the dictionary and the shard columns stay
@@ -32,26 +26,19 @@ into one deterministic globally sorted scan (``heapq.merge`` over tuple
 streams; one stable sort of the concatenated runs over column scans),
 and counts are sums of per-shard range subtractions.  Directories
 written before the secondary partition existed (no ``object_shards``
-manifest key) still open and serve; only the object-routing fast paths
-stay off.
+manifest key) still open and serve; only the object routing stays off.
 
 The builder also derives, once, what a server would otherwise rebuild
 from the triples at every start: the KB's lookup indexes and the mined
 PATTY pattern store.  They ship beside the shards as checksummed
 resource files (:mod:`repro.kb.segment`), and
 :meth:`SegmentedBackend.shipped_resource` serves them on demand.
-
-:class:`ShardResultCache` is the per-shard result cache the scatter layer
-(:mod:`repro.sparql.scatter`) keys on a *cache generation*: entries are
-only served while the stamp matches, so a hot KB reload (which bumps the
-owning executor's generation) empties every shard cache at once.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
-import threading
 import time
 from typing import Iterator
 
@@ -542,23 +529,6 @@ class SegmentedBackend(KBBackend):
         against (:mod:`repro.sparql.scatter`)."""
         return BackendGraph(_SingleShardBackend(self, index))
 
-    def object_shard_view(self, index: int) -> BackendGraph:
-        """Like :meth:`shard_view`, restricted to one shard of the
-        secondary object-hash partition."""
-        return BackendGraph(_SingleShardBackend(self, index, partition="object"))
-
-    def partition_view(self, kind: str, index: int) -> BackendGraph:
-        """Dispatch to :meth:`shard_view` / :meth:`object_shard_view` by
-        partition kind (``"subject"`` or ``"object"``)."""
-        if kind == "object":
-            return self.object_shard_view(index)
-        return self.shard_view(index)
-
-    def partition_count(self, kind: str) -> int:
-        return (
-            self.object_shard_count if kind == "object" else self.shard_count
-        )
-
 
 def _merge_runs(runs: list, s: int | None, p: int | None, o: int | None):
     """One column scan from the shards' runs of one pattern shape, in the
@@ -589,24 +559,18 @@ def _merge_runs(runs: list, s: int | None, p: int | None, o: int | None):
 
 
 class _SingleShardBackend(KBBackend):
-    """One shard of a :class:`SegmentedBackend` behind the same protocol.
+    """One subject shard of a :class:`SegmentedBackend` behind the same
+    protocol.
 
     Shares the parent's (global-id) dictionary, so id-space plans and
     filter constants resolved against any view agree across shards.
-    ``partition`` selects the subject-hash (primary) or object-hash
-    (secondary) partition.
     """
 
-    def __init__(
-        self, parent: SegmentedBackend, index: int, partition: str = "subject"
-    ) -> None:
+    def __init__(self, parent: SegmentedBackend, index: int) -> None:
         self._parent = parent
         self._index = index
-        self._partition = partition
 
     def _shard(self) -> SegmentShard:
-        if self._partition == "object":
-            return self._parent.object_shard(self._index)
         return self._parent.shard(self._index)
 
     def open(self) -> "_SingleShardBackend":
@@ -653,67 +617,7 @@ class _SingleShardBackend(KBBackend):
         return len(self._shard())
 
     def fingerprint(self) -> dict:
-        return dict(
-            self._parent.fingerprint(),
-            shard=self._index,
-            partition=self._partition,
-        )
+        return dict(self._parent.fingerprint(), shard=self._index)
 
     def stats(self) -> dict:
-        return {
-            "kind": "segments.shard",
-            "shard": self._index,
-            "partition": self._partition,
-        }
-
-
-class ShardResultCache:
-    """A small generation-stamped LRU of per-shard result batches.
-
-    The *stamp* is whatever hashable token the owner uses to mark the
-    cache's validity epoch (the scatter executor uses its backend
-    fingerprint token plus a reload generation).  A :meth:`get` or
-    :meth:`put` under a different stamp empties the cache first, so a hot
-    KB reload — which changes the stamp — invalidates every entry at once
-    without touching each cache.  Thread-safe: serving workers share one
-    executor and therefore one cache per shard.
-    """
-
-    def __init__(self, maxsize: int = 256) -> None:
-        if maxsize < 1:
-            raise ValueError(f"cache maxsize must be >= 1, got {maxsize}")
-        self._maxsize = maxsize
-        self._stamp: object = None
-        self._data: dict = {}
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-    def _sync_stamp(self, stamp: object) -> None:
-        if stamp != self._stamp:
-            self._data.clear()
-            self._stamp = stamp
-
-    def get(self, stamp: object, key: object):
-        """The cached value, or ``None`` on miss / stale stamp."""
-        with self._lock:
-            self._sync_stamp(stamp)
-            value = self._data.pop(key, None)
-            if value is not None:
-                self._data[key] = value  # re-insert: LRU order is dict order
-            return value
-
-    def put(self, stamp: object, key: object, value: object) -> None:
-        with self._lock:
-            self._sync_stamp(stamp)
-            self._data.pop(key, None)
-            self._data[key] = value
-            while len(self._data) > self._maxsize:
-                self._data.pop(next(iter(self._data)))
-
-    def invalidate(self) -> None:
-        with self._lock:
-            self._data.clear()
-            self._stamp = None
+        return {"kind": "segments.shard", "shard": self._index}

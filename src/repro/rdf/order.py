@@ -23,7 +23,8 @@ kind and ``order_key(t) OP order_key(c)``:
   strings, booleans, IRIs and blank nodes, and numbers against dates;
 * NaN compares false against everything, and has a kind of its own;
 * a malformed number or date is a type error there, and ranks among the
-  other literals by its lexical form;
+  other literals by its lexical form (a gYear outside the years 1-9999,
+  which no date can hold, counts as malformed);
 * values equal across datatypes share a key (``2.5``, ``2.50`` and
   ``2.5E0``; ``-0.0`` and ``0``; a date and a dateTime on that day).
 
@@ -80,7 +81,7 @@ def order_key(value: Any) -> tuple[int, Any]:
                 return (DATE_KIND, native.date().toordinal())
             if isinstance(native, dt.date):
                 return (DATE_KIND, native.toordinal())
-            if isinstance(native, int):
+            if isinstance(native, int) and dt.MINYEAR <= native <= dt.MAXYEAR:
                 return (DATE_KIND, dt.date(native, 1, 1).toordinal())
         return (LITERAL_KIND, value.lexical)
     return (OTHER_KIND, str(value))

@@ -27,6 +27,11 @@ Hot KB reload: :meth:`ResilientServer.hot_reload` swaps the entire system
 reference atomically.  Workers read the reference once per request, so
 in-flight requests finish against the system they started on — no torn
 reads — and the next dequeue picks up the new one.
+
+A system over a segment directory is served like any other: its queries
+run on the single-process engine, whose routed scans already touch one
+shard, and every worker shares the one mmap'd
+:class:`~repro.kb.shard.SegmentedBackend` the system was built over.
 """
 
 from __future__ import annotations
@@ -37,14 +42,12 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 
 from repro.core.system import Answer, QuestionAnsweringSystem
-from repro.kb.shard import SegmentedBackend
 from repro.obs.metrics import MetricsRegistry
 from repro.reliability.budgets import Deadline
 from repro.reliability.errors import InternalError, StageError
 from repro.serve.errors import Overloaded, ServerClosed
 from repro.serve.guard import StageGuard
 from repro.serve.snapshot import load_snapshot, save_snapshot
-from repro.sparql.scatter import ScatterGatherExecutor
 
 
 def peak_rss_mb() -> float | None:
@@ -99,13 +102,6 @@ class ServerConfig:
     #: half-open probe is allowed).
     breaker_failure_threshold: int = 5
     breaker_recovery_s: float = 5.0
-    #: Shard-parallel execution over segmented KBs: when the served
-    #: system's backend is a :class:`~repro.kb.shard.SegmentedBackend`,
-    #: the server installs one shared
-    #: :class:`~repro.sparql.scatter.ScatterGatherExecutor` (one scatter
-    #: executor + one set of per-shard result caches for all worker
-    #: threads, kept across hot reloads via ``rebind``).
-    enable_scatter: bool = True
 
     def __post_init__(self) -> None:
         if self.shed_policy not in SHED_POLICIES:
@@ -148,11 +144,6 @@ class ResilientServer:
             stats=self._stats,
         )
         system.install_stage_guard(self._guard)
-        #: One scatter executor shared by every worker thread (and every
-        #: hot-reloaded system over the same segments): one mapped segment
-        #: directory, one set of shard caches.
-        self._scatter: ScatterGatherExecutor | None = None
-        self._wire_scatter(system)
         #: Swapped atomically by :meth:`hot_reload`; workers read it once
         #: per request.
         self._system = system
@@ -272,37 +263,13 @@ class ResilientServer:
 
     # -- warm state & hot reload ---------------------------------------
 
-    def _wire_scatter(self, system: QuestionAnsweringSystem) -> None:
-        """Install (or rebind) the shared scatter executor on ``system``.
-
-        Only systems over a :class:`SegmentedBackend` get one; in-memory
-        systems keep plain execution.  On hot reload the *same* executor
-        rebinds to the new system's backend; the rebind's generation bump
-        empties every per-shard result cache (stale cached rows can never
-        serve the reloaded KB).
-        """
-        if not self._config.enable_scatter:
-            return
-        backend = getattr(system.kb, "backend", None)
-        if not isinstance(backend, SegmentedBackend):
-            return
-        if self._scatter is None:
-            self._scatter = ScatterGatherExecutor(backend, stats=self._stats)
-        else:
-            self._scatter.rebind(backend)
-        system.kb.engine.install_scatter(self._scatter)
-
     def hot_reload(self, system: QuestionAnsweringSystem) -> None:
         """Swap in a new system (e.g. over a rebuilt KB) under live load.
 
         The stage guard moves to the new system; the reference swap is
         atomic, in-flight requests finish on the system they started on.
-        The shared scatter executor rebinds to the new system's backend
-        (invalidating every per-shard result cache) before the swap, so
-        no request ever sees the new system with stale shard state.
         """
         system.install_stage_guard(self._guard)
-        self._wire_scatter(system)
         self._system = system
         self._stats.inc("serve.reloads")
 
@@ -311,14 +278,8 @@ class ResilientServer:
         return save_snapshot(self._system, path)
 
     def restore_snapshot(self, path) -> dict[str, int]:
-        """Load a warm-state snapshot into the current system.
-
-        The snapshot's own KB fingerprint check decides acceptance.  The
-        scatter executor needs no check here: it declines every plan whose
-        graph is not over the backend it is bound to
-        (``sparql.scatter.foreign_graph_fallbacks``), so restored answers
-        never mix with another KB's shards.
-        """
+        """Load a warm-state snapshot into the current system; the
+        snapshot's own KB fingerprint check decides acceptance."""
         return load_snapshot(self._system, path)
 
     @property
@@ -328,11 +289,6 @@ class ResilientServer:
     @property
     def guard(self) -> StageGuard:
         return self._guard
-
-    @property
-    def scatter(self) -> ScatterGatherExecutor | None:
-        """The shared scatter executor (``None`` for in-memory systems)."""
-        return self._scatter
 
     # -- lifecycle ------------------------------------------------------
 
@@ -366,8 +322,6 @@ class ResilientServer:
                     item.question,
                     ServerClosed("server stopped before the request ran"),
                 )
-        if self._scatter is not None:
-            self._scatter.close()
 
     def __enter__(self) -> "ResilientServer":
         return self
@@ -392,9 +346,6 @@ class ResilientServer:
             "serve.degraded_queue.depth", self._degraded_queue.qsize()
         )
         registry.set_gauge("serve.workers", self._config.workers)
-        registry.set_gauge(
-            "serve.scatter.installed", 1 if self._scatter is not None else 0
-        )
         rss = peak_rss_mb()
         if rss is not None:
             registry.set_gauge("serve.replica.peak_rss_mb", rss)

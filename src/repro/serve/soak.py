@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 from repro.core.config import PipelineConfig
 from repro.core.system import Answer, QuestionAnsweringSystem
 from repro.kb.builder import KnowledgeBase
+from repro.kb.shard import SegmentedBackend
 from repro.qald.devset import load_dev_questions
 from repro.reliability.faults import FaultInjector, FaultSpec
 from repro.serve.errors import SnapshotError
@@ -98,17 +99,12 @@ class SoakReport:
     violations: list[str] = field(default_factory=list)
     post_soak_identical: bool = False
     metrics: dict = field(default_factory=dict)
-    #: Whether the serving workers shared one segment directory + scatter
-    #: executor (segmented KB), and this replica's peak resident set — the
-    #: measured form of the "no per-replica heap copy" claim.
+    #: Whether the served KB's backend is a segment directory (every
+    #: worker shares its one mmap'd backend), and this replica's peak
+    #: resident set — the measured form of the "no per-replica heap copy"
+    #: claim.
     shared_segments: bool = False
     peak_rss_mb: float | None = None
-    #: Scatter traffic under load (the server's ``sparql.scatter.*``
-    #: counters when the drive loop ends): queries answered by per-shard
-    #: fan-out, and partitionable queries the fan-out gate ran
-    #: single-process because they were too small to fan out.
-    scatter_queries: int = 0
-    scatter_local_queries: int = 0
 
     @property
     def ok(self) -> bool:
@@ -126,15 +122,12 @@ class SoakReport:
             "chaos events: "
             + ", ".join(f"{k}={v}" for k, v in sorted(self.chaos_events.items())),
             f"post-soak control answers identical: {self.post_soak_identical}",
-            f"shared segments + scatter executor: {self.shared_segments}"
+            f"shared segments: {self.shared_segments}"
             + (
                 f", replica peak RSS {self.peak_rss_mb} MiB"
                 if self.peak_rss_mb is not None
                 else ""
             ),
-            f"scatter queries: {self.scatter_queries} fanned out, "
-            f"{self.scatter_local_queries} run single-process below the "
-            f"fan-out gate",
         ]
         lines.extend(f"VIOLATION: {v}" for v in self.violations)
         return "\n".join(lines)
@@ -175,7 +168,7 @@ def run_soak(
         )
     server = ResilientServer(system, server_config)
     report = SoakReport(duration_s=duration_s)
-    report.shared_segments = server.scatter is not None
+    report.shared_segments = isinstance(kb.backend, SegmentedBackend)
     events = report.chaos_events
     in_flight: list[tuple[str, bool, Future]] = []
     storm_size = server_config.breaker_failure_threshold + (1 if quick else 3)
@@ -274,11 +267,6 @@ def run_soak(
     faults.disarm()
     server.guard.reset()
     server.stop()
-    counters = server.metrics()["counters"]
-    report.scatter_queries = counters.get("sparql.scatter.queries", 0)
-    report.scatter_local_queries = counters.get(
-        "sparql.scatter.local_queries", 0
-    )
     report.post_soak_identical = all(
         answer_signature(system.answer(text)) == clean[text] for text in controls
     )

@@ -30,7 +30,6 @@ from repro.sparql.parser import parse_query
 from repro.sparql.results import AskResult, SelectResult
 from repro.sparql.scatter import (
     ScatterGatherExecutor,
-    object_partition_variable,
     partition_spec,
     partition_variable,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "ColumnBatch",
     "ScatterGatherExecutor",
     "partition_variable",
-    "object_partition_variable",
     "partition_spec",
     "parse_query",
     "serialize_query",

@@ -367,10 +367,7 @@ def _range_filter(
     if not (isinstance(variable, Variable) and isinstance(constant, Literal)):
         return None
     slot = slot_of.get(variable)
-    try:
-        key = order_key(constant)
-    except ValueError:  # a gYear outside the years a date can hold
-        return None
+    key = order_key(constant)
     if slot is None or key[0] not in (NUMBER_KIND, DATE_KIND):
         return None
     return RangeFilter(slot, operator, key)
@@ -677,15 +674,11 @@ class StarSlice:
     variables the star binds.
     """
 
-    __slots__ = ("variable", "query", "names")
+    __slots__ = ("query", "names")
 
     def __init__(
-        self,
-        variable: Variable,
-        triples: tuple[Triple, ...],
-        filters: tuple = (),
+        self, triples: tuple[Triple, ...], filters: tuple = ()
     ) -> None:
-        self.variable = variable
         self.names = tuple(
             sorted(
                 {
@@ -787,8 +780,8 @@ def slice_two_star(query: SelectQuery | AskQuery) -> TwoStarSlice | None:
         else:
             residual.append(position)
     stars = tuple(
-        StarSlice(subject, star_triples[index], tuple(star_filters[index]))
-        for index, subject in enumerate(subjects)
+        StarSlice(group, tuple(filters))
+        for group, filters in zip(star_triples, star_filters)
     )
     sliced = TwoStarSlice(stars, tuple(residual))  # type: ignore[arg-type]
     if not sliced.join_names:

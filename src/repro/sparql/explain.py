@@ -44,7 +44,7 @@ def explain(graph: Graph, query: str | SelectQuery | AskQuery) -> str:
         lines.append("SELECT plan")
         where = query.where
     else:
-        lines.append("ASK plan (stops at first solution)")
+        lines.append("ASK plan")
         where = query.where
     _explain_group(graph, where, lines, indent="", bound=set())
     if isinstance(query, SelectQuery):

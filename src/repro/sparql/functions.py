@@ -113,8 +113,8 @@ def _comparable(term: Any) -> Any:
             value = literal_value(term)
             if isinstance(value, dt.datetime):
                 return value.date()
-            if isinstance(value, int):  # gYear
-                return dt.date(value, 1, 1)
+            if isinstance(value, int) and dt.MINYEAR <= value <= dt.MAXYEAR:
+                return dt.date(value, 1, 1)  # gYear
             if isinstance(value, dt.date):
                 return value
             raise SparqlTypeError(f"malformed date literal {term.n3()}")

@@ -1,33 +1,25 @@
 """Scatter-gather execution of compiled plans over KB segment shards.
 
-The :class:`~repro.kb.shard.SegmentedBackend` partitions triples twice —
-by a hash of the **subject id** (primary) and, in directories that carry
-the secondary partition, by a hash of the **object id** — which gives
-three classes of queries a parallel decomposition with no cross-shard
-deduplication:
+The :class:`~repro.kb.shard.SegmentedBackend` partitions triples by a
+hash of the **subject id**, which gives two classes of queries a
+decomposition over its shards with no cross-shard deduplication:
 
 * **subject-star** — every triple pattern's subject is the same variable.
   A solution binds that variable to one id whose triples all live in one
   subject shard, so per-shard execution partitions the global solution
   set exactly.
-* **object-star** — every pattern's object is the same variable; the
-  mirror argument holds over the object-hash partition.  This is the
-  POS-order routing path: predicate-bound patterns (``?s dbo:p ?v``
-  stars on ``?v``) partition by object hash instead of falling back to
-  the merged scan.
 * **two-star** — a flat conjunction whose subjects form exactly two
-  variables with at least one shared variable.  Executed by **semi-join
-  shipping**: the more selective star (by minimum pattern count) runs per
-  shard first; the distinct id-tuples of its join variables are then
-  *shipped* to the other star's shards — routed to the one owning shard
-  when the second star's subject is itself a join variable, broadcast as
-  a per-shard semi-join filter otherwise.  The coordinator hash-joins the
-  two batches into the full plan's slot layout and applies only the
-  **residual** filters (cross-star or variable-free ones; every other
-  filter was pushed into a star by :func:`slice_two_star` and already
-  held on the same bindings) before shaping the result.  Because BGP
-  solutions over a set-graph are sets of assignments, the natural join
-  of the two stars' solution sets *is* the full query's solution
+  variables with at least one shared variable.  Executed as a semi-join:
+  the more selective star (by minimum pattern count) runs per shard
+  first, and the distinct id-tuples of its join variables are
+  *broadcast* to every shard of the other star as a per-shard key filter
+  (exact whichever positions the join variables take).  The coordinator
+  hash-joins the two batches into the full plan's slot layout and applies
+  only the **residual** filters (cross-star or variable-free ones; every
+  other filter was pushed into a star by :func:`slice_two_star` and
+  already held on the same bindings) before shaping the result.  Because
+  BGP solutions over a set-graph are sets of assignments, the natural
+  join of the two stars' solution sets *is* the full query's solution
   multiset — no multiplicity correction needed.
 
 :class:`ScatterGatherExecutor` runs the decomposition on the columnar
@@ -53,13 +45,12 @@ engine (:mod:`repro.sparql.columnar`), from shard to answer:
    contract).
    DISTINCT, OFFSET/LIMIT and aggregates see the complete solution set.
 
-Per-shard results are cached in generation-stamped
-:class:`~repro.kb.shard.ShardResultCache` instances, one per shard,
-holding the batch itself (safe because operators never mutate a
-column).  The stamp combines the backend's content fingerprint with the
-executor's reload generation: :meth:`ScatterGatherExecutor.rebind` —
-called on every hot KB reload — bumps the generation, so one reload
-empties every shard cache at once (``kb.shard_cache.*`` counters).
+Each shard keeps one :class:`~repro.perf.lru.LRUCache` of its result
+batches (safe to share because operators never mutate a column), keyed
+on the query and the broadcast key set.  An executor serves one
+immutable backend for its whole life, so a cached batch never goes
+stale; :meth:`ScatterGatherExecutor.invalidate_caches` drops every
+shard cache to measure cold execution (``kb.shard_cache.*`` counters).
 
 Queries outside the partitionable fragment (OPTIONAL, UNION, nested
 groups, three or more stars, disconnected stars, unordered LIMIT/OFFSET,
@@ -76,11 +67,7 @@ import threading
 from array import array
 from itertools import chain
 
-from repro.kb.shard import (
-    SegmentedBackend,
-    ShardResultCache,
-    shard_of_subject,
-)
+from repro.kb.shard import SegmentedBackend
 from repro.obs.metrics import MetricsRegistry
 from repro.perf.lru import LRUCache
 from repro.rdf.terms import Variable
@@ -89,7 +76,6 @@ from repro.sparql.ast import BGP, Filter, TermExpr
 from repro.sparql.columnar import ColumnarQuery, ColumnBatch
 from repro.sparql.compiler import (
     HASH_JOIN_MIN_ROWS,
-    UNBOUND,
     ExecContext,
     TwoStarSlice,
     slice_two_star,
@@ -103,7 +89,7 @@ from repro.sparql.results import AskResult, SelectResult
 #: hash join — too little work to pay for one plan run per shard).
 FANOUT_MIN_ROWS = HASH_JOIN_MIN_ROWS
 
-#: Entries per shard result cache (one cache per shard and partition).
+#: Entries per shard result cache (one cache per shard).
 SHARD_CACHE_SIZE = 256
 
 
@@ -134,18 +120,6 @@ def _slice_deterministic(query) -> bool:
     )
 
 
-def _flat_triples(query):
-    """The triples of a flat BGP/FILTER conjunction, or ``None`` when the
-    WHERE clause contains any other pattern kind."""
-    triples = []
-    for child in query.where.patterns:
-        if isinstance(child, BGP):
-            triples.extend(child.triples)
-        elif not isinstance(child, Filter):
-            return None
-    return triples
-
-
 def partition_variable(query) -> Variable | None:
     """The shared subject variable, when ``query`` is shard-partitionable.
 
@@ -160,7 +134,12 @@ def partition_variable(query) -> Variable | None:
     """
     if not _slice_deterministic(query):
         return None
-    triples = _flat_triples(query)
+    triples = []
+    for child in query.where.patterns:
+        if isinstance(child, BGP):
+            triples.extend(child.triples)
+        elif not isinstance(child, Filter):
+            return None
     if not triples:
         return None
     subject = triples[0].subject
@@ -172,45 +151,15 @@ def partition_variable(query) -> Variable | None:
     return subject
 
 
-def object_partition_variable(query) -> Variable | None:
-    """The shared object variable, when ``query`` is an object-star.
-
-    The mirror of :func:`partition_variable` over the secondary
-    object-hash partition: every triple pattern's object must be the same
-    variable.  A solution binds it to one object id, and all the
-    solution's triples carry that id as object — so they live in exactly
-    one object shard, and per-shard fan-out partitions the solution set.
-    """
-    if not _slice_deterministic(query):
-        return None
-    triples = _flat_triples(query)
-    if not triples:
-        return None
-    obj = triples[0].object
-    if not isinstance(obj, Variable):
-        return None
-    for triple in triples:
-        if triple.object != obj:
-            return None
-    return obj
-
-
-def partition_spec(query, object_shards: bool = True):
+def partition_spec(query):
     """Classify ``query`` for scatter execution.
 
-    Returns ``("subject", Variable)``, ``("object", Variable)``,
-    ``("twostar", TwoStarSlice)``, or ``None`` (not partitionable).
-    Subject stars win over object stars (the primary partition needs no
-    secondary files); ``object_shards=False`` disables the object-star
-    class (directories written without the secondary partition).
+    Returns ``("subject", Variable)``, ``("twostar", TwoStarSlice)``, or
+    ``None`` (not partitionable).
     """
     variable = partition_variable(query)
     if variable is not None:
         return ("subject", variable)
-    if object_shards:
-        variable = object_partition_variable(query)
-        if variable is not None:
-            return ("object", variable)
     if not _slice_deterministic(query):
         return None
     sliced = slice_two_star(query)
@@ -249,33 +198,22 @@ def _keys_token(keys) -> object:
 def _execute_shard(
     plan: ColumnarQuery,
     view,
-    seeds=None,
     keys=None,
     stats: MetricsRegistry | None = None,
     memo: dict | None = None,
 ) -> ColumnBatch:
     """Run a compiled plan's operator tree over one shard view, columnar.
 
-    ``seeds`` — optional ``(variable_name, ids)`` pair: the run starts
-    from a seed batch with one row per id, that variable pre-bound
-    (semi-join shipping routed the ids to this shard).  ``keys`` —
-    optional ``(names, keyset)`` broadcast filter: only rows whose id
-    tuple over the named slots is in the set survive (per-shard
+    ``keys`` — optional ``(names, keyset)`` broadcast filter: only rows
+    whose id tuple over the named slots is in the set survive (per-shard
     semi-join).  ``memo`` is the gather's shared filter-verdict memo.
     Returns the slot-aligned batch, no result shaping.
     """
     plan._resolve(view)
-    if seeds is None:
-        batch = ColumnBatch.seed(plan.width)
-    else:
-        name, ids = seeds
-        # Sharing one all-UNBOUND column across slots is safe: operators
-        # never mutate a column in place, they only build fresh arrays.
-        columns = [array("q", (UNBOUND,)) * len(ids)] * plan.width
-        columns[plan.slot_by_name[name]] = array("q", ids)
-        batch = ColumnBatch(plan.width, columns, len(ids))
     context = ExecContext(view, stats, memo)
-    batch = columnar._run_node(plan.root, context, batch, plan)
+    batch = columnar._run_node(
+        plan.root, context, ColumnBatch.seed(plan.width), plan
+    )
     if keys is not None and batch.length:
         names, keyset = keys
         key_columns = [batch.columns[plan.slot_by_name[n]] for n in names]
@@ -297,14 +235,11 @@ class ScatterGatherExecutor:
     deterministic.  ``processes`` accepts only ``0`` (inline), the one
     execution mode.
 
-    One executor may be shared by many engines and serving threads (the
-    :class:`repro.serve.ResilientServer` workers share one over one
-    mapped segment directory): cache bookkeeping is lock-protected, and
-    :meth:`rebind` atomically points the executor at a reloaded backend
-    while invalidating every per-shard result cache via the generation
-    stamp.  Each call reads the backend once and runs on it to the end,
-    so a rebind that lands mid-gather never mixes two backends' shards
-    into one answer.
+    An executor serves the one backend it was built over.  Many engines
+    and threads may share it (every cached shard batch with them): cache
+    bookkeeping is lock-protected, and an engine over another backend (or
+    over an in-heap graph) is declined plan by plan
+    (``sparql.scatter.foreign_graph_fallbacks``).
     """
 
     def __init__(
@@ -321,21 +256,10 @@ class ScatterGatherExecutor:
         self._backend = backend
         self._stats = stats
         self._plans = LRUCache(DEFAULT_CACHE_SIZE)
-        self._caches: dict = {}
-        self._generation = 0
+        self._caches: dict[int, LRUCache] = {}
         self._lock = threading.Lock()
 
     # -- lifecycle -----------------------------------------------------
-
-    @property
-    def backend(self) -> SegmentedBackend:
-        return self._backend
-
-    @property
-    def generation(self) -> int:
-        """Cache epoch: bumped by every :meth:`rebind` /
-        :meth:`invalidate_caches`."""
-        return self._generation
 
     def close(self) -> None:
         """Release the per-shard result caches and the plan LRU.
@@ -350,48 +274,30 @@ class ScatterGatherExecutor:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def rebind(self, backend: SegmentedBackend) -> None:
-        """Point the executor at a (possibly reloaded) backend.
-
-        Called by the serving layer on every hot KB reload.  Bumps the
-        cache generation so every per-shard result cache is empty for the
-        next query; a call already running finishes on the backend it
-        started with.
-        """
-        with self._lock:
-            self._backend = backend
-            self._generation += 1
-            self._plans.clear()
-        if self._stats is not None:
-            self._stats.inc("kb.shard_cache.invalidations")
-
     def invalidate_caches(self) -> None:
-        """Empty every per-shard result cache (generation bump)."""
+        """Drop every per-shard result cache (the next query runs cold)."""
         with self._lock:
-            self._generation += 1
+            self._caches.clear()
         if self._stats is not None:
             self._stats.inc("kb.shard_cache.invalidations")
 
     # -- caches --------------------------------------------------------
 
-    def _cache_for(self, kind: str, index: int) -> ShardResultCache:
+    def _cache_for(self, index: int) -> LRUCache:
         with self._lock:
-            cache = self._caches.get((kind, index))
+            cache = self._caches.get(index)
             if cache is None:
-                cache = ShardResultCache(SHARD_CACHE_SIZE)
-                self._caches[(kind, index)] = cache
+                cache = self._caches[index] = LRUCache(SHARD_CACHE_SIZE)
             return cache
 
-    def _local_plan(self, backend: SegmentedBackend, query) -> ColumnarQuery:
-        """The columnar plan for a query AST over ``backend``, compiled
-        once per distinct (backend, query) pair (bounded LRU): a plan's
-        resolved ids belong to the backend it was compiled against.  Star
-        subqueries built by :func:`slice_two_star` compile here."""
-        key = (backend, query)
-        plan = self._plans.get(key)
+    def _local_plan(self, query) -> ColumnarQuery:
+        """The columnar plan for a star subquery built by
+        :func:`slice_two_star`, compiled once per distinct query
+        (bounded LRU)."""
+        plan = self._plans.get(query)
         if plan is None:
-            plan = ColumnarQuery(query, backend.graph_view())
-            self._plans.put(key, plan)
+            plan = ColumnarQuery(query, self._backend.graph_view())
+            self._plans.put(query, plan)
         return plan
 
     # -- execution -----------------------------------------------------
@@ -403,21 +309,14 @@ class ScatterGatherExecutor:
         shard-partitionable or too small to fan out (the caller then
         executes it normally)."""
         stats = context.stats if context.stats is not None else self._stats
-        # Read the backend once: the plan's ids were resolved against it,
-        # and every shard of this call must come from it even when a
-        # rebind lands mid-gather.
-        backend = self._backend
-        graph_backend = getattr(context.graph, "backend", None)
-        if graph_backend is not None and graph_backend is not backend:
-            # The engine is serving a different KB than this executor is
-            # bound to (e.g. a hot reload raced the install): answering
-            # would read the wrong segments.  Fall back.
+        if getattr(context.graph, "backend", None) is not self._backend:
+            # The engine serves another KB than this executor's (another
+            # segment directory, or an in-heap graph): answering would
+            # read the wrong segments.  Fall back.
             if stats is not None:
                 stats.inc("sparql.scatter.foreign_graph_fallbacks")
             return None
-        spec = partition_spec(
-            plan.query, object_shards=backend.object_shard_count > 0
-        )
+        spec = partition_spec(plan.query)
         if spec is None:
             if stats is not None:
                 stats.inc("sparql.scatter.fallback_queries")
@@ -430,15 +329,10 @@ class ScatterGatherExecutor:
         if stats is not None:
             stats.inc("sparql.scatter.queries")
         if kind == "twostar":
-            return self._execute_semijoin(
-                backend, plan, payload, context, stats
-            )
-        if stats is not None and kind == "object":
-            stats.inc("sparql.scatter.object_queries")
+            return self._execute_semijoin(plan, payload, context, stats)
         # The execution's filter memo serves every shard of this gather.
         batch = self._gather(
-            backend, plan, kind, stats=stats, ask=plan.is_ask,
-            memo=context.filter_memo,
+            plan, stats=stats, ask=plan.is_ask, memo=context.filter_memo
         )
         if stats is not None:
             stats.inc("sparql.scatter.rows_gathered", batch.length)
@@ -455,35 +349,24 @@ class ScatterGatherExecutor:
 
     def _gather(
         self,
-        backend: SegmentedBackend,
         plan: ColumnarQuery,
-        kind: str,
-        seeds_by_shard: dict | None = None,
         keys=None,
         stats: MetricsRegistry | None = None,
         ask: bool = False,
         memo: dict | None = None,
     ) -> ColumnBatch:
-        """The batch of ``plan`` over every shard of one partition of
-        ``backend`` (or just the seeded shards), concatenated in shard
-        order.  Each shard's batch comes from its result cache when the
-        cache stamp still holds."""
-        if seeds_by_shard is not None:
-            indices = sorted(seeds_by_shard)
-        else:
-            indices = list(range(backend.partition_count(kind)))
+        """The batch of ``plan`` over every subject shard, concatenated in
+        shard order.  Each shard's batch comes from its result cache when
+        it holds one."""
+        backend = self._backend
+        shard_count = backend.shard_count
         if stats is not None:
-            stats.inc("sparql.scatter.shards_scanned", len(indices))
-        token = (backend.fingerprint()["content"], self._generation)
-        keys_token = _keys_token(keys)
+            stats.inc("sparql.scatter.shards_scanned", shard_count)
+        cache_key = (plan.query, _keys_token(keys))
         batches: list = []
-        for index in indices:
-            seeds = (
-                None if seeds_by_shard is None else seeds_by_shard[index]
-            )
-            cache = self._cache_for(kind, index)
-            cache_key = (plan.query, seeds, keys_token)
-            batch = cache.get(token, cache_key)
+        for index in range(shard_count):
+            cache = self._cache_for(index)
+            batch = cache.get(cache_key)
             if stats is not None:
                 stats.inc(
                     "kb.shard_cache.misses"
@@ -492,14 +375,9 @@ class ScatterGatherExecutor:
                 )
             if batch is None:
                 batch = _execute_shard(
-                    plan,
-                    backend.partition_view(kind, index),
-                    seeds,
-                    keys,
-                    stats,
-                    memo,
+                    plan, backend.shard_view(index), keys, stats, memo
                 )
-                cache.put(token, cache_key, batch)
+                cache.put(cache_key, batch)
             batches.append(batch)
             if ask and batch.length:
                 break  # ASK short-circuits at the first witness
@@ -507,11 +385,10 @@ class ScatterGatherExecutor:
             return batches[0]
         return columnar.concat(batches, plan.width)
 
-    # -- semi-join shipping --------------------------------------------
+    # -- semi-join -----------------------------------------------------
 
     def _execute_semijoin(
         self,
-        backend: SegmentedBackend,
         plan: ColumnarQuery,
         sliced: TwoStarSlice,
         context: ExecContext,
@@ -521,73 +398,35 @@ class ScatterGatherExecutor:
             stats.inc("sparql.scatter.semijoin.queries")
         graph = context.graph
         memo = context.filter_memo
-        star_plans = [
-            self._local_plan(backend, star.query) for star in sliced.stars
-        ]
+        star_plans = [self._local_plan(star.query) for star in sliced.stars]
         estimates = [_min_pattern_count(graph, star) for star in star_plans]
         lead = 0 if estimates[0] <= estimates[1] else 1
-        star_trail = sliced.stars[1 - lead]
         plan_lead, plan_trail = star_plans[lead], star_plans[1 - lead]
         join_names = sliced.join_names
 
         # Phase 1: the more selective star, full fan-out.
-        batch_lead = self._gather(
-            backend, plan_lead, "subject", stats=stats, memo=memo
-        )
+        batch_lead = self._gather(plan_lead, stats=stats, memo=memo)
         keys_lead = list(
             zip(*(batch_lead.columns[plan_lead.slot_by_name[name]]
                   for name in join_names))
         )
-        keyset = set(keys_lead)
+        keyset = frozenset(keys_lead)
         if stats is not None:
             stats.inc("sparql.scatter.rows_gathered", batch_lead.length)
             stats.inc(
                 "sparql.scatter.semijoin.keys_shipped", len(keyset)
             )
 
-        # Phase 2: ship the distinct join keys to the trailing star.
+        # Phase 2: broadcast the distinct join keys to every shard of the
+        # trailing star as a per-shard semi-join filter.
         if not keyset:
             batch_trail = ColumnBatch.empty(plan_trail.width)
-        elif star_trail.variable.name in join_names:
-            # The trailing star's subject is itself a join variable:
-            # route each candidate subject id to its one owning shard and
-            # seed the star run with it — only shards that can contribute
-            # execute, and each scans only its shipped ids.
-            position = join_names.index(star_trail.variable.name)
-            subject_ids = sorted({key[position] for key in keyset})
-            shard_count = backend.shard_count
-            by_shard: dict[int, list] = {}
-            for value in subject_ids:
-                by_shard.setdefault(
-                    shard_of_subject(value, shard_count), []
-                ).append(value)
-            seeds_by_shard = {
-                index: (star_trail.variable.name, tuple(ids))
-                for index, ids in by_shard.items()
-            }
-            if stats is not None:
-                stats.inc(
-                    "sparql.scatter.semijoin.shipped_ids", len(subject_ids)
-                )
-            batch_trail = self._gather(
-                backend,
-                plan_trail,
-                "subject",
-                seeds_by_shard=seeds_by_shard,
-                stats=stats,
-                memo=memo,
-            )
         else:
-            # The join variables are all non-subject positions of the
-            # trailing star: broadcast the key set to every shard as a
-            # per-shard semi-join filter.
             if stats is not None:
                 stats.inc("sparql.scatter.semijoin.broadcasts")
             batch_trail = self._gather(
-                backend,
                 plan_trail,
-                "subject",
-                keys=(join_names, frozenset(keyset)),
+                keys=(join_names, keyset),
                 stats=stats,
                 memo=memo,
             )

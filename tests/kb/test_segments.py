@@ -88,16 +88,16 @@ def _segment_counters(backend) -> Counter:
 
 def _assert_column_scans(graph, backend, monkeypatch) -> None:
     """Column scans equal tuple scans row for row, order included, on the
-    in-heap graph, the full view and every subject and object shard view;
+    in-heap graph, the full view, every subject shard view and every
+    object shard;
     the full view's column scan bumps the same ``kb.segments.*`` counters
     as its tuple scan.  Merged scans run with numpy's sort and with the
     ``heapq`` fallback."""
     full = backend.graph_view()
     views = [graph, full]
     views += [backend.shard_view(i) for i in range(backend.shard_count)]
-    views += [
-        backend.object_shard_view(i)
-        for i in range(backend.object_shard_count)
+    object_shards = [
+        backend.object_shard(i) for i in range(backend.object_shard_count)
     ]
     merges = [shard_module._np]
     if shard_module._np is not None:
@@ -113,6 +113,9 @@ def _assert_column_scans(graph, backend, monkeypatch) -> None:
             for view in views:
                 columns = view.match_columns(s, p, o)
                 assert list(zip(*columns)) == list(view.match_ids(s, p, o))
+            for shard in object_shards:
+                columns = shard.scan_columns(s, p, o)
+                assert list(zip(*columns)) == list(shard.scan(s, p, o))
 
 
 @pytest.fixture(scope="module")

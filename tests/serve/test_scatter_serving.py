@@ -1,10 +1,12 @@
-"""Shared-segment serving: one SegmentedBackend + one scatter executor
-behind every ResilientServer worker.
+"""Serving segmented KBs next to scatter executors installed by a caller.
 
-Covers the serving side of the scatter engine: auto-install over
-segmented KBs, hot-reload shard-cache invalidation with the cached-vs-cold
-byte-identity differential, and a snapshot restore after the shared
-executor was rebound to other segments.
+The server installs no scatter executor: a system over a segment
+directory answers on the single-process engine.  An executor a caller
+installs serves the one backend it was built over, so its per-shard
+result caches never reach a hot-reloaded system, and an executor over
+other segments declines every plan of the served system (the
+foreign-graph check).  The segmented soak runs with every worker on the
+one shared segment directory.
 """
 
 import pytest
@@ -16,7 +18,7 @@ from repro.qald.devset import load_dev_questions
 from repro.rdf import Triple, Variable
 from repro.serve.server import ResilientServer, ServerConfig
 from repro.serve.soak import answer_signature, run_soak
-from repro.sparql import SparqlEngine, scatter
+from repro.sparql import ScatterGatherExecutor, SparqlEngine, scatter
 from repro.sparql.ast import BGP, Group, OrderCondition, SelectQuery, TermExpr
 
 
@@ -53,87 +55,63 @@ def _star_query():
     )
 
 
-def test_segmented_system_installs_shared_scatter(segmented_system):
-    server = ResilientServer(segmented_system, ServerConfig(workers=2))
-    try:
-        assert server.scatter is not None
-        assert server.scatter.backend is segmented_system.kb.backend
-        gauges = server.metrics()["gauges"]
-        assert gauges["serve.scatter.installed"] == 1
-    finally:
-        server.stop()
-
-
-def test_in_memory_system_gets_no_scatter(qa):
-    server = ResilientServer(qa, ServerConfig(workers=2))
-    try:
-        assert server.scatter is None
-        assert server.metrics()["gauges"]["serve.scatter.installed"] == 0
-    finally:
-        server.stop()
-
-
-def test_scatter_can_be_disabled(segmented_system):
-    server = ResilientServer(
-        segmented_system, ServerConfig(workers=2, enable_scatter=False)
-    )
-    try:
-        assert server.scatter is None
-    finally:
-        server.stop()
-
-
 def test_hot_reload_empties_every_shard_cache(segment_dir, segmented_system):
-    """Satellite S3: the cached-vs-cold differential across a hot reload.
+    """The cached-vs-cold differential across a hot reload.
 
-    Before the reload, repeated queries serve from warm per-shard caches;
-    the reload must empty them (fresh misses), and cached, cold, and
-    post-reload answers must all be byte-identical.
+    Before the reload, repeated queries serve from an executor's warm
+    per-shard caches.  The reloaded system sees none of them: the warm
+    executor declines its plans (another backend), and an executor over
+    the reloaded backend starts with every shard cache empty.  Cached,
+    cold and post-reload answers are byte-identical.
     """
+    stats = MetricsRegistry()
+    warm = ScatterGatherExecutor(segmented_system.kb.backend, stats=stats)
     server = ResilientServer(segmented_system, ServerConfig(workers=2))
     try:
-        backend = segmented_system.kb.backend
-        stats = MetricsRegistry()
-        probe = SparqlEngine(backend.graph_view(), cache_size=0, stats=stats)
-        probe.install_scatter(server.scatter)
+        probe = SparqlEngine(
+            segmented_system.kb.backend.graph_view(), cache_size=0, stats=stats
+        )
+        probe.install_scatter(warm)
         query = _star_query()
 
         cold = probe.query(query).rows
-        misses_cold = stats.snapshot()["counters"]["kb.shard_cache.misses"]
+        misses_cold = stats.counter("kb.shard_cache.misses")
         cached = probe.query(query).rows
-        counters = stats.snapshot()["counters"]
-        assert counters["kb.shard_cache.hits"] > 0
-        assert counters["kb.shard_cache.misses"] == misses_cold
+        assert stats.counter("kb.shard_cache.hits") > 0
+        assert stats.counter("kb.shard_cache.misses") == misses_cold
         assert cached == cold
 
-        # Hot reload: a twin system over the same segment directory.  The
-        # executor rebinds (same fingerprint) and the
-        # generation bump must strand every cached shard result.
+        # Hot reload: a twin system over the same segment directory.
         twin = QuestionAnsweringSystem.over(load_kb(segment_dir))
         server.hot_reload(twin)
-        assert server.scatter.backend is twin.kb.backend
-        assert (
-            server.metrics()["counters"]["kb.shard_cache.invalidations"] == 1
-        )
+        assert server.system is twin
+        backend = twin.kb.backend
+        assert backend is not segmented_system.kb.backend
 
-        probe_reloaded = SparqlEngine(
-            twin.kb.backend.graph_view(), cache_size=0, stats=stats
-        )
-        probe_reloaded.install_scatter(server.scatter)
-        reloaded = probe_reloaded.query(query).rows
-        counters = stats.snapshot()["counters"]
-        assert counters["kb.shard_cache.misses"] == 2 * misses_cold
-        assert reloaded == cold
+        stale = SparqlEngine(backend.graph_view(), cache_size=0, stats=stats)
+        stale.install_scatter(warm)
+        assert stale.query(query).rows == cold
+        assert stats.counter("sparql.scatter.foreign_graph_fallbacks") == 1
+
+        with ScatterGatherExecutor(backend, stats=stats) as fresh:
+            reloaded = SparqlEngine(
+                backend.graph_view(), cache_size=0, stats=stats
+            )
+            reloaded.install_scatter(fresh)
+            assert reloaded.query(query).rows == cold
+        assert stats.counter("kb.shard_cache.misses") == 2 * misses_cold
     finally:
+        warm.close()
         server.stop()
 
 
 def test_restore_after_external_rebind_answers_like_a_cold_system(
     kb, segment_dir, segmented_system, tmp_path
 ):
-    """An executor rebound to other segments declines every plan of the
-    served system (the foreign-graph check), so a snapshot restore is
-    accepted and its warm answers never mix with the other segments."""
+    """The served engine, externally rebound to an executor over other
+    segments, has every plan declined (the foreign-graph check), so a
+    snapshot restore is accepted and its warm answers never mix with the
+    other segments."""
     cold = QuestionAnsweringSystem.over(load_kb(segment_dir))
     controls = [question.text for question in load_dev_questions()]
     server = ResilientServer(segmented_system, ServerConfig(workers=2))
@@ -143,22 +121,23 @@ def test_restore_after_external_rebind_answers_like_a_cold_system(
         path = tmp_path / "warm.snapshot"
         server.save_snapshot(path)
 
-        # Externally rebind the shared executor to different segments
-        # (fewer shards -> different fingerprint).
+        # Install on the served engine an executor over different
+        # segments (fewer shards -> different fingerprint).
         drifted_dir = tmp_path / "drifted"
         build_segments(kb.graph, drifted_dir, shards=2)
         drifted = SegmentedBackend(drifted_dir).open()
         try:
-            server.scatter.rebind(drifted)
-            server.restore_snapshot(path)
-            star = _star_query()
-            assert (
-                segmented_system.kb.engine.query(star).rows
-                == cold.kb.engine.query(star).rows
-            )
-            assert [
-                answer_signature(server.answer(text)) for text in controls
-            ] == [answer_signature(cold.answer(text)) for text in controls]
+            with ScatterGatherExecutor(drifted) as executor:
+                segmented_system.kb.engine.install_scatter(executor)
+                server.restore_snapshot(path)
+                star = _star_query()
+                assert (
+                    segmented_system.kb.engine.query(star).rows
+                    == cold.kb.engine.query(star).rows
+                )
+                assert [
+                    answer_signature(server.answer(text)) for text in controls
+                ] == [answer_signature(cold.answer(text)) for text in controls]
             counters = server.metrics()["counters"]
             assert "snapshot.rejected" not in counters
             assert counters["sparql.scatter.foreign_graph_fallbacks"] > 0

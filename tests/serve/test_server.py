@@ -151,6 +151,35 @@ def test_hot_reload_swaps_system_under_live_requests(qa, kb):
     assert twin.config.stage_guard is server.guard
 
 
+def test_segmented_server_answers_like_a_cold_system(kb, tmp_path):
+    """A server over a segment directory answers every dev question
+    exactly like a cold system over the same directory, before and after
+    a hot reload and a warm-snapshot restore."""
+    from repro.api import QuestionAnsweringSystem, load_kb
+    from repro.kb import build_segments
+    from repro.qald.devset import load_dev_questions
+    from repro.serve.soak import answer_signature
+
+    segments = tmp_path / "segments"
+    build_segments(kb.graph, segments)
+    questions = [question.text for question in load_dev_questions()]
+    cold = QuestionAnsweringSystem.over(load_kb(segments))
+    expected = [answer_signature(cold.answer(text)) for text in questions]
+
+    def served(server):
+        return [answer_signature(server.answer(text)) for text in questions]
+
+    system = QuestionAnsweringSystem.over(load_kb(segments))
+    with ResilientServer(system, ServerConfig(workers=2)) as server:
+        assert served(server) == expected
+        snapshot = tmp_path / "warm.snapshot"
+        server.save_snapshot(snapshot)
+        server.hot_reload(QuestionAnsweringSystem.over(load_kb(segments)))
+        assert served(server) == expected
+        assert server.restore_snapshot(snapshot)["results"] > 0
+        assert served(server) == expected
+
+
 def test_shed_policy_is_validated():
     with pytest.raises(ValueError, match="shed_policy"):
         ServerConfig(shed_policy="panic")

@@ -39,7 +39,9 @@ class TestExplain:
             kb.graph, "ASK { res:Istanbul dbont:country res:Turkey }"
         )
         assert "lookup" in plan
-        assert plan.startswith("ASK plan")
+        # The engine builds the whole batch before it tests for a
+        # solution, so the header claims no early stop.
+        assert plan.splitlines()[0] == "ASK plan"
 
     def test_filter_listed_after_joins(self, kb):
         plan = explain(kb.graph, """

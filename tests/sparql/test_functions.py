@@ -3,7 +3,7 @@
 import pytest
 
 from repro.rdf import IRI, Literal, Variable, XSD
-from repro.rdf.order import order_key, order_ranks
+from repro.rdf.order import LITERAL_KIND, order_key, order_ranks
 from repro.sparql.ast import (
     BooleanOp,
     Comparison,
@@ -88,6 +88,14 @@ class TestEvaluate:
             lit("2000-01-01", datatype=XSD.date.value),
         )
         assert evaluate(expr, {}) is True
+
+    @pytest.mark.parametrize("year", ["0", "-0044", "10000"])
+    def test_gyear_no_date_can_hold_is_malformed(self, year):
+        gyear = lit(year, datatype=XSD.gYear.value)
+        for other in (lit("2000-01-01", datatype=XSD.date.value), num(3)):
+            with pytest.raises(SparqlTypeError, match="malformed date"):
+                evaluate(Comparison("<", gyear, other), {})
+        assert order_key(gyear.term) == (LITERAL_KIND, year)
 
     @pytest.mark.parametrize("operator", ["<", "<=", ">", ">="])
     @pytest.mark.parametrize("flipped", [False, True])

@@ -11,7 +11,8 @@ end to end.
 
 The object columns mix ``querygen.LITERALS`` with numbers that tie across
 datatypes, infinities and NaN, a malformed integer and a malformed date,
-booleans, strings, dates, dateTimes, gYears, IRIs and a blank node.  The
+booleans, strings, dates, dateTimes, gYears (three outside the years a
+date can hold), IRIs and a blank node.  The
 constants are present in the dictionary, absent between two ranks, and
 below or above every number or date; OPTIONAL leaves cells unbound.
 Every setup — 1, 4 and 8 shards and 4 without the object partition,
@@ -78,6 +79,10 @@ EXTRA_LITERALS = (
     Literal("1950-06-01T08:00:00", datatype=XSD_DATETIME),
     Literal("1999", datatype=XSD_GYEAR),
     Literal("2010", datatype=XSD_GYEAR),
+    # gYears no date can hold: malformed dates, ranked by lexical form
+    Literal("0", datatype=XSD_GYEAR),
+    Literal("-0044", datatype=XSD_GYEAR),
+    Literal("10000", datatype=XSD_GYEAR),
 )
 POOL = querygen.LITERALS + EXTRA_LITERALS + querygen.IRIS + (BNode("b1"),)
 INFINITIES = {"INF", "-INF"}
@@ -290,7 +295,9 @@ _numbers = st.one_of(
 _dates = st.one_of(
     st.dates().map(lambda d: Literal(d.isoformat(), datatype=XSD_DATE)),
     st.datetimes().map(lambda d: Literal(d.isoformat(), datatype=XSD_DATETIME)),
-    st.integers(1, 9999).map(lambda y: Literal(str(y), datatype=XSD_GYEAR)),
+    st.integers(-20000, 20000).map(
+        lambda y: Literal(str(y), datatype=XSD_GYEAR)
+    ),
 )
 _others = st.one_of(
     st.sampled_from(POOL),
@@ -351,7 +358,7 @@ def test_range_shapes_are_tagged(expression, operator_, key):
         '?v > "NaN"^^<http://www.w3.org/2001/XMLSchema#double>',
         '?v > "abc"^^<http://www.w3.org/2001/XMLSchema#integer>',
         '?v > "2001-02-30"^^<http://www.w3.org/2001/XMLSchema#date>',
-        # a gYear no date can hold: order_key raises ValueError on it
+        # a gYear no date can hold: a malformed date
         '?v > "0"^^<http://www.w3.org/2001/XMLSchema#gYear>',
         '?v > "10"',
         "?v > true",

@@ -3,8 +3,8 @@
 The contract under test is the engine-wide one (see
 tests/sparql/test_columnar_differential.py): ordered results byte-identical
 row for row — ORDER BY ties included — unordered results multiset-equal,
-unordered slices any valid |slice| draw.  Scatter answers only the
-subject-star fragment; everything else must fall back to the ordinary
+unordered slices any valid |slice| draw.  Scatter answers only subject
+stars and two-star joins; everything else must fall back to the ordinary
 path, bit-for-bit.
 """
 
@@ -313,8 +313,8 @@ def _two_star_query():
 
 class TestPartitionSpec:
     def test_subject_star_wins_over_object(self):
-        # Single-triple star is both a subject star and an object star;
-        # the primary partition must win (no secondary files needed).
+        # A single-triple star is also an object star: it partitions by
+        # its subject.
         query = SelectQuery(
             projection=(Variable("s"),),
             where=Group(
@@ -326,29 +326,24 @@ class TestPartitionSpec:
         assert variable == Variable("s")
 
     def test_object_star_classified(self):
-        kind, variable = partition_spec(_object_star_query())
-        assert kind == "object"
-        assert variable == Variable("o")
+        # Two distinct subjects sharing an object are a two-star join.
+        kind, sliced = partition_spec(_object_star_query())
+        assert kind == "twostar"
+        assert sliced.join_names == ("o",)
 
     def test_object_star_needs_secondary_partition(self):
-        # Two distinct subjects sharing an object IS a two-star join, so
-        # without object shards the spec degrades to the semi-join class
-        # rather than disappearing...
-        spec = partition_spec(_object_star_query(), object_shards=False)
-        assert spec is not None and spec[0] == "twostar"
-        # ...but three subjects cannot, and fall back entirely.
-        assert (
-            partition_spec(
-                _object_star_query(triples=3), object_shards=False
-            )
-            is None
-        )
+        # Three subjects sharing an object could fan out only over the
+        # secondary (object-hash) partition, which scatter does not use:
+        # the query falls back entirely.
+        assert partition_spec(_object_star_query(triples=3)) is None
 
     def test_two_star_classified(self):
         kind, sliced = partition_spec(_two_star_query())
         assert kind == "twostar"
         assert sliced.join_names == ("y",)
-        assert {star.variable.name for star in sliced.stars} == {"x", "y"}
+        assert {star.names for star in sliced.stars} == {
+            ("v", "x", "y"), ("w", "y"),
+        }
 
     def test_three_stars_fall_back(self):
         query = SelectQuery(
@@ -430,6 +425,9 @@ class TestSlicingGuard:
 
 
 class TestObjectStarDifferential:
+    """Object stars run as two-star semi-joins, or single-process from
+    three subjects on."""
+
     def test_object_star_routes_and_agrees(self, tmp_path):
         import random
 
@@ -448,8 +446,9 @@ class TestObjectStarDifferential:
                 query, oracle.query(query), engine.query(query), oracle
             )
         counters = stats.snapshot()["counters"]
-        assert counters["sparql.scatter.object_queries"] == 3
-        assert counters["sparql.scatter.queries"] == 3
+        assert counters["sparql.scatter.semijoin.queries"] == 2
+        assert counters["sparql.scatter.queries"] == 2
+        assert counters["sparql.scatter.fallback_queries"] == 1
         backend.close()
 
     def test_without_object_shards_still_agrees(self, tmp_path):
@@ -465,7 +464,7 @@ class TestObjectStarDifferential:
         engine.install_scatter(ScatterGatherExecutor(backend))
         query = _object_star_query()
         _assert_agrees(query, oracle.query(query), engine.query(query), oracle)
-        assert "sparql.scatter.object_queries" not in stats.snapshot()["counters"]
+        assert stats.counter("sparql.scatter.semijoin.queries") == 1
         backend.close()
 
 
@@ -486,6 +485,11 @@ class TestSemiJoinDifferential:
             )
         counters = stats.snapshot()["counters"]
         assert counters.get("sparql.scatter.semijoin.queries", 0) > 0
+        # Every lead star that found join keys broadcast them (on seed 11
+        # every lead star is empty, and nothing is shipped).
+        shipped = counters.get("sparql.scatter.semijoin.keys_shipped", 0)
+        broadcasts = counters.get("sparql.scatter.semijoin.broadcasts", 0)
+        assert (broadcasts > 0) == (shipped > 0)
         backend.close()
 
     def test_handcrafted_join_counters(self, tmp_path):
@@ -501,14 +505,10 @@ class TestSemiJoinDifferential:
         assert engine.query(query).rows == oracle.query(query).rows
         counters = stats.snapshot()["counters"]
         assert counters["sparql.scatter.semijoin.queries"] == 1
-        # One of the two shipping strategies must have fired (unless the
-        # lead star was empty, which this graph size makes implausible —
-        # keys_shipped pins that down).
-        if counters.get("sparql.scatter.semijoin.keys_shipped", 0):
-            assert (
-                counters.get("sparql.scatter.semijoin.shipped_ids", 0) > 0
-                or counters.get("sparql.scatter.semijoin.broadcasts", 0) > 0
-            )
+        # The lead star's keys were broadcast to the trailing star (the
+        # lead star is not empty on this graph).
+        assert counters["sparql.scatter.semijoin.keys_shipped"] > 0
+        assert counters["sparql.scatter.semijoin.broadcasts"] == 1
         backend.close()
 
     def test_two_star_ask_and_count(self, tmp_path):
@@ -548,8 +548,7 @@ class TestShardCache:
         assert counters["kb.shard_cache.misses"] == misses_cold
         assert second == first
 
-        # A rebind (the hot-reload entry point) empties every shard cache.
-        executor.rebind(backend)
+        executor.invalidate_caches()
         third = run_all()
         counters = stats.snapshot()["counters"]
         assert counters["kb.shard_cache.invalidations"] == 1
@@ -616,9 +615,7 @@ PEOPLE_TWO_STAR = (
 
 
 class TestBackendBinding:
-    """A scatter call runs on one backend from start to end: the one its
-    plan's ids were resolved against and the foreign-graph check
-    compared."""
+    """An executor answers only for the backend it was built over."""
 
     @pytest.fixture()
     def bound(self, tmp_path):
@@ -638,52 +635,20 @@ class TestBackendBinding:
         for backend, __ in pairs:
             backend.close()
 
-    @pytest.mark.parametrize("text", [PEOPLE_STAR, PEOPLE_TWO_STAR])
-    @pytest.mark.parametrize("hook", ["_execute_shard", "_min_pattern_count"])
-    def test_rebind_mid_call_keeps_the_call_on_its_backend(
-        self, bound, monkeypatch, text, hook
-    ):
-        (backend_a, oracle_a), (backend_b, oracle_b) = bound
-        query = parse_query(text)
-        executor = ScatterGatherExecutor(backend_a)
-        original = getattr(scatter, hook)
-        rebinds = []
-
-        def run_then_rebind(*args, **kwargs):
-            result = original(*args, **kwargs)
-            if not rebinds:
-                # A hot reload landing in the middle of the call: after
-                # the first shard ran, or after the fan-out gate.
-                rebinds.append(hook)
-                executor.rebind(backend_b)
-            return result
-
-        monkeypatch.setattr(scatter, hook, run_then_rebind)
-        engine_a = SparqlEngine(backend_a.graph_view(), cache_size=0)
-        engine_a.install_scatter(executor)
-        assert engine_a.query(query).rows == oracle_a.query(query).rows
-        assert rebinds == [hook]
-
-        stats = MetricsRegistry()
-        engine_b = SparqlEngine(
-            backend_b.graph_view(), cache_size=0, stats=stats
-        )
-        engine_b.install_scatter(executor)
-        assert engine_b.query(query).rows == oracle_b.query(query).rows
-        assert stats.snapshot()["counters"]["sparql.scatter.queries"] == 1
-
     def test_foreign_graph_falls_back(self, bound):
         (backend_a, __), (backend_b, oracle_b) = bound
         stats = MetricsRegistry()
-        engine = SparqlEngine(
-            backend_b.graph_view(), cache_size=0, stats=stats
-        )
-        engine.install_scatter(ScatterGatherExecutor(backend_a, stats=stats))
-        for text in (PEOPLE_STAR, PEOPLE_TWO_STAR):
-            query = parse_query(text)
-            assert engine.query(query).rows == oracle_b.query(query).rows
+        executor = ScatterGatherExecutor(backend_a, stats=stats)
+        # Another segment directory, and an in-heap graph of its triples.
+        in_heap = Graph(backend_b.graph_view())
+        for graph in (backend_b.graph_view(), in_heap):
+            engine = SparqlEngine(graph, cache_size=0, stats=stats)
+            engine.install_scatter(executor)
+            for text in (PEOPLE_STAR, PEOPLE_TWO_STAR):
+                query = parse_query(text)
+                assert engine.query(query).rows == oracle_b.query(query).rows
         counters = stats.snapshot()["counters"]
-        assert counters["sparql.scatter.foreign_graph_fallbacks"] == 2
+        assert counters["sparql.scatter.foreign_graph_fallbacks"] == 4
         assert not [
             name for name in counters if name.startswith("kb.shard_cache.")
         ]

@@ -229,8 +229,9 @@ class TestFanoutGate:
     @pytest.mark.parametrize(
         "text, kind",
         [
-            # constant-subject lookup: an object star pinned to one subject
-            ("SELECT ?o WHERE { ex:person5 ex:knows ?o }", "object"),
+            # an object star, i.e. a two-star join: one tag short of the
+            # threshold
+            ("SELECT ?o WHERE { ?x ex:tag63 ?o . ?y ex:age ?o }", "twostar"),
             # a small subject star (8 residents of city3)
             ("SELECT ?x ?a WHERE { ?x ex:livesIn ex:city3 . ?x ex:age ?a } "
              "ORDER BY ?x", "subject"),
@@ -254,6 +255,17 @@ class TestFanoutGate:
         assert sorted(gated.rows, key=repr) == sorted(
             oracle.query(query).rows, key=repr
         )
+
+    def test_constant_subject_lookup_skips_the_gate(self, backend, oracle):
+        """The lookup QA candidates run (``dbr:X dbo:p ?x``) is outside
+        the fragment: it falls back without counting a pattern."""
+        query = parse_query(PREFIX + "SELECT ?o WHERE { ex:person5 ex:knows ?o }")
+        assert partition_spec(query) is None
+        engine, __, stats = _engine(backend)
+        assert engine.query(query).rows == oracle.query(query).rows
+        counters = _counters(stats)
+        assert counters["sparql.scatter.fallback_queries"] == 1
+        assert "sparql.scatter.local_queries" not in counters
 
     @pytest.mark.parametrize(
         "text",

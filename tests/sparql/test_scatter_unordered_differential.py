@@ -12,8 +12,8 @@ enumerates solutions shard by shard).
 
 Each case runs twice: as shipped, where these small graphs mostly fall
 under the fan-out gate and run single-process, and with the gate dropped
-(``scatter.FANOUT_MIN_ROWS = 0``), where the subject-star, object-star and
-semi-join paths must all have run — so the sweep cannot pass vacuously.
+(``scatter.FANOUT_MIN_ROWS = 0``), where the subject-star and semi-join
+paths must both have run — so the sweep cannot pass vacuously.
 """
 
 import dataclasses
@@ -33,8 +33,7 @@ from tests.sparql import querygen
 SHARDINGS = tuple((shards, None) for shards in range(1, 9)) + ((4, 0),)
 GRAPH_SEEDS = (5, 23, 41)
 #: Query rounds per graph.  Each round draws one subject star, one two-star
-#: and three conjunctive queries: object stars come only from the
-#: conjunctive generator, and only a few percent of its queries are one.
+#: and three conjunctive queries.
 ROUNDS = 20
 
 
@@ -108,8 +107,3 @@ def test_scatter_engine_matches_oracle_as_multisets(
     if fan_out == "forced":
         assert stats.counter("sparql.scatter.queries") > 0
         assert stats.counter("sparql.scatter.semijoin.queries") > 0
-        if object_shards is None:
-            assert stats.counter("sparql.scatter.object_queries") > 0
-        else:
-            # No object partition: object stars run single-process.
-            assert stats.counter("sparql.scatter.object_queries") == 0
