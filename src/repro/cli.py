@@ -603,6 +603,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             "post_soak_identical": report.post_soak_identical,
             "shared_segments": report.shared_segments,
             "peak_rss_mb": report.peak_rss_mb,
+            "peak_pending": report.peak_pending,
             "ok": report.ok,
         }
         with open(args.json, "w", encoding="utf-8") as handle:

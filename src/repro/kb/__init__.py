@@ -6,8 +6,9 @@ offline substitute: a DBpedia-ontology-shaped schema
 real-world facts (:mod:`repro.kb.dataset`), a deterministic synthetic
 generator for scale benchmarks (:mod:`repro.kb.generator`), a surface-form
 index (:mod:`repro.kb.labels`) and the wiki page-link graph used by entity
-disambiguation (:mod:`repro.kb.pagelinks`).  Everything is assembled by
-:class:`repro.kb.builder.KnowledgeBase`.
+disambiguation (:mod:`repro.kb.pagelinks`), built in the heap or read from
+a segment directory that ships them (:mod:`repro.kb.shipped`).  Everything
+is assembled by :class:`repro.kb.builder.KnowledgeBase`.
 """
 
 from repro.kb.backend import (

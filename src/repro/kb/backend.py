@@ -183,6 +183,12 @@ class KBBackend(ABC):
         default; :class:`repro.kb.shard.SegmentedBackend` ships them)."""
         return None
 
+    def shipped_index(self):
+        """The KB lookup indexes derived from these triples when they
+        were stored (a :class:`repro.kb.segment.SegmentIndex`), or None
+        when the backend ships none (the default)."""
+        return None
+
     # -- engine view ----------------------------------------------------
 
     def graph_view(self) -> Graph:

@@ -10,15 +10,16 @@ The builder materialises, exactly once and from a single source of truth:
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 from repro.kb.backend import InMemoryBackend, KBBackend
-from repro.kb.labels import SurfaceFormIndex, normalize_surface
+from repro.kb.labels import SurfaceFormIndex, SurfaceForms, normalize_surface
 from repro.kb.ontology import Ontology, PropertyDef, PropertyKind
-from repro.kb.pagelinks import PageLinkGraph, WIKI_PAGE_LINK
+from repro.kb.pagelinks import PageLinkGraph, PageLinks, WIKI_PAGE_LINK
 from repro.kb.records import EntityRecord
-from repro.kb.segment import INDEX_RESOURCE
+from repro.kb.shipped import load_shipped
 from repro.rdf.datatypes import make_literal
 from repro.rdf.namespaces import DBO, DBR, RDF, RDFS
 from repro.rdf.terms import IRI, Literal, Triple
@@ -34,9 +35,10 @@ class KnowledgeBase:
 
     Build one with :meth:`from_records` (validating, in-memory) or
     :meth:`from_backend` (wrap an existing storage backend — e.g. an
-    on-disk :class:`~repro.kb.shard.SegmentedBackend` — loading the
+    on-disk :class:`~repro.kb.shard.SegmentedBackend` — reading the
     derived lookup indexes it ships, or rebuilding them from its
-    triples).
+    triples).  In-heap indexes are mutable; shipped ones are read-only
+    views (:mod:`repro.kb.shipped`).
 
     All triple access goes through :attr:`backend`
     (:class:`~repro.kb.backend.KBBackend`); :attr:`graph` is the
@@ -55,13 +57,13 @@ class KnowledgeBase:
         self.backend.open()
         self.graph = self.backend.graph_view()
         self.engine = SparqlEngine(self.graph)
-        self.surface_index = SurfaceFormIndex()
-        self.page_links = PageLinkGraph()
+        self.surface_index: SurfaceForms = SurfaceFormIndex()
+        self.page_links: PageLinks = PageLinkGraph()
         self._class_labels: dict[str, list[str]] = {}
-        self._entity_types: dict[IRI, set[str]] = {}
-        #: Whether the lookup indexes were loaded from the backend's
-        #: shipped resources (then the pattern store it ships was mined
-        #: from the same indexes, and the QA system loads it too).
+        self._entity_types: Mapping[IRI, set[str]] = {}
+        #: Whether the lookup indexes are the backend's shipped ones
+        #: (then the pattern store it ships was mined from the same
+        #: indexes, and the QA system loads it too).
         self.shipped_index = False
         self._index_class_labels()
 
@@ -85,24 +87,24 @@ class KnowledgeBase:
         """Serve an existing storage backend as a knowledge base.
 
         The derived lookup indexes — surface forms, the entity-type
-        closure, the page-link graph — are loaded from the backend when
-        it ships them (a segment directory written by
-        :func:`~repro.kb.shard.build_segments`), and otherwise rebuilt
-        from the stored triples: ``rdfs:label`` literals become primary
-        surface forms (IRI local names become secondary ones),
-        ``rdf:type`` triples with ``dbo:`` objects rebuild the type
-        closure, and wiki page-link triples rebuild the disambiguation
-        graph.  The shipped indexes were built by this same rebuild, so
-        both ways give equal indexes, orders included.  Free-form record
-        aliases are not materialised as triples, so they do not survive
-        the round trip — build both sides of a comparison through this
-        constructor when exact surface-index parity matters.
+        closure, the page-link graph — are read from the backend when it
+        ships them (a segment directory written by
+        :func:`~repro.kb.shard.build_segments`): read-only views that
+        decode an entity only when a lookup touches it
+        (:mod:`repro.kb.shipped`), so this decodes none.  Otherwise they
+        are rebuilt from the stored triples: ``rdfs:label`` literals
+        become primary surface forms (IRI local names become secondary
+        ones), ``rdf:type`` triples with ``dbo:`` objects rebuild the
+        type closure, and wiki page-link triples rebuild the
+        disambiguation graph.  The shipped indexes were built by this
+        same rebuild, so both ways answer every lookup alike, candidate
+        and link-set orders included.  Free-form record aliases are not
+        materialised as triples, so they do not survive the round trip —
+        build both sides of a comparison through this constructor when
+        exact surface-index parity matters.
         """
         kb = cls(ontology, backend=backend)
-        shipped = backend.shipped_resource(
-            INDEX_RESOURCE,
-            lambda state: _index_from_state(state, backend.dictionary.decode),
-        )
+        shipped = load_shipped(backend)
         if shipped is None:
             kb._index_from_graph()
         else:
@@ -110,19 +112,22 @@ class KnowledgeBase:
             kb.shipped_index = True
         return kb
 
-    def index_state(self) -> dict:
-        """The derived lookup indexes as a JSON-able document (what
-        :func:`~repro.kb.shard.build_segments` ships), entities as the
-        backend's dictionary ids; insertion orders are kept, and each
-        entity's type set is sorted."""
+    def index_ids(self) -> dict:
+        """The in-heap lookup indexes with entities as the backend's
+        dictionary ids: the keyword arguments of
+        :func:`repro.kb.segment.write_index` (what
+        :func:`~repro.kb.shard.build_segments` ships)."""
         encode = lru_cache(maxsize=None)(self.backend.lookup)
+        forms, labels = self.surface_index.to_ids(encode)
         return {
-            "surface_forms": self.surface_index.to_state(encode),
-            "entity_types": [
-                [encode(entity), sorted(types)]
+            "forms": forms,
+            "labels": labels,
+            "max_words": self.surface_index.max_words,
+            "types": {
+                encode(entity): types
                 for entity, types in self._entity_types.items()
-            ],
-            "page_links": self.page_links.to_state(encode),
+            },
+            "links": self.page_links.to_ids(encode),
         }
 
     def _index_from_graph(self) -> None:
@@ -304,22 +309,3 @@ class KnowledgeBase:
 
     def __len__(self) -> int:
         return len(self.graph)
-
-
-def _index_from_state(
-    state: dict, decode
-) -> tuple[SurfaceFormIndex, dict[IRI, set[str]], PageLinkGraph]:
-    """Inverse of :meth:`KnowledgeBase.index_state`.  Decoding through the
-    backend's dictionary gives the indexes the very term objects its
-    scans return, as a rebuild from those scans does."""
-    # Each entity appears in several indexes; decode it once even when
-    # there are more entities than the dictionary's decode cache holds.
-    decode = lru_cache(maxsize=None)(decode)
-    entity_types = {
-        decode(entity): set(types) for entity, types in state["entity_types"]
-    }
-    return (
-        SurfaceFormIndex.from_state(state["surface_forms"], decode),
-        entity_types,
-        PageLinkGraph.from_state(state["page_links"], decode),
-    )

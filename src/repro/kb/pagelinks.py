@@ -19,8 +19,56 @@ from repro.rdf.terms import IRI
 WIKI_PAGE_LINK = DBO.wikiPageWikiLink
 
 
-class PageLinkGraph:
-    """An undirected view over directed wiki page links."""
+class PageLinks:
+    """The query surface of the page-link graph: an undirected view over
+    directed wiki page links.
+
+    Written once over two primitives each graph kind provides:
+    :meth:`_targets` and :meth:`_sources` (the pages a page links to /
+    is linked from: the graph's own set, or an empty tuple, which
+    callers copy and never mutate).  A copy iterates like the set it
+    copies, so the order in which a graph builds each set is the order
+    centrality sums in.  :class:`PageLinkGraph` is the mutable
+    in-heap graph; :class:`repro.kb.shipped.ShippedPageLinks` reads a
+    segment directory's shipped index.
+    """
+
+    def _targets(self, page: IRI) -> Iterable[IRI]:
+        raise NotImplementedError
+
+    def _sources(self, page: IRI) -> Iterable[IRI]:
+        raise NotImplementedError
+
+    def pages(self) -> set[IRI]:
+        raise NotImplementedError
+
+    def __len__(self) -> int:
+        """The number of links."""
+        raise NotImplementedError
+
+    def out_links(self, page: IRI) -> set[IRI]:
+        return set(self._targets(page))
+
+    def in_links(self, page: IRI) -> set[IRI]:
+        return set(self._sources(page))
+
+    def neighbours(self, page: IRI) -> set[IRI]:
+        """Undirected neighbourhood (links in either direction)."""
+        return set(self._targets(page)) | set(self._sources(page))
+
+    def degree(self, page: IRI) -> int:
+        return len(self.neighbours(page))
+
+    def connected(self, a: IRI, b: IRI) -> bool:
+        """True when a links to b or b links to a."""
+        return b in self._targets(a) or a in self._targets(b)
+
+    def shared_neighbours(self, a: IRI, b: IRI) -> set[IRI]:
+        return self.neighbours(a) & self.neighbours(b)
+
+
+class PageLinkGraph(PageLinks):
+    """Page links held in the heap (mutable)."""
 
     def __init__(self) -> None:
         self._out: dict[IRI, set[IRI]] = defaultdict(set)
@@ -36,46 +84,20 @@ class PageLinkGraph:
         for target in targets:
             self.add_link(source, target)
 
-    def to_state(self, encode) -> list:
-        """A JSON-able copy of the links: each source page with its
-        targets, sources in insertion order.  ``encode`` maps a page to
-        its JSON form (a dictionary id); targets are sorted by it."""
-        return [
-            [encode(source), sorted(encode(target) for target in targets)]
+    def to_ids(self, encode) -> dict[int, list[int]]:
+        """Each source page with its targets, pages as ``encode(page)``
+        (dictionary ids): what :func:`repro.kb.segment.write_index`
+        ships."""
+        return {
+            encode(source): [encode(target) for target in targets]
             for source, targets in self._out.items()
-        ]
+        }
 
-    @classmethod
-    def from_state(cls, state: list, decode) -> "PageLinkGraph":
-        """Inverse of :meth:`to_state`; ``decode`` inverts its ``encode``."""
-        graph = cls()
-        incoming = graph._in
-        for page, linked in state:
-            source = decode(page)
-            targets = graph._out[source] = {decode(target) for target in linked}
-            for target in targets:
-                incoming[target].add(source)
-        return graph
+    def _targets(self, page: IRI) -> Iterable[IRI]:
+        return self._out.get(page, ())
 
-    def out_links(self, page: IRI) -> set[IRI]:
-        return set(self._out.get(page, ()))
-
-    def in_links(self, page: IRI) -> set[IRI]:
-        return set(self._in.get(page, ()))
-
-    def neighbours(self, page: IRI) -> set[IRI]:
-        """Undirected neighbourhood (links in either direction)."""
-        return self.out_links(page) | self.in_links(page)
-
-    def degree(self, page: IRI) -> int:
-        return len(self.neighbours(page))
-
-    def connected(self, a: IRI, b: IRI) -> bool:
-        """True when a links to b or b links to a."""
-        return b in self._out.get(a, ()) or a in self._out.get(b, ())
-
-    def shared_neighbours(self, a: IRI, b: IRI) -> set[IRI]:
-        return self.neighbours(a) & self.neighbours(b)
+    def _sources(self, page: IRI) -> Iterable[IRI]:
+        return self._in.get(page, ())
 
     def pages(self) -> set[IRI]:
         return set(self._out) | set(self._in)

@@ -39,16 +39,41 @@ subject id:
     binary-search range narrowing over the ordering its shape selects
     (:func:`scan_order`); counts are range subtractions.
 
-``kb_index.res`` and ``patty_store.res``
-    Resources derived from the triples when the directory is built: the
-    KB's lookup indexes (surface forms, primary labels, the entity-type
-    closure, page links) and the mined PATTY pattern store.  Their bodies
-    are JSON (a directory is input from outside the program, so nothing
-    is unpickled), their headers name the content fingerprint they were
-    mined from, and the manifest lists them under the additive
-    ``resources`` key.  Opening a directory never reads them; the KB and
-    the QA system load them on demand (:func:`read_resource`), and a
-    directory without the key rebuilds them from the triples instead.
+``kb_index.bin``
+    The KB's lookup indexes, derived from the triples when the directory
+    is built: surface forms, primary labels, the entity-type closure and
+    the page links, as int64 id columns (entities are dictionary ids).
+    Its header names the region counts, ``max_words`` (the longest form,
+    in words) and the content fingerprint the index was mined from
+    (``mined_from``); the body repeats the counts in its first region, so
+    an edited header count fails.  Then come, in order:
+
+    * the forms: a ``(hash64, form)`` index sorted by hash and then form
+      bytes (:func:`form_hash`; a hit is verified against the form bytes,
+      as :meth:`SegmentDictionary.lookup` verifies a term), each form's
+      candidate offsets and candidate ids, in insertion order;
+    * the sorted hashes of every form's first word (a spotting prune: a
+      collision costs one more lookup, never a different match);
+    * the nodes: every entity id with a label, a type or a page link,
+      sorted, with offsets into the labels, the type ids (indexes into
+      the class-name table), the out-link ids and the in-link ids (each
+      node's links sorted by id, both directions written at build time);
+    * the class-name offsets, then three byte payloads: the forms, the
+      labels and the class names (UTF-8).
+
+    :class:`SegmentIndex` maps the file and checks its body's SHA-256
+    once, on first touch, like a shard.
+
+``patty_store.res``
+    The mined PATTY pattern store, derived from the triples when the
+    directory is built.  Its body is JSON (a directory is input from
+    outside the program, so nothing is unpickled).
+
+Both resources name the content fingerprint they were mined from and are
+listed under the manifest's additive ``resources`` key.  Opening a
+directory never reads them; the KB and the QA system read them on demand
+(:class:`SegmentIndex`, :func:`read_resource`), and a directory whose
+manifest does not list them rebuilds them from the triples instead.
 
 Every file carries a checksummed header; a corrupted or truncated file
 raises the typed :class:`SegmentIntegrityError` when it is read (fail
@@ -64,12 +89,13 @@ import hashlib
 import json
 import mmap
 import os
+import re
 import threading
 from array import array
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 try:  # optional: builds the rank representatives; a python loop without it
     import numpy as _np  # type: ignore
@@ -86,13 +112,14 @@ SEGMENT_SCHEMA = "repro.kbseg/v1"
 _DICT_MAGIC = b"RKBDICT1\n"
 _SHARD_MAGIC = b"RKBSEG1\n"
 _RESOURCE_MAGIC = b"RKBRES1\n"
+_INDEX_MAGIC = b"RKBIDX1\n"
 _WORD = 8  # int64 bytes
 
 IdTriple = tuple[int, int, int]
 
 #: The derived resources :func:`repro.kb.shard.build_segments` ships
 #: beside the shards (file names; the manifest's ``resources`` keys).
-INDEX_RESOURCE = "kb_index.res"
+INDEX_RESOURCE = "kb_index.bin"
 PATTERNS_RESOURCE = "patty_store.res"
 
 
@@ -129,9 +156,30 @@ def encode_term(term: Term) -> bytes:
     )
 
 
+#: An IRI record whose value needs no JSON unescaping: no quote, no
+#: backslash and no control character between the quotes.
+_PLAIN_IRI = re.compile(rb'\["i","([^"\\\x00-\x1f]*)"\]')
+
+
+def plain_iri_value(record: bytes) -> str | None:
+    """The value of an IRI record that decodes by slicing, or None.
+
+    :func:`encode_term` escapes every quote, backslash and control
+    character of a value, so the common record ``["i","…"]`` holds none
+    of them and its value is the bytes between the quotes; ``json.loads``
+    would return the same string.  Any other record gives None.
+    """
+    plain = _PLAIN_IRI.fullmatch(record)
+    return None if plain is None else plain.group(1).decode("utf-8")
+
+
 def decode_term(record: bytes) -> Term:
-    """Inverse of :func:`encode_term`."""
+    """Inverse of :func:`encode_term`.  The common IRI record decodes by
+    slicing (:func:`plain_iri_value`), every other one through JSON."""
     try:
+        value = plain_iri_value(record)
+        if value is not None:
+            return IRI(value)
         decoded = json.loads(record.decode("utf-8"))
         kind = decoded[0]
         if kind == "i":
@@ -151,6 +199,12 @@ def term_hash(record: bytes) -> int:
     """Signed 64-bit content hash of an encoded term record."""
     digest = hashlib.blake2b(record, digest_size=8).digest()
     return int.from_bytes(digest, "little", signed=True)
+
+
+def form_hash(text: str) -> int:
+    """Signed 64-bit hash of a surface form or word (its UTF-8 bytes),
+    as the index file's form and first-word columns store it."""
+    return term_hash(text.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +254,16 @@ def _header_count(path: str, header: dict, key: str) -> int:
     return value
 
 
+def _byte_column(records: Sequence[bytes]) -> tuple[array, bytes]:
+    """Offsets (one more than ``records``) and the records concatenated."""
+    offsets = array("q", [0])
+    position = 0
+    for record in records:
+        position += len(record)
+        offsets.append(position)
+    return offsets, b"".join(records)
+
+
 class _MappedFile:
     """An open mmap with its parsed header and body view."""
 
@@ -247,11 +311,7 @@ def write_dictionary(path: str, terms: Sequence[Term]) -> str:
     columnar engine sorts ORDER BY keys without decoding a term.
     """
     records = [encode_term(term) for term in terms]
-    offsets = array("q", [0])
-    position = 0
-    for record in records:
-        position += len(record)
-        offsets.append(position)
+    offsets, payload = _byte_column(records)
     pairs = sorted(
         (term_hash(record), term_id) for term_id, record in enumerate(records)
     )
@@ -260,7 +320,7 @@ def write_dictionary(path: str, terms: Sequence[Term]) -> str:
     ranks = array("q", order_ranks(terms))
     body = (
         offsets.tobytes() + hashes.tobytes() + ids.tobytes() + ranks.tobytes()
-        + b"".join(records)
+        + payload
     )
     return _write_with_header(
         path, _DICT_MAGIC, {"terms": len(records), "order": ORDER_VERSION},
@@ -638,6 +698,324 @@ class SegmentShard:
 # ---------------------------------------------------------------------------
 # Derived resources
 # ---------------------------------------------------------------------------
+
+
+#: The index file's region counts, in the order the body repeats them.
+_INDEX_COUNTS = (
+    "forms", "candidates", "first_words", "max_words", "nodes", "classes",
+    "types", "links",
+)
+
+
+def _utf8_column(texts: Sequence[str]) -> tuple[array, bytes]:
+    """Offsets (one more than ``texts``) and the concatenated UTF-8."""
+    return _byte_column([text.encode("utf-8") for text in texts])
+
+
+def _offsets_and_ids(groups: Sequence[Sequence[int]]) -> tuple[array, array]:
+    """Offsets (one more than ``groups``) and the concatenated ids."""
+    offsets = array("q", [0])
+    ids = array("q")
+    for group in groups:
+        ids.extend(group)
+        offsets.append(len(ids))
+    return offsets, ids
+
+
+def write_index(
+    path: str,
+    mined_from: str,
+    forms: dict[str, Sequence[int]],
+    labels: dict[int, str],
+    max_words: int,
+    types: dict[int, Iterable[str]],
+    links: dict[int, Iterable[int]],
+) -> str:
+    """Serialize the KB's lookup indexes as id columns (layout in the
+    module docstring); returns the body checksum.
+
+    ``forms`` maps each normalised surface form to its candidates' ids
+    in insertion order, ``labels`` an entity id to its primary label,
+    ``types`` an entity id to its class names and ``links`` a page id to
+    the ids it links to.  Each node's links are written sorted by id in
+    both directions, and its types by class name.
+    """
+    ordered = sorted(forms, key=lambda form: (form_hash(form), form.encode()))
+    form_offsets, form_bytes = _utf8_column(ordered)
+    candidate_offsets, candidate_ids = _offsets_and_ids(
+        [forms[form] for form in ordered]
+    )
+    first_words = array("q", sorted(
+        {form_hash(form.partition(" ")[0]) for form in forms}
+    ))
+    classes = sorted({name for names in types.values() for name in names})
+    class_index = {name: index for index, name in enumerate(classes)}
+    class_offsets, class_bytes = _utf8_column(classes)
+    incoming: dict[int, list[int]] = {}
+    for source, targets in links.items():
+        for target in targets:
+            incoming.setdefault(target, []).append(source)
+    nodes = sorted({*labels, *types, *links, *incoming})
+    label_offsets, label_bytes = _utf8_column(
+        [labels.get(node, "") for node in nodes]
+    )
+    type_offsets, type_ids = _offsets_and_ids(
+        [sorted(class_index[name] for name in types.get(node, ()))
+         for node in nodes]
+    )
+    out_offsets, out_ids = _offsets_and_ids(
+        [sorted(links.get(node, ())) for node in nodes]
+    )
+    in_offsets, in_ids = _offsets_and_ids(
+        [sorted(incoming.get(node, ())) for node in nodes]
+    )
+    counts = {
+        "forms": len(ordered), "candidates": len(candidate_ids),
+        "first_words": len(first_words), "max_words": max_words,
+        "nodes": len(nodes), "classes": len(classes),
+        "types": len(type_ids), "links": len(out_ids),
+    }
+    columns = (
+        array("q", [counts[key] for key in _INDEX_COUNTS]),
+        array("q", (form_hash(form) for form in ordered)),
+        form_offsets, candidate_offsets, candidate_ids, first_words,
+        array("q", nodes), label_offsets, type_offsets, type_ids,
+        out_offsets, out_ids, in_offsets, in_ids, class_offsets,
+    )
+    body = b"".join(column.tobytes() for column in columns)
+    return _write_with_header(
+        path, _INDEX_MAGIC,
+        dict(counts, resource=INDEX_RESOURCE, mined_from=mined_from),
+        body + form_bytes + label_bytes + class_bytes,
+    )
+
+
+class SegmentIndex:
+    """Read-only KB lookup indexes over the mmapped ``kb_index.bin``.
+
+    Lookups speak ids: a form's candidate ids, an entity's label, class
+    names and link ids.  Decoding them into terms, and remembering what
+    was decoded, is the caller's (:mod:`repro.kb.shipped`).  The file
+    maps lazily: the first lookup checks the header against the
+    manifest's ``checksum`` and fingerprint (``mined_from``) and the body
+    against its SHA-256 — once, however many threads touch it first.
+    """
+
+    def __init__(self, path: str, checksum: str, mined_from: str) -> None:
+        self._path = path
+        self._checksum = checksum
+        self._mined_from = mined_from
+        self._mapped: _MappedFile | None = None
+        self._lock = threading.Lock()
+
+    def open(self) -> "SegmentIndex":
+        if self._mapped is not None:
+            return self
+        with self._lock:
+            if self._mapped is None:
+                self._map()
+        return self
+
+    def _map(self) -> None:
+        path = self._path
+        try:
+            mapped = _MappedFile(path, _INDEX_MAGIC)
+        except OSError as error:
+            raise SegmentError(f"unreadable resource file: {error}") from None
+        views: list[memoryview] = []
+        try:
+            header = mapped.header
+            if header.get("checksum") != self._checksum:
+                raise SegmentIntegrityError(
+                    f"{path}: checksum differs from the manifest's"
+                )
+            if header.get("resource") != INDEX_RESOURCE:
+                raise SegmentError(
+                    f"{path}: holds resource {header.get('resource')!r}, "
+                    f"expected {INDEX_RESOURCE!r}"
+                )
+            if header.get("mined_from") != self._mined_from:
+                raise SegmentError(
+                    f"{path}: mined from {header.get('mined_from')!r}, but "
+                    f"the directory's triples are {self._mined_from!r}"
+                )
+            counts = [_header_count(path, header, key) for key in _INDEX_COUNTS]
+            forms, candidates, first_words, __, nodes, classes, types, links = (
+                counts
+            )
+            sizes = (
+                len(counts), forms, forms + 1, forms + 1, candidates,
+                first_words, nodes, nodes + 1, nodes + 1, types, nodes + 1,
+                links, nodes + 1, links, classes + 1,
+            )
+            body = mapped.body
+            cursor = 0
+            for words in sizes:
+                if cursor + words * _WORD > len(body):
+                    raise SegmentIntegrityError(
+                        f"{path}: index body too short for its counts"
+                    )
+                views.append(body[cursor:cursor + words * _WORD].cast("q"))
+                cursor += words * _WORD
+            if list(views[0]) != counts:
+                raise SegmentIntegrityError(
+                    f"{path}: header counts differ from the body's"
+                )
+            (__, self._form_hashes, self._form_offsets,
+             self._candidate_offsets, self._candidate_ids, self._first_words,
+             self._nodes, self._label_offsets, self._type_offsets,
+             self._type_ids, self._out_offsets, self._out_ids,
+             self._in_offsets, self._in_ids, self._class_offsets) = views
+            payloads = []
+            for offsets in (
+                self._form_offsets, self._label_offsets, self._class_offsets
+            ):
+                payloads.append(body[cursor:cursor + offsets[-1]])
+                cursor += offsets[-1]
+            views.extend(payloads)
+            if cursor != len(body):
+                raise SegmentIntegrityError(
+                    f"{path}: index body length differs from its counts"
+                )
+        except Exception:
+            for view in views:
+                view.release()
+            mapped.close()
+            raise
+        self._form_bytes, self._label_bytes, self._class_bytes = payloads
+        self._counts = dict(zip(_INDEX_COUNTS, counts))
+        self._views = views
+        # Published last: a thread that passes the unlocked check in
+        # open() must find the columns already filled.
+        self._mapped = mapped
+
+    def close(self) -> None:
+        with self._lock:
+            if self._mapped is None:
+                return
+            for view in self._views:
+                view.release()
+            self._views = []
+            self._mapped.close()
+            self._mapped = None
+
+    # -- surface forms --------------------------------------------------
+
+    def __len__(self) -> int:
+        """The number of surface forms."""
+        return self.open()._counts["forms"]
+
+    @property
+    def max_words(self) -> int:
+        """The longest surface form, in words."""
+        return self.open()._counts["max_words"]
+
+    @property
+    def links(self) -> int:
+        """The number of page links."""
+        return self.open()._counts["links"]
+
+    def _form(self, position: int) -> bytes:
+        offsets = self._form_offsets
+        return bytes(
+            self._form_bytes[offsets[position]:offsets[position + 1]]
+        )
+
+    def candidate_ids(self, form: str) -> Sequence[int] | None:
+        """The candidate ids of a normalised form, in insertion order, or
+        None when no form matches it exactly."""
+        self.open()
+        hashes = self._form_hashes
+        wanted = form_hash(form)
+        lo = bisect_left(hashes, wanted)
+        if lo == len(hashes) or hashes[lo] != wanted:
+            return None
+        # Equal hashes sort by form bytes: a binary search, even when
+        # many forms collide.
+        record = form.encode("utf-8")
+        hi = bisect_right(hashes, wanted, lo)
+        position = bisect_left(range(lo, hi), record, key=self._form) + lo
+        if position == hi or self._form(position) != record:
+            return None
+        offsets = self._candidate_offsets
+        return self._candidate_ids[offsets[position]:offsets[position + 1]]
+
+    def starts(self, word: str) -> bool:
+        """Whether some form may start with the normalised ``word``: a
+        hash test, so a collision can answer True for a word that starts
+        no form."""
+        self.open()
+        hashes = self._first_words
+        wanted = form_hash(word)
+        position = bisect_left(hashes, wanted)
+        return position < len(hashes) and hashes[position] == wanted
+
+    # -- nodes ------------------------------------------------------------
+
+    def _node(self, term_id: int) -> int | None:
+        self.open()
+        nodes = self._nodes
+        position = bisect_left(nodes, term_id)
+        if position < len(nodes) and nodes[position] == term_id:
+            return position
+        return None
+
+    def label(self, term_id: int) -> str | None:
+        """The primary label of an entity id, or None."""
+        node = self._node(term_id)
+        if node is None:
+            return None
+        offsets = self._label_offsets
+        start, end = offsets[node], offsets[node + 1]
+        return str(self._label_bytes[start:end], "utf-8") if end > start else None
+
+    def _class_name(self, index: int) -> str:
+        offsets = self._class_offsets
+        return str(self._class_bytes[offsets[index]:offsets[index + 1]], "utf-8")
+
+    def class_names(self, term_id: int) -> list[str]:
+        """An entity id's type closure as class names (empty when the id
+        is no entity)."""
+        node = self._node(term_id)
+        if node is None:
+            return []
+        offsets = self._type_offsets
+        return [
+            self._class_name(index)
+            for index in self._type_ids[offsets[node]:offsets[node + 1]]
+        ]
+
+    def out_ids(self, term_id: int) -> Sequence[int]:
+        """The ids a page links to, ascending."""
+        return self._slice(term_id, self._out_offsets, self._out_ids)
+
+    def in_ids(self, term_id: int) -> Sequence[int]:
+        """The ids of the pages linking to a page, ascending."""
+        return self._slice(term_id, self._in_offsets, self._in_ids)
+
+    def _slice(self, term_id: int, offsets, ids) -> Sequence[int]:
+        node = self._node(term_id)
+        if node is None:
+            return ()
+        return ids[offsets[node]:offsets[node + 1]]
+
+    def entity_ids(self) -> list[int]:
+        """Every id with a type, ascending."""
+        self.open()
+        return self._ids_with(self._type_offsets)
+
+    def page_ids(self) -> list[int]:
+        """Every id with a page link in either direction, ascending."""
+        self.open()
+        pages = set(self._ids_with(self._out_offsets))
+        pages.update(self._ids_with(self._in_offsets))
+        return sorted(pages)
+
+    def _ids_with(self, offsets) -> list[int]:
+        return [
+            node_id for node, node_id in enumerate(self._nodes)
+            if offsets[node + 1] > offsets[node]
+        ]
 
 
 def write_resource(path: str, name: str, mined_from: str, payload) -> str:

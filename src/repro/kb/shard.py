@@ -31,8 +31,9 @@ manifest key) still open and serve; only the object routing stays off.
 The builder also derives, once, what a server would otherwise rebuild
 from the triples at every start: the KB's lookup indexes and the mined
 PATTY pattern store.  They ship beside the shards as checksummed
-resource files (:mod:`repro.kb.segment`), and
-:meth:`SegmentedBackend.shipped_resource` serves them on demand.
+resource files (:mod:`repro.kb.segment`):
+:meth:`SegmentedBackend.shipped_index` serves the indexes (read on first
+touch) and :meth:`SegmentedBackend.shipped_resource` the store.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from repro.kb.segment import (
     PATTERNS_RESOURCE,
     SegmentDictionary,
     SegmentError,
+    SegmentIndex,
     SegmentIntegrityError,
     SegmentShard,
     read_manifest,
@@ -66,6 +68,7 @@ from repro.kb.segment import (
     scan_order,
     scan_order_key,
     write_dictionary,
+    write_index,
     write_manifest,
     write_resource,
     write_shard,
@@ -222,22 +225,24 @@ def _ship_resources(directory: str, fingerprint: str) -> dict[str, str]:
     backend = SegmentedBackend(directory).open()
     try:
         kb = KnowledgeBase.from_backend(build_dbpedia_ontology(), backend)
-        payloads = {
-            INDEX_RESOURCE: kb.index_state(),
-            PATTERNS_RESOURCE: pattern_store_state(build_pattern_store(kb)),
-        }
+        store = pattern_store_state(build_pattern_store(kb))
+        index = kb.index_ids()
     finally:
         backend.close()
     return {
-        name: write_resource(
-            os.path.join(directory, name), name, fingerprint, payload
-        )
-        for name, payload in payloads.items()
+        INDEX_RESOURCE: write_index(
+            os.path.join(directory, INDEX_RESOURCE), fingerprint, **index
+        ),
+        PATTERNS_RESOURCE: write_resource(
+            os.path.join(directory, PATTERNS_RESOURCE), PATTERNS_RESOURCE,
+            fingerprint, store,
+        ),
     }
 
 
 def _check_layout(path: str, manifest: dict) -> None:
-    """Refuse a manifest whose counts and file list disagree.
+    """Refuse a manifest whose counts and file list disagree, or whose
+    resource list is no ``{file: checksum}`` mapping.
 
     Scans route by the shard counts, so an edited count must fail at
     open rather than send a scan to the wrong shard or skip one.
@@ -263,6 +268,12 @@ def _check_layout(path: str, manifest: dict) -> None:
             f"{path}: manifest lists {sorted(manifest['files'])}, expected "
             f"{sorted(expected)}"
         )
+    resources = manifest.get("resources", {})
+    if not (
+        isinstance(resources, dict)
+        and all(type(checksum) is str for checksum in resources.values())
+    ):
+        raise SegmentIntegrityError(f"{path}: corrupt manifest resource list")
 
 
 class SegmentedBackend(KBBackend):
@@ -291,6 +302,7 @@ class SegmentedBackend(KBBackend):
         self._dictionary: SegmentDictionary | None = None
         self._shards: list[SegmentShard] = []
         self._object_shards: list[SegmentShard] = []
+        self._index: SegmentIndex | None = None
 
     @property
     def path(self) -> str:
@@ -339,6 +351,9 @@ class SegmentedBackend(KBBackend):
         if self._dictionary is not None:
             self._dictionary.close()
             self._dictionary = None
+        if self._index is not None:
+            self._index.close()
+            self._index = None
         self._manifest = None
 
     def _require_open(self) -> dict:
@@ -458,6 +473,27 @@ class SegmentedBackend(KBBackend):
 
     def __len__(self) -> int:
         return self._require_open()["triples"]
+
+    def shipped_index(self) -> SegmentIndex | None:
+        """The KB lookup indexes the builder shipped in this directory,
+        or None when the manifest does not list ``kb_index.bin`` (a
+        directory written before they shipped, or as JSON).
+
+        Nothing is read here: the file maps, and its header and body
+        checksums validate, on the first lookup, which raises a typed
+        :class:`~repro.kb.segment.SegmentError` for a listed file that
+        is missing, corrupt or mined from other triples.
+        """
+        manifest = self._require_open()
+        checksum = manifest.get("resources", {}).get(INDEX_RESOURCE)
+        if checksum is None:
+            return None
+        if self._index is None:
+            self._index = SegmentIndex(
+                os.path.join(self._path, INDEX_RESOURCE), checksum,
+                manifest["fingerprint"],
+            )
+        return self._index
 
     def shipped_resource(self, name: str, parse):
         """``parse(payload)`` of a resource the builder shipped in this

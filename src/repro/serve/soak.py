@@ -105,6 +105,9 @@ class SoakReport:
     #: claim.
     shared_segments: bool = False
     peak_rss_mb: float | None = None
+    #: The most requests the drive loop held unresolved at once: the
+    #: harness keeps only those, checking each request as it resolves.
+    peak_pending: int = 0
 
     @property
     def ok(self) -> bool:
@@ -116,7 +119,8 @@ class SoakReport:
             f"soak {status}: {self.submitted} submitted, "
             f"{self.resolved} resolved, {self.answered} answered, "
             f"{self.typed_failures} typed failures, {self.shed} shed, "
-            f"{self.degraded} degraded in {self.duration_s:.1f}s",
+            f"{self.degraded} degraded in {self.duration_s:.1f}s "
+            f"(at most {self.peak_pending} pending)",
             f"state-bleed check: {self.faulted_controls} control answers "
             f"skipped (a candidate query faulted)",
             "chaos events: "
@@ -170,7 +174,8 @@ def run_soak(
     report = SoakReport(duration_s=duration_s)
     report.shared_segments = isinstance(kb.backend, SegmentedBackend)
     events = report.chaos_events
-    in_flight: list[tuple[str, bool, Future]] = []
+    #: Submitted requests whose futures have not resolved yet.
+    pending: list[tuple[str, bool, Future]] = []
     storm_size = server_config.breaker_failure_threshold + (1 if quick else 3)
 
     def chaos(step: int) -> None:
@@ -204,7 +209,20 @@ def run_soak(
     def submit(text: str, chaos_q: bool = False) -> None:
         future = server.submit(text)
         report.submitted += 1
-        in_flight.append((text, chaos_q, future))
+        pending.append((text, chaos_q, future))
+
+    def resolve(text: str, chaos_q: bool, future: Future, timeout: float) -> None:
+        """Invariants 1-3 for one request (``timeout`` 0 for a done one)."""
+        try:
+            answer = future.result(timeout=timeout)
+        except Exception as error:
+            report.violations.append(
+                f"request did not resolve cleanly ({text!r}): "
+                f"{type(error).__name__}: {error}"
+            )
+            return
+        report.resolved += 1
+        check_answer(report, clean, text, chaos_q, answer)
 
     # -- drive loop -----------------------------------------------------
     deadline = time.monotonic() + duration_s
@@ -223,45 +241,24 @@ def run_soak(
         burst = rng.randint(1, 4)
         for _ in range(burst):
             submit(rng.choice(controls))
+        report.peak_pending = max(report.peak_pending, len(pending))
+        # Check what resolved and keep only what has not: the harness
+        # holds no answer longer than one turn of the loop.
+        still = []
+        for entry in pending:
+            if entry[2].done():
+                resolve(*entry, timeout=0)
+            else:
+                still.append(entry)
+        pending[:] = still
         # Let the queue drain a little so admission shedding is exercised
         # but not the only behavior.
         time.sleep(0.001)
 
-    # -- invariant 1: every future resolves (no deadlock) ---------------
-    outcomes: list[tuple[str, bool, Answer]] = []
-    for text, chaos_q, future in in_flight:
-        try:
-            answer = future.result(timeout=HANG_TIMEOUT_S)
-        except Exception as error:
-            report.violations.append(
-                f"request did not resolve cleanly ({text!r}): "
-                f"{type(error).__name__}: {error}"
-            )
-            continue
-        report.resolved += 1
-        outcomes.append((text, chaos_q, answer))
-
-    # -- invariants 2 + 3 ----------------------------------------------
-    for text, chaos_q, answer in outcomes:
-        if answer.degraded:
-            report.degraded += 1
-        if answer.answered:
-            report.answered += 1
-        elif answer.failure is None:
-            report.violations.append(
-                f"unanswered request with no failure diagnostic: {text!r}"
-            )
-        else:
-            report.typed_failures += 1
-        if answer.failure_stage == "serve":
-            report.shed += 1
-            if "Overloaded" not in answer.failure and "ServerClosed" not in answer.failure:
-                report.violations.append(
-                    f"shed request without a typed serve failure: "
-                    f"{answer.failure!r}"
-                )
-        if not chaos_q:
-            check_state_bleed(report, clean, text, answer)
+    # -- invariant 1: every future still pending resolves in time -------
+    for entry in pending:
+        resolve(*entry, timeout=HANG_TIMEOUT_S)
+    pending.clear()
 
     # -- invariant 4: post-soak byte-identity ---------------------------
     faults.disarm()
@@ -277,6 +274,32 @@ def run_soak(
     report.metrics = server.metrics()
     report.peak_rss_mb = peak_rss_mb()
     return report
+
+
+def check_answer(
+    report: SoakReport, clean: dict[str, tuple], text: str, chaos_q: bool,
+    answer: Answer,
+) -> None:
+    """Invariants 2 and 3 for one resolved request."""
+    if answer.degraded:
+        report.degraded += 1
+    if answer.answered:
+        report.answered += 1
+    elif answer.failure is None:
+        report.violations.append(
+            f"unanswered request with no failure diagnostic: {text!r}"
+        )
+    else:
+        report.typed_failures += 1
+    if answer.failure_stage == "serve":
+        report.shed += 1
+        if "Overloaded" not in answer.failure and "ServerClosed" not in answer.failure:
+            report.violations.append(
+                f"shed request without a typed serve failure: "
+                f"{answer.failure!r}"
+            )
+    if not chaos_q:
+        check_state_bleed(report, clean, text, answer)
 
 
 def check_state_bleed(

@@ -39,7 +39,7 @@ def test_segment_files_are_identical_across_hash_seeds(tmp_path):
     _build_segments(second, "1")
     names = sorted(path.name for path in first.iterdir())
     assert names == sorted(path.name for path in second.iterdir())
-    assert "patty_store.res" in names and "kb_index.res" in names
+    assert "patty_store.res" in names and "kb_index.bin" in names
     differing = [
         name for name in names
         if (first / name).read_bytes() != (second / name).read_bytes()

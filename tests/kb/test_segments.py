@@ -10,6 +10,8 @@ import threading
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.kb import (
     SegmentedBackend,
@@ -149,6 +151,60 @@ class TestTermCodec:
         value = term_hash(record)
         assert value == term_hash(record)
         assert -(2**63) <= value < 2**63
+
+
+#: IRI values that stress the plain-record fast path: quotes,
+#: backslashes, the record separator, brackets, non-ASCII and control
+#: characters, which JSON escapes (and so send a record down json.loads).
+iri_values = st.lists(
+    st.one_of(
+        st.sampled_from(['"', "\\", '","', "]", "[", "/", ":", "é", "中",
+                         "\U0001F600", "\u2028", "\x7f"]),
+        st.characters(max_codepoint=0x1F),
+        st.characters(blacklist_categories=("Cs",)),
+    ),
+    min_size=1,
+    max_size=12,
+).map("".join)
+
+
+class TestPlainIriRecords:
+    @given(iri_values)
+    def test_round_trip(self, value):
+        term = IRI(value)
+        assert decode_term(encode_term(term)) == term
+
+    @given(iri_values)
+    def test_plain_iff_no_escapes(self, value):
+        record = encode_term(IRI(value))
+        plain = segment.plain_iri_value(record)
+        assert (plain is not None) == (b"\\" not in record)
+        if plain is not None:
+            assert plain == value
+
+    @given(st.one_of(
+        st.binary(max_size=24),
+        iri_values.map(lambda value: value.encode("utf-8")),
+    ))
+    def test_fast_path_agrees_with_json_on_what_it_accepts(self, middle):
+        # Raw, unescaped middles: what a damaged or hand-written record
+        # may hold.
+        record = b'["i","' + middle + b'"]'
+        try:
+            plain = segment.plain_iri_value(record)
+        except UnicodeDecodeError:
+            with pytest.raises(UnicodeDecodeError):
+                record.decode("utf-8")
+            return
+        if plain is not None:
+            assert json.loads(record.decode("utf-8")) == ["i", plain]
+
+    @pytest.mark.parametrize("record", [
+        b'["i","a","b"]', b'["i","a\\"b"]', b'["i", "a"]', b'["l","a"]',
+        b'["i","a\x01"]', b'["i","a"] ',
+    ])
+    def test_other_records_take_json(self, record):
+        assert segment.plain_iri_value(record) is None
 
 
 class TestDictionarySegment:

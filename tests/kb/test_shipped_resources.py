@@ -1,11 +1,15 @@
 """Damaged segment files: a typed error, never a wrong answer.
 
-A segment directory ships ``kb_index.res`` (the KB's lookup indexes) and
-``patty_store.res`` (the mined pattern store).  Every fault in them must
-make ``KnowledgeBase.from_backend`` (the index) or
-``QuestionAnsweringSystem.over`` (the store) raise ``SegmentError`` or
-its subclass ``SegmentIntegrityError``: never a silent rebuild, never an
-answer from resources that do not belong to the directory's triples.
+A segment directory ships ``kb_index.bin`` (the KB's lookup indexes, as
+id columns) and ``patty_store.res`` (the mined pattern store).  Every
+fault in them must raise ``SegmentError`` or its subclass
+``SegmentIntegrityError`` — for the index at ``KnowledgeBase.from_backend``
+or at its first lookup (the file maps and checksums on first touch), for
+the store at ``QuestionAnsweringSystem.over``: never a silent rebuild,
+never a candidate list or an answer from resources that do not belong to
+the directory's triples.  A directory whose manifest lists no
+``kb_index.bin`` (written before it shipped, or with the JSON
+``kb_index.res``) rebuilds the indexes from its triples.
 
 The same fuzz helpers then damage the triple files themselves —
 ``dictionary.bin`` region by region (header, offsets, hash index, id
@@ -32,12 +36,15 @@ from repro.kb import (
     load_curated_kb,
     load_synthetic_kb,
 )
-from repro.kb.segment import INDEX_RESOURCE, PATTERNS_RESOURCE
+from repro.kb import segment
+from repro.kb.labels import SurfaceFormIndex
+from repro.kb.segment import INDEX_RESOURCE, PATTERNS_RESOURCE, SegmentDictionary
 from repro.kb.shard import (
     object_shard_filename,
     shard_filename,
     shard_of_object,
 )
+from repro.nlp.tokenizer import tokenize
 from repro.rdf.namespaces import DBR
 from repro.rdf.order import ORDER_VERSION
 from repro.sparql import ScatterGatherExecutor, SparqlEngine
@@ -68,12 +75,25 @@ def directory(pristine, tmp_path):
 
 
 def load(directory):
-    """Open the directory and build the QA system over it, which loads
-    both shipped resources."""
+    """Open the directory, build the QA system over it (which reads the
+    shipped store) and make the shipped index's first lookup."""
     backend = SegmentedBackend(directory).open()
     try:
         kb = KnowledgeBase.from_backend(build_dbpedia_ontology(), backend)
-        return QuestionAnsweringSystem.over(kb)
+        system = QuestionAnsweringSystem.over(kb)
+        assert kb.surface_index.candidates("Orhan Pamuk") == [PAMUK]
+        return system
+    finally:
+        backend.close()
+
+
+def index_lookup(directory):
+    """``from_backend`` and the index's first lookup: where a damaged
+    ``kb_index.bin`` must fail."""
+    backend = SegmentedBackend(directory).open()
+    try:
+        kb = KnowledgeBase.from_backend(build_dbpedia_ontology(), backend)
+        return kb.surface_index.candidates("Orhan Pamuk")
     finally:
         backend.close()
 
@@ -96,16 +116,54 @@ def test_pristine_directory_loads_both_resources(directory):
     assert system.answer("Which book is written by Orhan Pamuk?").answered
 
 
-class TestIndexLoadRaises:
-    """Faults in ``kb_index.res`` stop ``from_backend``."""
+#: The index file's header counts, in the order its body repeats them.
+INDEX_COUNTS = (
+    "forms", "candidates", "first_words", "max_words", "nodes", "classes",
+    "types", "links",
+)
 
-    def assert_typed(self, directory):
-        backend = SegmentedBackend(directory).open()
-        try:
-            with pytest.raises(SegmentError):
-                KnowledgeBase.from_backend(build_dbpedia_ontology(), backend)
-        finally:
-            backend.close()
+
+def index_regions(data: bytes) -> dict[str, tuple[int, int]]:
+    """Byte ranges of ``kb_index.bin``'s header and body regions."""
+    start = header_length(data)
+    header = json.loads(data[data.index(b"\n") + 1:start - 1])
+    forms, candidates, first_words, __, nodes, classes, types, links = (
+        header[key] for key in INDEX_COUNTS
+    )
+    sizes = {
+        "counts": len(INDEX_COUNTS), "form_hashes": forms,
+        "form_offsets": forms + 1, "candidate_offsets": forms + 1,
+        "candidate_ids": candidates, "first_words": first_words,
+        "nodes": nodes, "label_offsets": nodes + 1,
+        "type_offsets": nodes + 1, "type_ids": types,
+        "out_offsets": nodes + 1, "out_ids": links,
+        "in_offsets": nodes + 1, "in_ids": links,
+        "class_offsets": classes + 1,
+    }
+    bounds = {"header": (0, start)}
+    cursor = start
+    for region, words in sizes.items():
+        bounds[region] = (cursor, cursor + 8 * words)
+        cursor += 8 * words
+    for payload, offsets in (
+        ("form_bytes", "form_offsets"), ("label_bytes", "label_offsets"),
+        ("class_bytes", "class_offsets"),
+    ):
+        end = bounds[offsets][1]
+        size = int.from_bytes(data[end - 8:end], "little", signed=True)
+        bounds[payload] = (cursor, cursor + size)
+        cursor += size
+    assert cursor == len(data)
+    return bounds
+
+
+class TestIndexLoadRaises:
+    """Faults in ``kb_index.bin`` raise at ``from_backend`` or at the
+    first lookup, never return a candidate list."""
+
+    def test_regions_cover_the_file(self, directory):
+        bounds = index_regions((directory / INDEX_RESOURCE).read_bytes())
+        assert all(end > start for start, end in bounds.values())
 
     def test_every_header_byte_flipped(self, directory):
         path = directory / INDEX_RESOURCE
@@ -114,21 +172,152 @@ class TestIndexLoadRaises:
             corrupt = bytearray(data)
             corrupt[position] ^= 0x01
             path.write_bytes(bytes(corrupt))
-            self.assert_typed(directory)
+            with pytest.raises(SegmentError):
+                index_lookup(directory)
 
     def test_body_bytes_flipped(self, directory):
         path = directory / INDEX_RESOURCE
         data = path.read_bytes()
-        start = header_length(data)
         rng = random.Random(5)
-        positions = [start, len(data) // 2, len(data) - 1]
-        positions += [rng.randrange(start, len(data)) for __ in range(12)]
-        for position in positions:
-            corrupt = bytearray(data)
-            corrupt[position] ^= 0xFF
-            path.write_bytes(bytes(corrupt))
-            with pytest.raises(SegmentIntegrityError):
-                load(directory)
+        for region, (start, end) in index_regions(data).items():
+            if region == "header":
+                continue
+            positions = {start, end - 1}
+            positions.update(rng.randrange(start, end) for __ in range(3))
+            for position in sorted(positions):
+                corrupt = bytearray(data)
+                corrupt[position] ^= 0xFF
+                path.write_bytes(bytes(corrupt))
+                with pytest.raises(SegmentIntegrityError):
+                    index_lookup(directory)
+
+    def test_truncated_at_every_region_boundary(self, directory):
+        path = directory / INDEX_RESOURCE
+        data = path.read_bytes()
+        cuts = {0, 3}
+        for start, end in index_regions(data).values():
+            cuts.update({start, end - 1, (start + end) // 2})
+        cuts.discard(len(data))
+        for length in sorted(cuts):
+            path.write_bytes(data[:length])
+            with pytest.raises(SegmentError):
+                index_lookup(directory)
+
+    @pytest.mark.parametrize("count", [1, 10**6, -1, "12", None])
+    def test_edited_header_count_is_typed(self, directory, count):
+        """The header sits outside the body checksum; the body repeats
+        the counts, so an edited one is refused, never read past."""
+        path = directory / INDEX_RESOURCE
+        data = path.read_bytes()
+        start = header_length(data)
+        magic = data[:data.index(b"\n") + 1]
+        for key in INDEX_COUNTS:
+            header = json.loads(data[len(magic):start - 1])
+            header[key] = header[key] + count if type(count) is int else count
+            path.write_bytes(
+                magic + json.dumps(header).encode() + b"\n" + data[start:]
+            )
+            with pytest.raises(SegmentError):
+                index_lookup(directory)
+
+    def test_manifest_listing_only_the_json_index_rebuilds(
+        self, directory, pristine
+    ):
+        """A directory written when the index shipped as JSON lists
+        ``kb_index.res``: its indexes are rebuilt from the triples, and
+        its pattern store mined, exactly as without resources."""
+        (directory / INDEX_RESOURCE).rename(directory / "kb_index.res")
+
+        def edit(manifest):
+            resources = manifest["resources"]
+            resources["kb_index.res"] = resources.pop(INDEX_RESOURCE)
+
+        edit_manifest(directory, edit)
+        question = "Which book is written by Orhan Pamuk?"
+        answers = []
+        for segments in (directory, pristine):
+            with SegmentedBackend(segments) as backend:
+                kb = KnowledgeBase.from_backend(build_dbpedia_ontology(), backend)
+                answers.append(QuestionAnsweringSystem.over(kb).answer(question))
+                if segments == directory:
+                    assert not kb.shipped_index
+                    assert isinstance(kb.surface_index, SurfaceFormIndex)
+        assert answers[0].answered
+        assert [t.n3() for t in answers[0].answers] == [
+            t.n3() for t in answers[1].answers
+        ]
+
+
+def test_from_backend_decodes_no_entity(directory, monkeypatch):
+    """Set-up reads no index and decodes no entity; a lookup decodes
+    what it returns, once."""
+    decoded = []
+    decode = SegmentDictionary.decode
+
+    def counting(self, term_id):
+        decoded.append(term_id)
+        return decode(self, term_id)
+
+    monkeypatch.setattr(SegmentDictionary, "decode", counting)
+    with SegmentedBackend(directory) as backend:
+        kb = KnowledgeBase.from_backend(build_dbpedia_ontology(), backend)
+        assert kb.shipped_index and decoded == []
+        assert kb.surface_index.candidates("Orhan Pamuk") == [PAMUK]
+        assert len(decoded) == 1
+        assert kb.surface_index.candidates("orhan  PAMUK!") == [PAMUK]
+        assert kb.label_of(PAMUK) == "Orhan Pamuk"
+        assert "Writer" in kb.entity_types(PAMUK)
+        assert len(decoded) == 1
+    # Nothing of the file is read before the first lookup.
+    (directory / INDEX_RESOURCE).write_bytes(b"not an index file")
+    with SegmentedBackend(directory) as backend:
+        kb = KnowledgeBase.from_backend(build_dbpedia_ontology(), backend)
+        with pytest.raises(SegmentError):
+            kb.surface_index.candidates("Orhan Pamuk")
+
+
+class TestFormHashCollisions:
+    """With every form and first word hashing alike, lookups still
+    verify form bytes: the rebuild's candidates for every form, nothing
+    for an absent one, and the same spots."""
+
+    @pytest.fixture
+    def colliding(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(segment, "form_hash", lambda text: 7)
+        shipped = tmp_path / "shipped"
+        build_segments(load_curated_kb().graph, shipped, shards=2)
+        rebuilt = tmp_path / "rebuilt"
+        shutil.copytree(shipped, rebuilt)
+        edit_manifest(rebuilt, lambda manifest: manifest.pop("resources"))
+        backends = [SegmentedBackend(path).open() for path in (shipped, rebuilt)]
+        kbs = [
+            KnowledgeBase.from_backend(build_dbpedia_ontology(), backend)
+            for backend in backends
+        ]
+        assert kbs[0].shipped_index and not kbs[1].shipped_index
+        yield kbs
+        for backend in backends:
+            backend.close()
+
+    def test_every_lookup_returns_the_rebuilds_candidates(self, colliding):
+        got, want = (kb.surface_index for kb in colliding)
+        forms = list(want._forms)
+        assert len(forms) > 100
+        for form in forms:
+            assert got.candidates(form) == want.candidates(form), form
+        for absent in ("", "orhan", "pamuk orhan", "zzz", forms[0] + " x"):
+            assert got.candidates(absent) == want.candidates(absent) == []
+
+    def test_first_word_collisions_never_change_a_spot(self, colliding):
+        loaded, rebuilt = colliding
+        got, want = loaded.surface_index, rebuilt.surface_index
+        # A word that starts no form passes the hash test ...
+        assert got.starts_form("zzz") and not want.starts_form("zzz")
+        # ... and costs lookups that miss, never a different match.
+        for entity in rebuilt.entities():
+            label = want.label(entity)
+            tokens = tokenize(f"zzz {label} and the {label}?")
+            assert list(got.spot(tokens)) == list(want.spot(tokens)), label
 
 
 class TestStoreLoadRaises:
@@ -448,6 +637,7 @@ MANIFEST_EDITS = {
     ),
     "files as list": _set("files", lambda files: sorted(files)),
     "resources deleted": _delete("resources"),
+    "resources as list": _set("resources", lambda resources: sorted(resources)),
 }
 
 

@@ -221,7 +221,7 @@ class TestKbBuildSegments:
         out = capsys.readouterr().out
         assert code == 0
         assert "mined the shipped resources in" in out
-        for name in ("kb_index.res", "patty_store.res"):
+        for name in ("kb_index.bin", "patty_store.res"):
             size = (out_dir / name).stat().st_size
             assert f"{name}" in out and f"{size:,} bytes" in out
         code = main(["ask", "--kb-backend", "segments", "--kb-path", str(out_dir),
