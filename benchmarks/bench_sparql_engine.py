@@ -225,7 +225,7 @@ MODES = [
 
 
 def _time_engine(engine, ast, repeats: int) -> tuple[float, object]:
-    engine.query(ast)  # warmup: compile the plan, touch the indexes
+    engine.query(ast)  # warmup: touch the indexes
     # Cyclic GC pauses (~20ms on the synthetic store's object graph) would
     # otherwise land in whichever timing window crosses the gen-2
     # allocation threshold and swamp sub-millisecond queries.
@@ -247,9 +247,8 @@ def run_comparison(scale: int, repeats: int) -> dict:
 
     kb = load_synthetic_kb(scale=scale)
     # Result caching off in every engine: this measures evaluation, not
-    # memoization.  The id-space engines still compile plans (that is part
-    # of the engine, and the plan cache amortises it exactly as in
-    # production).
+    # memoization.  The columnar engine then compiles its plan on every
+    # repetition, which is what a cold query costs in production.
     engines = {
         mode: SparqlEngine(kb.graph, cache_size=0, **kwargs)
         for mode, kwargs in MODES

@@ -44,8 +44,9 @@ class PipelineConfig:
     # -- performance layer (docs/performance.md); none of these change
     # -- answers, only how much work is done to produce them --------------
 
-    #: Memoize string-similarity scores across questions (section 2.2
-    #: recomputes the same word-property pairs heavily).
+    #: Memoize string-similarity scores and the mapper's per-word scans
+    #: of the property catalogue across questions (section 2.2 recomputes
+    #: the same word-property pairs heavily).
     enable_similarity_cache: bool = True
     #: Memoize sentence annotation (tokenise/tag/parse) on question text.
     enable_annotation_cache: bool = True

@@ -172,9 +172,6 @@ class TripleMapper:
                 self._similarity, stats=stats, name="similarity"
             )
         self._ned = Disambiguator(kb, similarity=self._similarity)
-        #: Memo for the per-(word, property) best-of-label-words score of
-        #: :meth:`_property_similarity` — the hot inner loop of 2.2.1/2.2.2.
-        self._property_scores = LRUCache(65536)
         #: Memo for the full similarity scan over the property catalogue:
         #: (word, is_verb) -> tuple of above-threshold candidates.  The
         #: catalogue and threshold are fixed per mapper, so the scan is a
@@ -223,10 +220,7 @@ class TripleMapper:
         per-question cache sub-spans (docs/observability.md); each entry
         carries at least ``hits`` and ``misses``.
         """
-        snapshot: dict[str, dict] = {
-            "mapping.scan_cache": self._scan_cache.stats(),
-            "mapping.property_scores": self._property_scores.stats(),
-        }
+        snapshot: dict[str, dict] = {"mapping.scan_cache": self._scan_cache.stats()}
         if isinstance(self._similarity, MemoizedSimilarity):
             snapshot["similarity.memo"] = self._similarity.snapshot()
         return snapshot
@@ -234,22 +228,22 @@ class TripleMapper:
     def export_warm_memos(self) -> dict:
         """Picklable similarity memo contents for crash-safe restarts.
 
-        Only the pure-string memos travel: ``(a, b) -> score`` from the
-        similarity memo and ``(word, property) -> score`` from the
-        per-property memo.  The scan cache holds catalogue-derived objects
+        Only the pure-string memo travels: ``(a, b) -> score`` from the
+        similarity memo.  The scan cache holds catalogue-derived objects
         and is cheap to re-earn, so it stays behind.
         """
-        memos: dict[str, list] = {"property_scores": self._property_scores.items()}
+        memos: dict[str, list] = {}
         if isinstance(self._similarity, MemoizedSimilarity):
             memos["similarity"] = self._similarity.cache.items()
         return memos
 
     def import_warm_memos(self, memos: dict) -> int:
-        """Restore :meth:`export_warm_memos` output; returns entries loaded."""
+        """Restore :meth:`export_warm_memos` output; returns entries loaded.
+
+        Any other key (the per-property scores of snapshots written before
+        that memo was deleted) is not read.
+        """
         restored = 0
-        for key, score in memos.get("property_scores", ()):
-            self._property_scores.put(key, score)
-            restored += 1
         if isinstance(self._similarity, MemoizedSimilarity):
             for key, score in memos.get("similarity", ()):
                 self._similarity.cache.put(key, score)
@@ -464,20 +458,6 @@ class TripleMapper:
     def _property_similarity(self, word: str, prop: PropertyDef) -> float:
         """Best similarity between the word and the property's name or any
         word of its decamelised label."""
-        if not self._config.enable_similarity_cache:
-            return self._property_similarity_uncached(word, prop)
-        key = (word, prop.name)
-        score = self._property_scores.get(key)
-        if score is None:
-            score = self._property_similarity_uncached(word, prop)
-            self._property_scores.put(key, score)
-            if self._stats is not None:
-                self._stats.inc("mapping.property_scores.misses")
-        elif self._stats is not None:
-            self._stats.inc("mapping.property_scores.hits")
-        return score
-
-    def _property_similarity_uncached(self, word: str, prop: PropertyDef) -> float:
         best = self._similarity(word, prop.name)
         for label_word in prop.display_label().split():
             best = max(best, self._similarity(word, label_word))

@@ -72,7 +72,7 @@ class CandidateQuery:
 
     def to_ast(self) -> SelectQuery:
         # Memoized: the execute stage submits this AST per candidate, and
-        # the engine's plan/result caches key on the AST's structural hash
+        # the engine's result cache keys on the AST's structural hash
         # — rebuilding the (immutable) tree each call would re-hash a
         # fresh object every time.  Frozen dataclasses without
         # ``slots=True`` still carry a ``__dict__``, so the cached tree

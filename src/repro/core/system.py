@@ -616,10 +616,10 @@ class QuestionAnsweringSystem:
     def _attach_cache_deltas(self, span: Span, before: dict | None) -> None:
         """Instant sub-spans with per-stage cache hit/miss deltas.
 
-        The mapping stage's caches (similarity memo, property-scan memo,
-        property-score memo) are shared across questions and threads; the
-        deltas are exact for a sequentially traced question and
-        best-effort approximations while a concurrent batch is in flight.
+        The mapping stage's caches (similarity memo, property-scan memo)
+        are shared across questions and threads; the deltas are exact for
+        a sequentially traced question and best-effort approximations
+        while a concurrent batch is in flight.
         """
         if before is None:
             return
@@ -826,10 +826,8 @@ class QuestionAnsweringSystem:
     def export_warm_state(self) -> dict:
         """Picklable warm caches for :mod:`repro.serve.snapshot`.
 
-        Bundles the SPARQL engine's warm state (result cache entries +
-        plan-cache AST keys) with the mapper's similarity memos.  Compiled
-        plans are never exported — they close over graph indexes — only
-        their AST keys, which :meth:`restore_warm_state` recompiles.
+        Bundles the SPARQL engine's result-cache entries with the
+        mapper's similarity memo.
         """
         return {
             "engine": self._kb.engine.export_warm_state(),

@@ -668,8 +668,8 @@ class SegmentShard:
         order."""
         if -1 in (s, p, o):
             return
-        # Indexes the columns in place: the row carrier's point lookups
-        # would pay three slices for one or two rows.
+        # Indexes the columns in place: the index loop's per-row point
+        # lookups would pay three slices for one or two rows.
         (s_column, p_column, o_column), lo, hi = self._range(s, p, o)
         for index in range(lo, hi):
             yield (s_column[index], p_column[index], o_column[index])

@@ -224,10 +224,9 @@ class MetricsRegistry:
 
         Every numeric field of every per-cache dict lands as
         ``<prefix><cache>.<field>`` — for the current engine that yields
-        the ``sparql.parse_cache.*``, ``sparql.plan_cache.*`` and
-        ``sparql.result_cache.*`` families (hits/misses/hit_rate/
-        evictions/size).  New caches added to the engine surface here
-        with no registry changes.
+        the ``sparql.result_cache.*`` family (hits/misses/hit_rate/
+        evictions/size/maxsize).  A cache added to the engine surfaces
+        here with no registry changes.
         """
         for cache_name, stats in caches.items():
             if not isinstance(stats, Mapping):

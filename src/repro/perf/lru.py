@@ -1,6 +1,7 @@
 """A small thread-safe LRU cache with hit/miss accounting.
 
-Used by the SPARQL parse/result caches and the similarity memo layer.
+Used by the SPARQL result cache, the similarity memo layer and the
+mapper's scan cache.
 ``functools.lru_cache`` is not enough for those call sites: the caches must
 be explicitly invalidatable (graph mutation bumps a generation counter),
 sized at runtime, and must expose their hit/miss counters (:meth:`stats`,
@@ -10,9 +11,8 @@ benchmarks can report cache efficiency.
 
 Thread-safety contract: every public method takes the internal lock, so the
 cache can be shared by the :class:`repro.perf.batch.BatchAnswerer` worker
-threads.  Values are expected to be immutable (parsed ASTs, frozen result
-tuples, floats) — the cache hands out the stored object itself, never a
-copy.
+threads.  Values are expected to be immutable (frozen result tuples,
+floats) — the cache hands out the stored object itself, never a copy.
 """
 
 from __future__ import annotations
@@ -84,12 +84,6 @@ class LRUCache:
         """Drop every entry (counters are preserved)."""
         with self._lock:
             self._data.clear()
-
-    def keys(self) -> list:
-        """Snapshot of the keys, least-recently-used first (so replaying
-        them through ``put`` reproduces the recency order)."""
-        with self._lock:
-            return list(self._data.keys())
 
     def items(self) -> list[tuple[Hashable, Any]]:
         """Snapshot of ``(key, value)`` pairs, least-recently-used first.

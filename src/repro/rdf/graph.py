@@ -362,9 +362,9 @@ class Graph:
         """The term's dictionary id, or ``-1`` when never interned.
 
         Ids are append-only (never recycled, never reassigned), so a
-        non-negative id stays valid for the lifetime of the graph — the
-        compiled-plan cache relies on this to keep resolved constants
-        across graph generations.
+        non-negative id stays valid for the lifetime of the graph.  A
+        compiled plan resolves its constants through this once, as it
+        compiles.
         """
         term_id = self._dictionary.lookup(term)
         return -1 if term_id is None else term_id

@@ -1,8 +1,8 @@
 """Crash-safe warm-state snapshots (``repro.snapshot/v1``).
 
-A restarted server pays the cold-start cliff: empty result cache, empty
-plan cache, empty similarity memos.  This module persists those warm caches
-so a restart resumes near its pre-crash hit rate.
+A restarted server pays the cold-start cliff: an empty result cache and
+an empty similarity memo.  This module persists those warm caches so a
+restart resumes near its pre-crash hit rate.
 
 **File format** — one file, two parts:
 
@@ -12,10 +12,11 @@ so a restart resumes near its pre-crash hit rate.
   was captured against, and the restore-side entry counts;
 * the rest: a pickle of ``QuestionAnsweringSystem.export_warm_state()``.
 
-Compiled query plans are never serialised — they close over graph indexes
-— only their AST keys travel, and the restore recompiles them against the
-*current* graph.  Result-cache entries are only valid for the exact graph
-they were computed on, which is what the fingerprint enforces: any
+Compiled query plans are never serialised: the engine keeps none.  A
+snapshot written before that still carries plan keys (header count
+``plan_keys``) and per-property scores; a restore does not read them.
+Result-cache entries are only valid for the exact graph they were
+computed on, which is what the fingerprint enforces: any
 mismatch (mutation bumped the generation, different KB entirely) rejects
 the snapshot with a typed :class:`~repro.serve.errors.SnapshotError` and
 leaves the caches cold — a safe, merely slower, start.
@@ -74,7 +75,6 @@ def save_snapshot(system, path: str | os.PathLike) -> dict:
         "payload_bytes": len(payload),
         "kb": kb_fingerprint(system),
         "counts": {
-            "plan_keys": len(state["engine"]["plan_keys"]),
             "results": len(state["engine"]["results"]),
             "mapper_memos": sum(
                 len(entries) for entries in state["mapper"].values()
@@ -104,10 +104,10 @@ def save_snapshot(system, path: str | os.PathLike) -> dict:
 def load_snapshot(system, path: str | os.PathLike) -> dict[str, int]:
     """Validate and restore a snapshot into the system's caches.
 
-    Returns the restore counts (``plans`` / ``results`` /
-    ``mapper_memos``).  Raises :class:`SnapshotError` — after bumping the
-    ``snapshot.rejected`` counter — on any validation failure; the caches
-    are untouched in that case (validation happens before any ``put``).
+    Returns the restore counts (``results`` / ``mapper_memos``).  Raises
+    :class:`SnapshotError` — after bumping the ``snapshot.rejected``
+    counter — on any validation failure; the caches are untouched in that
+    case (validation happens before any ``put``).
     """
     try:
         with open(os.fspath(path), "rb") as handle:

@@ -21,9 +21,10 @@ only executor of id-space plans (the term-space evaluator in
   a single scan, and a **sort-merge join** (single-key, numpy only) sorts
   the scan side once and binary-searches every probe key in one
   vectorized shot — :func:`repro.sparql.planner.choose_batch_join` picks
-  between them once a batch is large enough to leave the row carrier
-  (small joined intermediates extend row at a time through
-  ``match_ids``, see :func:`_run_bgp`);
+  between them whenever the scan is at most
+  :data:`~repro.sparql.compiler.HASH_JOIN_MAX_SCAN_FACTOR` times the
+  batch; a larger scan, or a column of mixed boundness, extends row at a
+  time through ``match_ids`` instead (:func:`join_pattern`);
 * FILTERs evaluate over whole columns: ``?var = <iri>`` id-equality
   becomes one column mask; a range comparison of a variable with a number
   or date constant (a :class:`~repro.sparql.compiler.RangeFilter`) over
@@ -153,7 +154,7 @@ class ColumnBatch:
         return cls(width, columns, len(rows))
 
     def rows(self) -> list[Row]:
-        """Materialise the batch as row tuples (row-carrier/fallback boundary)."""
+        """Materialise the batch as row tuples (index-loop boundary)."""
         if self.width == 0:
             return [()] * self.length
         return list(zip(*self.columns))
@@ -407,12 +408,11 @@ def join_pattern(
 ) -> ColumnBatch:
     """Join one compiled pattern into the batch, picking the operator.
 
-    :func:`_run_bgp` hands over only batches that left the row carrier:
-    at least ``HASH_JOIN_MIN_ROWS`` rows, or no bound cell at all (the
-    cartesian leaf).  Admission: per-row index lookups for scans larger
-    than ``HASH_JOIN_MAX_SCAN_FACTOR`` times the batch, a batch join
-    otherwise — and then :func:`repro.sparql.planner.choose_batch_join`
-    selects hash or merge.
+    No bound join key crosses the batch with one scan (the cartesian
+    leaf).  Otherwise: per-row index lookups for scans larger than
+    ``HASH_JOIN_MAX_SCAN_FACTOR`` times the batch, a batch join otherwise
+    — and then :func:`repro.sparql.planner.choose_batch_join` selects hash
+    or merge.
     """
     graph = context.graph
     stats = context.stats
@@ -492,7 +492,7 @@ def filter_id_equality(
     :class:`SparqlTypeError` there, which SPARQL maps to "filter fails").
     """
     column = batch.columns[closure.slot]
-    target = closure.constant_box[0]
+    target = closure.constant_id
     negate = closure.negate
     length = batch.length
     _count(stats, "sparql.columnar.filter.vectorized_rows", length)
@@ -626,10 +626,7 @@ def apply_filters(
             batch = filter_rank_interval(
                 batch, range_filter.slot, interval, ranks, stats
             )
-        elif (
-            getattr(closure, "slot", None) is not None
-            and getattr(closure, "constant_box", None) is not None
-        ):
+        elif getattr(closure, "constant_id", None) is not None:
             batch = filter_id_equality(batch, closure, stats)
         else:
             batch = filter_memoized(batch, closure, width, stats, memo)
@@ -709,7 +706,7 @@ def _slice(rows, offset: int, limit: int | None):
 
 def _run_node(node, context: ExecContext, batch: ColumnBatch, plan) -> ColumnBatch:
     if isinstance(node, CompiledBGP):
-        return _run_bgp(node, context, batch, plan)
+        return _run_bgp(node, context, batch)
     if isinstance(node, CompiledGroup):
         return _run_group(node, context, batch, plan)
     if isinstance(node, CompiledOptional):
@@ -746,44 +743,13 @@ def _run_optional(
     return concat(pieces, batch.width)
 
 
-def _has_bound_cell(batch: ColumnBatch) -> bool:
-    return any(
-        value != UNBOUND for column in batch.columns for value in column
-    )
-
-
 def _run_bgp(
-    node: CompiledBGP, context: ExecContext, batch: ColumnBatch, plan
+    node: CompiledBGP, context: ExecContext, batch: ColumnBatch
 ) -> ColumnBatch:
-    if batch.length == 0:
-        return batch
-    # Row-carrier mode: below the hash-join admission threshold the batch
-    # conversions cost more than they save, so small *joined* intermediates
-    # (at least one bound cell — the all-unbound seed stays columnar, its
-    # first pattern materialises straight into columns) ride as plain row
-    # tuples and promote back to columns once they outgrow the threshold.
-    rows: list[Row] | None = None
     for pattern in node.patterns:
-        if rows is not None and len(rows) >= _compiler.HASH_JOIN_MIN_ROWS:
-            batch = ColumnBatch.from_rows(rows, plan.width)
-            rows = None
-        if (
-            rows is None
-            and 0 < batch.length < _compiler.HASH_JOIN_MIN_ROWS
-            and _has_bound_cell(batch)
-        ):
-            rows = batch.rows()
-        if rows is not None:
-            _count(context.stats, "sparql.columnar.joins.index_loop")
-            rows = pattern.extend(rows, context.graph)
-            length = len(rows)
-        else:
-            batch = join_pattern(context, batch, pattern)
-            length = batch.length
-        if length == 0:
+        batch = join_pattern(context, batch, pattern)
+        if batch.length == 0:
             break
-    if rows is not None:
-        batch = ColumnBatch.from_rows(rows, plan.width)
     return batch
 
 
@@ -796,13 +762,12 @@ class ColumnarQuery(CompiledQuery):
     """A compiled id-space plan executed over :class:`ColumnBatch` objects.
 
     Compilation (slot layout, planned pattern order, expression closures,
-    constant resolution) is inherited from
+    constant ids) is inherited from
     :class:`~repro.sparql.compiler.CompiledQuery`; this class adds
     execution and result shaping.
     """
 
     def execute(self, context: ExecContext) -> SelectResult | AskResult:
-        self._resolve(context.graph)
         _count(context.stats, "sparql.columnar.executions")
         batch = _run_node(self.root, context, ColumnBatch.seed(self.width), self)
         if self.is_ask:

@@ -11,11 +11,10 @@ once into a plan over the integer id space the dictionary-encoded
 * every variable of the query maps to a dense **slot index**; a partial
   solution is a flat tuple of ids with :data:`UNBOUND` (-1) holes — no
   dictionaries, no Term objects;
-* triple patterns resolve their constants to dictionary ids at bind time
-  (ids are append-only, so resolved constants survive graph mutations; an
-  absent constant re-resolves on the next generation), join in the order
-  :func:`repro.sparql.planner.plan_bgp` picks, and match through
-  :meth:`~repro.rdf.Graph.match_ids`;
+* triple patterns resolve their constants to dictionary ids when the plan
+  compiles (an absent constant resolves to -1 and matches nothing), join
+  in the order :func:`repro.sparql.planner.plan_bgp` picks, and match
+  through :meth:`~repro.rdf.Graph.match_ids`;
 * FILTER / ORDER BY expressions compile once into closures over slot
   indices (:func:`compile_expression`) instead of re-walking the AST per
   solution, with an id-level fast path for ``?var = <iri>`` equality; a
@@ -27,9 +26,9 @@ once into a plan over the integer id space the dictionary-encoded
 
 This module only compiles.  Execution lives in :mod:`repro.sparql.columnar`,
 whose :class:`~repro.sparql.columnar.ColumnarQuery` runs the compiled
-pattern tree over whole id-column batches.  The engine caches compiled
-plans keyed on the (structurally hashable) AST — see docs/performance.md
-("Engine architecture").
+pattern tree over whole id-column batches.  The engine compiles a plan
+for every result-cache miss and keeps none — see docs/performance.md
+("No plan cache").
 """
 
 from __future__ import annotations
@@ -69,12 +68,10 @@ from repro.sparql.planner import plan_bgp
 #: filtered out before a pattern executes.
 UNBOUND = -1
 
-#: Row-count threshold above which a pattern joins by hashing one scan of
-#: its matches instead of one index lookup per row.
-HASH_JOIN_MIN_ROWS = 64
-
-#: The hash join only pays off while the single scan is not much larger
-#: than the row set it replaces per-row lookups for.
+#: A batch join reads one scan of the pattern's matches in place of one
+#: index lookup per row, and pays off only while that scan is at most
+#: this many times larger than the batch; beyond it the pattern joins by
+#: per-row index lookups.
 HASH_JOIN_MAX_SCAN_FACTOR = 8
 
 Row = tuple[int, ...]
@@ -112,44 +109,32 @@ class CompiledPattern:
     """One triple pattern with variables mapped to slots and constants to ids.
 
     ``*_slot`` is the slot index for a variable position (None for a
-    constant); ``*_id`` is the resolved dictionary id for a constant
-    position (-1 while the constant is absent from the graph's dictionary;
+    constant); ``*_id`` is the dictionary id a constant position resolved
+    to on ``graph`` (-1 when the constant is absent from the dictionary;
     None for a variable).
     """
 
     __slots__ = (
         "s_slot", "p_slot", "o_slot",
-        "s_term", "p_term", "o_term",
         "s_id", "p_id", "o_id",
         "variables",
     )
 
-    def __init__(self, triple: Triple, slot_of: dict[Variable, int]) -> None:
-        self.s_slot, self.s_term = self._position(triple.subject, slot_of)
-        self.p_slot, self.p_term = self._position(triple.predicate, slot_of)
-        self.o_slot, self.o_term = self._position(triple.object, slot_of)
-        self.s_id: int | None = None
-        self.p_id: int | None = None
-        self.o_id: int | None = None
+    def __init__(
+        self, triple: Triple, slot_of: dict[Variable, int], graph: Graph
+    ) -> None:
+        self.s_slot, self.s_id = self._position(triple.subject, slot_of, graph)
+        self.p_slot, self.p_id = self._position(triple.predicate, slot_of, graph)
+        self.o_slot, self.o_id = self._position(triple.object, slot_of, graph)
         self.variables = frozenset(triple.variables())
 
     @staticmethod
     def _position(
-        slot: Term, slot_of: dict[Variable, int]
-    ) -> tuple[int | None, Term | None]:
+        slot: Term, slot_of: dict[Variable, int], graph: Graph
+    ) -> tuple[int | None, int | None]:
         if isinstance(slot, Variable):
             return slot_of[slot], None
-        return None, slot
-
-    def resolve(self, graph: Graph) -> None:
-        """(Re-)resolve constant ids.  Already-resolved ids never change
-        (the dictionary is append-only); only absent constants retry."""
-        if self.s_term is not None and (self.s_id is None or self.s_id < 0):
-            self.s_id = graph.lookup_id(self.s_term)
-        if self.p_term is not None and (self.p_id is None or self.p_id < 0):
-            self.p_id = graph.lookup_id(self.p_term)
-        if self.o_term is not None and (self.o_id is None or self.o_id < 0):
-            self.o_id = graph.lookup_id(self.o_term)
+        return None, graph.lookup_id(slot)
 
     # -- execution -----------------------------------------------------
 
@@ -204,19 +189,16 @@ Valuation = Callable[[Row], Any]
 def compile_expression(
     expression: Expression,
     slot_of: dict[Variable, int],
-    decode: Callable[[int], Term],
-    cells: list[Any] | None = None,
+    graph: Graph,
     slots_used: set[int] | None = None,
 ) -> Valuation:
-    """Compile an expression into a closure over an id row.
+    """Compile an expression into a closure over an id row of ``graph``.
 
     The closure raises :class:`SparqlTypeError` exactly where the
     AST-walking evaluator would; callers wrap it per SPARQL error scoping
-    (filters fail, ORDER BY keys become unbound-kind).
-
-    ``cells`` collects every id-equality fast-path closure in the tree —
-    including ones nested under ``!``/``&&``/``||`` — so the plan can
-    resolve their constant ids against the live graph before execution.
+    (filters fail, ORDER BY keys become unbound-kind).  Variables decode
+    through ``graph``, and the constant of an id-equality fast path
+    resolves against it here, once.
 
     ``slots_used`` collects the slot index of every variable the
     expression can read.  The columnar engine keys its per-distinct-value
@@ -236,6 +218,8 @@ def compile_expression(
                     raise SparqlTypeError(f"unbound variable ?{name}")
                 return never
 
+            decode = graph.decode_id
+
             def value_of(row: Row, slot: int = slot, name: str = term.name) -> Any:
                 term_id = row[slot]
                 if term_id == UNBOUND:
@@ -245,29 +229,19 @@ def compile_expression(
         return lambda row: term
 
     if isinstance(expression, Comparison):
-        fast = _compile_id_equality(expression, slot_of)
+        fast = _compile_id_equality(expression, slot_of, graph)
         if fast is not None:
-            if cells is not None:
-                cells.append(fast)
             if slots_used is not None:
                 slots_used.add(fast.slot)
             return fast
-        left = compile_expression(
-            expression.left, slot_of, decode, cells, slots_used
-        )
-        right = compile_expression(
-            expression.right, slot_of, decode, cells, slots_used
-        )
+        left = compile_expression(expression.left, slot_of, graph, slots_used)
+        right = compile_expression(expression.right, slot_of, graph, slots_used)
         operator = expression.operator
         return lambda row: compare_values(operator, left(row), right(row))
 
     if isinstance(expression, BooleanOp):
-        left = compile_expression(
-            expression.left, slot_of, decode, cells, slots_used
-        )
-        right = compile_expression(
-            expression.right, slot_of, decode, cells, slots_used
-        )
+        left = compile_expression(expression.left, slot_of, graph, slots_used)
+        right = compile_expression(expression.right, slot_of, graph, slots_used)
 
         def side(value_of: Valuation, row: Row) -> bool | None:
             try:
@@ -296,7 +270,7 @@ def compile_expression(
 
     if isinstance(expression, Not):
         operand = compile_expression(
-            expression.operand, slot_of, decode, cells, slots_used
+            expression.operand, slot_of, graph, slots_used
         )
         return lambda row: not effective_boolean(operand(row))
 
@@ -317,7 +291,7 @@ def compile_expression(
                 slots_used.add(slot)
             return lambda row: row[slot] != UNBOUND
         argument_closures = tuple(
-            compile_expression(argument, slot_of, decode, cells, slots_used)
+            compile_expression(argument, slot_of, graph, slots_used)
             for argument in expression.arguments
         )
         return lambda row: apply_builtin(
@@ -374,13 +348,14 @@ def _range_filter(
 
 
 def _compile_id_equality(
-    expression: Comparison, slot_of: dict[Variable, int]
+    expression: Comparison, slot_of: dict[Variable, int], graph: Graph
 ) -> Valuation | None:
     """Fast path: ``?var = <iri>`` / ``?var != <iri>`` compare ids directly.
 
     Sound because dictionary encoding is injective and SPARQL defines
     IRI/BNode comparison as term equality; literals stay on the value path
-    (distinct literal terms can compare equal by value).
+    (distinct literal terms can compare equal by value).  A constant absent
+    from the dictionary resolves to -1, which equals no bound id.
     """
     if expression.operator not in ("=", "!="):
         return None
@@ -403,16 +378,15 @@ def _compile_id_equality(
         return None
     negate = expression.operator == "!="
     name = variable.name
-    constant_box: list[int] = [UNBOUND]  # resolved lazily via closure cell
+    constant_id = graph.lookup_id(constant)
 
-    def equals(row: Row, _box=constant_box) -> bool:
+    def equals(row: Row) -> bool:
         term_id = row[slot]
         if term_id == UNBOUND:
             raise SparqlTypeError(f"unbound variable ?{name}")
-        return (term_id != _box[0]) if negate else (term_id == _box[0])
+        return (term_id != constant_id) if negate else (term_id == constant_id)
 
-    equals.constant = constant  # type: ignore[attr-defined]
-    equals.constant_box = constant_box  # type: ignore[attr-defined]
+    equals.constant_id = constant_id  # type: ignore[attr-defined]
     # Columnar metadata: the batch engine turns a top-level id-equality
     # filter into one whole-column mask instead of a per-row call.
     equals.slot = slot  # type: ignore[attr-defined]
@@ -473,13 +447,14 @@ class CompiledGroup:
 
 
 class CompiledQuery:
-    """The compiled id-space form of one SELECT or ASK query.
+    """The compiled id-space form of one SELECT or ASK query over one
+    graph, executed by its subclass
+    :class:`repro.sparql.columnar.ColumnarQuery`.
 
-    Compiled once per structurally distinct AST (the engine caches plans on
-    the frozen AST's own hash) and executed many times by its subclass
-    :class:`repro.sparql.columnar.ColumnarQuery`; the only per-generation
-    work is re-resolving constants that were absent from the dictionary
-    when the plan was built.
+    Constants resolve to the graph's dictionary ids as the plan compiles.
+    The engine compiles a plan per result-cache miss and runs it at once;
+    the scatter executor keeps star plans only over an immutable segment
+    backend.  So no plan sees a dictionary grow after it compiled.
     """
 
     def __init__(self, query: SelectQuery | AskQuery, graph: Graph) -> None:
@@ -502,13 +477,9 @@ class CompiledQuery:
             slot for __, slot in sorted(self.slot_by_name.items())
         )
         self._patterns: list[CompiledPattern] = []
-        self._id_equality_cells: list[Any] = []
-        decode = graph.decode_id
-        self.root = self._compile_group(query.where, graph, decode, set())
+        self.root = self._compile_group(query.where, graph, set())
         if not self.is_ask:
-            self._compile_select_tail(query, decode)
-        self._resolved_generation = -1
-        self._resolve(graph)
+            self._compile_select_tail(query, graph)
 
     # -- compilation ---------------------------------------------------
 
@@ -530,11 +501,7 @@ class CompiledQuery:
                 self._collect_variables(child)
 
     def _compile_group(
-        self,
-        group: Group,
-        graph: Graph,
-        decode: Callable[[int], Term],
-        bound: set[Variable],
+        self, group: Group, graph: Graph, bound: set[Variable]
     ) -> CompiledGroup:
         """Compile one group, tracking which variables are *definitely*
         bound at each child (intersection semantics: OPTIONAL guarantees
@@ -547,7 +514,7 @@ class CompiledQuery:
                 for triple in child.triples:
                     bound |= triple.variables()
             elif isinstance(child, Filter):
-                closure = self._register_filter(child.expression, decode)
+                closure = self._register_filter(child.expression, graph)
                 range_filter = _range_filter(child.expression, self.slot_of)
                 if range_filter is not None:
                     closure.range_filter = range_filter  # type: ignore[attr-defined]
@@ -555,38 +522,29 @@ class CompiledQuery:
             elif isinstance(child, OptionalPattern):
                 children.append(
                     CompiledOptional(
-                        self._compile_group(
-                            child.pattern, graph, decode, set(bound)
-                        )
+                        self._compile_group(child.pattern, graph, set(bound))
                     )
                 )
             elif isinstance(child, UnionPattern):
                 left_bound = set(bound)
                 right_bound = set(bound)
                 compiled_union = CompiledUnion(
-                    self._compile_group(child.left, graph, decode, left_bound),
-                    self._compile_group(child.right, graph, decode, right_bound),
+                    self._compile_group(child.left, graph, left_bound),
+                    self._compile_group(child.right, graph, right_bound),
                 )
                 children.append(compiled_union)
                 bound |= left_bound & right_bound
             elif isinstance(child, Group):
-                children.append(
-                    self._compile_group(child, graph, decode, bound)
-                )
+                children.append(self._compile_group(child, graph, bound))
             else:
                 raise SparqlError(
                     f"unknown pattern node {type(child).__name__}"
                 )
         return CompiledGroup(children, filters)
 
-    def _register_filter(
-        self, expression: Expression, decode: Callable[[int], Term]
-    ) -> Valuation:
+    def _register_filter(self, expression: Expression, graph: Graph) -> Valuation:
         slots_used: set[int] = set()
-        closure = compile_expression(
-            expression, self.slot_of, decode, self._id_equality_cells,
-            slots_used,
-        )
+        closure = compile_expression(expression, self.slot_of, graph, slots_used)
         # The columnar engine memoizes closure results per distinct value
         # combination of exactly these slots (see repro.sparql.columnar).
         closure.slots_used = frozenset(slots_used)  # type: ignore[attr-defined]
@@ -599,20 +557,20 @@ class CompiledQuery:
         bound: set[Variable],
     ) -> CompiledBGP:
         ordered = plan_bgp(graph, bgp.triples, bound)
-        compiled = [CompiledPattern(triple, self.slot_of) for triple in ordered]
+        compiled = [
+            CompiledPattern(triple, self.slot_of, graph) for triple in ordered
+        ]
         self._patterns.extend(compiled)
         return CompiledBGP(compiled)
 
-    def _compile_select_tail(
-        self, query: SelectQuery, decode: Callable[[int], Term]
-    ) -> None:
+    def _compile_select_tail(self, query: SelectQuery, graph: Graph) -> None:
         # Each ORDER BY key: its closure, DESC flag, and the slot of a
         # plain-variable key (None for any other key), which lets the
         # columnar engine gather shipped order ranks instead of
         # evaluating the closure.
         self._order_keys: list[tuple[Valuation, bool, int | None]] = [
             (
-                self._register_filter(condition.expression, decode),
+                self._register_filter(condition.expression, graph),
                 condition.descending,
                 self.slot_of.get(condition.expression.term)
                 if isinstance(condition.expression, TermExpr)
@@ -620,21 +578,7 @@ class CompiledQuery:
             )
             for condition in query.order_by
         ]
-        self._decode = decode
-
-    # -- constants -----------------------------------------------------
-
-    def _resolve(self, graph: Graph) -> None:
-        generation = graph.generation
-        if generation == self._resolved_generation:
-            return
-        for pattern in self._patterns:
-            pattern.resolve(graph)
-        for closure in self._id_equality_cells:
-            box = closure.constant_box
-            if box[0] == UNBOUND:
-                box[0] = graph.lookup_id(closure.constant)
-        self._resolved_generation = generation
+        self._decode = graph.decode_id
 
 
 # ---------------------------------------------------------------------------
@@ -669,9 +613,9 @@ class StarSlice:
 
     ``query`` is a ``SELECT *`` subquery holding exactly this star's
     triples plus any pushed-down filters (no ordering, no slicing) —
-    structurally hashable, so the scatter coordinator compiles and caches
-    it like any other plan.  ``names`` is the name-sorted set of
-    variables the star binds.
+    structurally hashable, so the scatter coordinator compiles it once
+    and keeps the plan in its star-plan LRU.  ``names`` is the
+    name-sorted set of variables the star binds.
     """
 
     __slots__ = ("query", "names")

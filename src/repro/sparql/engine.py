@@ -1,24 +1,21 @@
-"""The query engine facade: parse, plan, execute, shape results.
+"""The query engine facade: parse, compile, execute, shape results.
 
-The engine carries three LRU caches:
-
-* a **parse cache** mapping query text to its AST (query parsing does not
-  depend on graph contents, so entries never go stale);
-* a **plan cache** mapping the (hashable, frozen) AST to its compiled
-  id-space plan (:mod:`repro.sparql.compiler`).  Keyed on the AST's own
-  structural hash, so queries submitted as pre-built ASTs — the QA hot
-  path submits ``candidate.to_ast()`` directly — hit it just like textual
-  queries.  Plans never go stale: constants resolved to dictionary ids
-  stay valid forever (ids are append-only) and absent constants re-resolve
-  per graph generation;
-* a **result cache** mapping the AST to the computed result, invalidated
-  wholesale whenever :attr:`repro.rdf.Graph.generation` moves — i.e. on
-  any triple assertion or retraction.
-
-All caches are thread-safe and both result types
+The engine keeps one cache: a **result cache** mapping the (hashable,
+frozen) AST to the computed result, invalidated wholesale whenever
+:attr:`repro.rdf.Graph.generation` moves — i.e. on any triple assertion
+or retraction.  It is keyed on the AST's own structural hash, so queries
+submitted as pre-built ASTs — the QA hot path submits
+``candidate.to_ast()`` directly — hit it just like textual queries.  The
+cache is thread-safe and both result types
 (:class:`~repro.sparql.results.SelectResult`,
-:class:`~repro.sparql.results.AskResult`) are immutable, so cached objects
-are shared between callers without copying.
+:class:`~repro.sparql.results.AskResult`) are immutable, so cached
+objects are shared between callers without copying.
+
+Nothing else outlives a call: query text is parsed, and a result-cache
+miss compiles its plan, on every call.  A parse cache never hit (the QA
+path submits ASTs), and a plan cache keyed like the result cache held
+the same keys, so it hit only where the result cache hit first
+(docs/performance.md, "No plan cache").
 
 Queries execute as compiled id-space plans on the columnar batch
 operators (:mod:`repro.sparql.columnar`).  Pass ``idspace=False`` for the
@@ -42,7 +39,7 @@ from repro.sparql.ast import (
     CountAggregate,
     SelectQuery,
 )
-from repro.sparql.columnar import ColumnarQuery, compile_query
+from repro.sparql.columnar import compile_query
 from repro.sparql.compiler import ExecContext
 from repro.sparql.errors import SparqlError, SparqlTypeError
 from repro.sparql.executor import Solution, evaluate_group
@@ -51,8 +48,7 @@ from repro.sparql.functions import invert_order as _invert
 from repro.sparql.parser import parse_query
 from repro.sparql.results import AskResult, SelectResult
 
-#: Default width of the parse and result caches.  Sized for the QA
-#: workload: one question executes at most ``max_queries`` (64) candidate
+#: Default width of the result cache.  Sized for the QA workload: one question executes at most ``max_queries`` (64) candidate
 #: queries, so 512 holds several questions' worth of candidates plus the
 #: type-checking lookups.
 DEFAULT_CACHE_SIZE = 512
@@ -87,12 +83,7 @@ class SparqlEngine:
     ) -> None:
         self._graph = graph
         self._stats = stats if stats is not None else MetricsRegistry()
-        self._parse_cache = LRUCache(cache_size)
         self._result_cache = LRUCache(cache_size)
-        # Plans never go stale (see module docstring), so the plan cache
-        # stays on even when result caching is disabled — compiling per
-        # call would just re-do structurally identical work.
-        self._plan_cache = LRUCache(cache_size if cache_size > 0 else DEFAULT_CACHE_SIZE)
         self._cache_lock = threading.Lock()
         self._cached_generation = graph.generation
         self.cache_enabled = cache_size > 0
@@ -144,37 +135,25 @@ class SparqlEngine:
                 tracer.event(name, **attributes)
 
     def cache_stats(self) -> dict[str, dict]:
-        """Hit/miss snapshots of the parse, plan, and result caches.
+        """Hit/miss snapshot of the result cache.
 
         Folded into the ``repro.metrics/v1`` document as
         ``sparql.<cache>.<field>`` gauges by
         :meth:`repro.obs.metrics.MetricsRegistry.absorb_cache_stats`.
         """
-        return {
-            "parse_cache": self._parse_cache.stats(),
-            "plan_cache": self._plan_cache.stats(),
-            "result_cache": self._result_cache.stats(),
-        }
+        return {"result_cache": self._result_cache.stats()}
 
     def clear_caches(self) -> None:
-        self._parse_cache.clear()
-        self._plan_cache.clear()
         self._result_cache.clear()
 
     # -- warm-state snapshot (repro.serve.snapshot) ---------------------
 
     def export_warm_state(self) -> dict:
-        """Picklable warm-cache state for crash-safe restarts.
-
-        Compiled plans are *not* serialised — they close over this graph's
-        indexes — only their AST keys, recompiled on import (compilation is
-        deterministic and cheap next to re-earning the result cache from
-        traffic).  Results are exported as ``(ast, result)`` pairs, valid
-        only for the exported graph generation.
-        """
+        """Picklable warm-cache state for crash-safe restarts: the result
+        cache as ``(ast, result)`` pairs, valid only for the exported graph
+        generation."""
         return {
             "generation": self._graph.generation,
-            "plan_keys": self._plan_cache.keys(),
             "results": self._result_cache.items(),
         }
 
@@ -184,38 +163,33 @@ class SparqlEngine:
         The caller (the snapshot layer) has already matched the KB
         fingerprint; the generation check here is the engine's own final
         guard against torn restores — results cached under a different
-        graph generation never enter the cache.
+        graph generation never enter the cache.  Any other key (the plan
+        keys of snapshots written before plans stopped being cached) is
+        not read.
         """
         if state["generation"] != self._graph.generation:
             raise ValueError(
                 f"warm state is for graph generation {state['generation']}, "
                 f"engine is at {self._graph.generation}"
             )
-        plans = 0
-        for ast in state["plan_keys"]:
-            if self._plan_cache.get(ast) is None:
-                self._plan_cache.put(ast, compile_query(ast, self._graph))
-                plans += 1
         results = 0
         self._validate_result_cache()
         for ast, result in state["results"]:
             self._result_cache.put(ast, result)
             results += 1
-        self._stats.inc("sparql.snapshot.plans_restored", plans)
         self._stats.inc("sparql.snapshot.results_restored", results)
-        return {"plans": plans, "results": results}
+        return {"results": results}
 
     def query(self, query: str | SelectQuery | AskQuery) -> SelectResult | AskResult:
         """Run a query given as text or pre-parsed AST."""
         if isinstance(query, str):
-            query = self._parse(query)
+            try:
+                query = parse_query(query)
+            except Exception:
+                self._stats.inc("sparql.parse_errors")
+                raise
         if not isinstance(query, (SelectQuery, AskQuery)):
             raise SparqlError(f"unsupported query type {type(query).__name__}")
-        # Plan lookup happens before the result-cache lookup on purpose:
-        # plan-cache traffic then reflects every query submitted (text or
-        # AST), not only result-cache misses, and the plan is already in
-        # hand when a result-cache entry gets invalidated later.
-        plan = self._plan(query) if self.idspace else None
         if self.cache_enabled:
             self._validate_result_cache()
             cached = self._result_cache.get(query)
@@ -229,56 +203,16 @@ class SparqlEngine:
                 self._trace_event("sparql.result_cache", outcome="miss")
         # Failure containment (docs/reliability.md): the cache is filled
         # only after a *successful* evaluation — an evaluation that raises
-        # leaves both caches untouched, so a faulted run can never poison
+        # leaves the cache untouched, so a faulted run can never poison
         # the results a later clean run observes.
         try:
-            result = self._evaluate(query, plan)
+            result = self._evaluate(query)
         except Exception:
             self._stats.inc("sparql.errors")
             raise
         if self.cache_enabled:
             self._result_cache.put(query, result)
         return result
-
-    def _plan(self, query: SelectQuery | AskQuery) -> ColumnarQuery:
-        """Fetch or compile the id-space plan for a query AST."""
-        plan = self._plan_cache.get(query)
-        if plan is not None:
-            self._stats.inc("sparql.plan_cache.hits")
-            if self._tracers:
-                self._trace_event("sparql.plan_cache", outcome="hit")
-            return plan
-        self._stats.inc("sparql.plan_cache.misses")
-        if self._tracers:
-            self._trace_event("sparql.plan_cache", outcome="miss")
-        plan = compile_query(query, self._graph)
-        self._plan_cache.put(query, plan)
-        return plan
-
-    def _parse(self, text: str) -> SelectQuery | AskQuery:
-        """Parse query text through the parse cache.
-
-        Like the result cache, the parse cache only ever holds successful
-        parses: a raising parse is counted and propagated, never stored.
-        """
-        if self.cache_enabled:
-            ast = self._parse_cache.get(text)
-            if ast is not None:
-                self._stats.inc("sparql.parse_cache.hits")
-                if self._tracers:
-                    self._trace_event("sparql.parse_cache", outcome="hit")
-                return ast
-            self._stats.inc("sparql.parse_cache.misses")
-            if self._tracers:
-                self._trace_event("sparql.parse_cache", outcome="miss")
-        try:
-            ast = parse_query(text)
-        except Exception:
-            self._stats.inc("sparql.parse_errors")
-            raise
-        if self.cache_enabled:
-            self._parse_cache.put(text, ast)
-        return ast
 
     def _validate_result_cache(self) -> None:
         """Drop every cached result if the graph has mutated since filling.
@@ -295,18 +229,15 @@ class SparqlEngine:
                 self._cached_generation = generation
                 self._stats.inc("sparql.result_cache.invalidations")
 
-    def _evaluate(
-        self,
-        query: SelectQuery | AskQuery,
-        plan: ColumnarQuery | None = None,
-    ) -> SelectResult | AskResult:
-        if plan is not None:
-            return self._execute_plan(plan)
+    def _evaluate(self, query: SelectQuery | AskQuery) -> SelectResult | AskResult:
+        if self.idspace:
+            return self._execute_plan(query)
         if isinstance(query, SelectQuery):
             return self._run_select(query)
         return self._run_ask(query)
 
-    def _execute_plan(self, plan: ColumnarQuery) -> SelectResult | AskResult:
+    def _execute_plan(self, query: SelectQuery | AskQuery) -> SelectResult | AskResult:
+        plan = compile_query(query, self._graph)
         context = ExecContext(self._graph, self._stats, {})
         if self._scatter is not None:
             result = self._scatter.maybe_execute(plan, context)

@@ -20,7 +20,7 @@ from repro.sparql.ast import (
     UnionPattern,
 )
 from repro.sparql.columnar import compile_query
-from repro.sparql.compiler import HASH_JOIN_MIN_ROWS
+from repro.sparql import compiler
 from repro.sparql.parser import parse_query
 from repro.sparql.planner import estimate_cardinality, plan_bgp
 from repro.sparql.serializer import serialize_expression, serialize_term
@@ -35,7 +35,8 @@ def explain(graph: Graph, query: str | SelectQuery | AskQuery) -> str:
     SELECT plan
     group
       join[1] scan ?x rdf:type dbo:Book (est. 1)
-    engine: columnar id-space plan (1 slot(s): ?x; batch join above 64 rows)
+    engine: columnar id-space plan (1 slot(s): ?x)
+    joins: index lookups when a scan exceeds 8x the batch, else a batch join
     """
     if isinstance(query, str):
         query = parse_query(query)
@@ -63,8 +64,11 @@ def explain(graph: Graph, query: str | SelectQuery | AskQuery) -> str:
         f"?{compiled.slot_names[slot]}" for slot in sorted(compiled.slot_names)
     )
     lines.append(
-        f"engine: columnar id-space plan ({compiled.width} slot(s): {slots}; "
-        f"batch join above {HASH_JOIN_MIN_ROWS} rows)"
+        f"engine: columnar id-space plan ({compiled.width} slot(s): {slots})"
+    )
+    lines.append(
+        f"joins: index lookups when a scan exceeds "
+        f"{compiler.HASH_JOIN_MAX_SCAN_FACTOR}x the batch, else a batch join"
     )
     return "\n".join(lines)
 

@@ -41,10 +41,10 @@ def choose_batch_join(
     """Pick the columnar join operator for one pattern.
 
     Called by :func:`repro.sparql.columnar.join_pattern` only after the
-    columnar admission tests (a batch of ``HASH_JOIN_MIN_ROWS`` rows, a
-    scan at most ``HASH_JOIN_MAX_SCAN_FACTOR`` times larger; both in
-    :mod:`repro.sparql.compiler`) have decided that a batch join beats
-    per-row index lookups; this function only chooses *which* batch join:
+    columnar admission test (a scan at most ``HASH_JOIN_MAX_SCAN_FACTOR``
+    times the batch, :mod:`repro.sparql.compiler`) has decided that a
+    batch join beats per-row index lookups; this function only chooses
+    *which* batch join:
 
     * ``merge`` — single join key, both sides large, and a vectorized
       backend (numpy) is available: sort the scan side once, then binary-

@@ -74,20 +74,16 @@ from repro.rdf.terms import Variable
 from repro.sparql import columnar
 from repro.sparql.ast import BGP, Filter, TermExpr
 from repro.sparql.columnar import ColumnarQuery, ColumnBatch
-from repro.sparql.compiler import (
-    HASH_JOIN_MIN_ROWS,
-    ExecContext,
-    TwoStarSlice,
-    slice_two_star,
-)
+from repro.sparql.compiler import ExecContext, TwoStarSlice, slice_two_star
 from repro.sparql.engine import DEFAULT_CACHE_SIZE
 from repro.sparql.results import AskResult, SelectResult
 
 #: Fan-out threshold: a partitionable plan whose most selective pattern
-#: matches fewer rows than this runs single-process instead (the same
-#: row count below which the engine keeps per-row index lookups over a
-#: hash join — too little work to pay for one plan run per shard).
-FANOUT_MIN_ROWS = HASH_JOIN_MIN_ROWS
+#: matches fewer rows than this runs single-process instead.  Fanning out
+#: runs the plan once per shard (a seed batch, and a count and a scan per
+#: pattern on every shard), and so few rows leave each shard too little
+#: work to pay for that; single-process, routed scans touch one shard.
+FANOUT_MIN_ROWS = 64
 
 #: Entries per shard result cache (one cache per shard).
 SHARD_CACHE_SIZE = 256
@@ -170,10 +166,9 @@ def partition_spec(query):
 
 def _min_pattern_count(graph, plan: ColumnarQuery) -> int:
     """Matches of the plan's most selective triple pattern: ``count_ids``
-    over its already-resolved pattern ids, no dictionary lookups (an
-    absent constant resolves to -1 and counts zero).  Sizes both the
+    over the pattern ids resolved at compile time, no dictionary lookups
+    (an absent constant resolves to -1 and counts zero).  Sizes both the
     fan-out gate and the semi-join's lead star."""
-    plan._resolve(graph)
     return min(
         (
             graph.count_ids(pattern.s_id, pattern.p_id, pattern.o_id)
@@ -209,7 +204,6 @@ def _execute_shard(
     semi-join).  ``memo`` is the gather's shared filter-verdict memo.
     Returns the slot-aligned batch, no result shaping.
     """
-    plan._resolve(view)
     context = ExecContext(view, stats, memo)
     batch = columnar._run_node(
         plan.root, context, ColumnBatch.seed(plan.width), plan
@@ -342,7 +336,6 @@ class ScatterGatherExecutor:
         # batch under the engine's deterministic id-tuple tie-break
         # (byte-identical to single-process), DISTINCT/OFFSET/LIMIT and
         # aggregates see every shard's solutions.
-        plan._resolve(context.graph)
         return plan._shape_select_batch(batch, context)
 
     # -- star gathering ------------------------------------------------
@@ -477,5 +470,4 @@ class ScatterGatherExecutor:
             )
         if plan.is_ask:
             return AskResult(joined.length > 0)
-        plan._resolve(graph)
         return plan._shape_select_batch(joined, context)

@@ -1,6 +1,8 @@
 """Warm-state snapshot: roundtrip, corruption, fingerprint enforcement."""
 
+import hashlib
 import json
+import pickle
 
 import pytest
 
@@ -31,8 +33,7 @@ def test_roundtrip_restores_counts_and_answers(qa, kb, tmp_path):
     fresh.kb.engine.clear_caches()  # the engine is shared with `qa`: go cold
     counts = load_snapshot(fresh, path)
     assert counts["results"] == header["counts"]["results"]
-    assert counts["plans"] == header["counts"]["plan_keys"]
-    assert counts["mapper_memos"] > 0
+    assert counts["mapper_memos"] == header["counts"]["mapper_memos"] > 0
     # Same answers, now served from the restored caches.
     assert [a.answers for a in warm(fresh)] == baseline
     assert fresh.stats.counter("snapshot.restored") == 1
@@ -102,27 +103,40 @@ def test_graph_mutation_invalidates_the_snapshot(qa, tmp_path):
         load_snapshot(qa, path)
 
 
-def test_restored_plans_are_recompiled_columnar(qa, kb, tmp_path):
-    """Snapshots carry plan *keys*, not plans: restore must compile fresh
-    ColumnarQuery objects against the live graph, never reuse pickled
-    plans."""
+def test_snapshot_with_plan_keys_and_property_scores_restores(qa, kb, tmp_path):
+    """A snapshot written while the engine cached plans and the mapper
+    memoized per-property scores carries both (and a ``plan_keys`` header
+    count).  It still restores its results and similarity memo; the plan
+    keys and property scores are not read."""
     from repro.api import QuestionAnsweringSystem
-    from repro.sparql.columnar import ColumnarQuery
+    from repro.serve.snapshot import kb_fingerprint
 
-    warm(qa)
-    path = tmp_path / "warm.snapshot"
-    header = save_snapshot(qa, path)
-    assert header["counts"]["plan_keys"] > 0
+    baseline = [a.answers for a in warm(qa)]
+    state = qa.export_warm_state()
+    results = state["engine"]["results"]
+    similarity = state["mapper"]["similarity"]
+    state["engine"]["plan_keys"] = [ast for ast, __ in results]
+    state["mapper"]["property_scores"] = [(("written", "author"), 0.7)]
+    payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+    header = {
+        "schema": SNAPSHOT_SCHEMA,
+        "checksum": hashlib.sha256(payload).hexdigest(),
+        "payload_bytes": len(payload),
+        "kb": kb_fingerprint(qa),
+        "counts": {
+            "plan_keys": len(results),
+            "results": len(results),
+            "mapper_memos": len(similarity) + 1,
+        },
+    }
+    path = tmp_path / "old.snapshot"
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
 
     fresh = QuestionAnsweringSystem.over(kb)
     engine = fresh.kb.engine
     engine.clear_caches()
-    load_snapshot(fresh, path)
-    plans = [engine._plan_cache.get(ast) for ast in engine._plan_cache.keys()]
-    assert plans
-    assert all(isinstance(plan, ColumnarQuery) for plan in plans)
-    # Freshly compiled against the live graph: resolved at its generation.
-    assert all(
-        plan._resolved_generation == fresh.kb.graph.generation
-        for plan in plans
-    )
+    counts = load_snapshot(fresh, path)
+    assert counts == {"results": len(results), "mapper_memos": len(similarity)}
+    before = engine.cache_stats()["result_cache"]["hits"]
+    assert [a.answers for a in warm(fresh)] == baseline
+    assert engine.cache_stats()["result_cache"]["hits"] > before

@@ -19,6 +19,7 @@ DISTINCT, and LIMIT/OFFSET.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 
 from hypothesis import strategies as st
 
@@ -172,6 +173,35 @@ def _query_strategy(where):
 
 select_queries = _query_strategy(groups)
 conjunctive_queries = _query_strategy(conjunctive_groups)
+
+
+# ---------------------------------------------------------------------------
+# Forced join routes
+# ---------------------------------------------------------------------------
+
+#: (scan factor, merge minimum) pairs that together send every bound join
+#: of a query down each route: factor 0 takes the index loop for any
+#: non-empty scan, 10**9 a batch join, which merges (numpy) at a merge
+#: minimum of 1 and hashes at 10**9.  Generated inputs are tiny, so the
+#: production constants alone would pick one route per pattern.
+JOIN_ROUTES = tuple(
+    (factor, merge_min) for factor in (0, 10**9) for merge_min in (1, 10**9)
+)
+
+
+@contextmanager
+def join_route(factor: int, merge_min: int):
+    """Run the block with the engine's join admission forced to one
+    :data:`JOIN_ROUTES` entry; the production constants come back after."""
+    from repro.sparql import compiler, planner
+
+    saved = compiler.HASH_JOIN_MAX_SCAN_FACTOR, planner.MERGE_JOIN_MIN_ROWS
+    compiler.HASH_JOIN_MAX_SCAN_FACTOR = factor
+    planner.MERGE_JOIN_MIN_ROWS = merge_min
+    try:
+        yield
+    finally:
+        compiler.HASH_JOIN_MAX_SCAN_FACTOR, planner.MERGE_JOIN_MIN_ROWS = saved
 
 
 # ---------------------------------------------------------------------------
@@ -331,27 +361,45 @@ def random_star_query(
     )
 
 
-def random_two_star_query(rng: random.Random) -> SelectQuery:
-    """A two-star conjunction: stars on ``?x`` and ``?y``, connected
-    either subject-to-subject (an ``?x``-pattern whose object is ``?y`` —
-    the semi-join *ship-to-owner* path) or through a shared object
-    variable ``?z`` (the *broadcast* path)."""
+def random_two_star_query(rng: random.Random, graph: Graph) -> SelectQuery:
+    """A two-star conjunction over ``graph``: stars on ``?x`` and ``?y``,
+    connected either subject-to-subject (an ``?x``-pattern whose object is
+    ``?y``) or through a shared object variable ``?z``.
+
+    The stars meet in ``graph``: the join edge is drawn first, as a triple
+    ``sx p sy`` whose object is a subject, or as two triples ``sx p o``
+    and ``sy q o`` sharing an object; then every constant pattern of a
+    star is a triple of its subject.  So ``?x = sx, ?y = sy`` answers the
+    conjunction before any FILTER, and the lead star ships join keys.
+    """
     x, y, z = Variable("x"), Variable("y"), Variable("z")
-    star_x = [
-        Triple(x, rng.choice(IRIS), rng.choice(IRIS + LITERALS))
-        for __ in range(rng.randint(1, 2))
-    ]
-    star_y = [
-        Triple(y, rng.choice(IRIS), rng.choice(IRIS + LITERALS))
-        for __ in range(rng.randint(1, 2))
-    ]
-    if rng.random() < 0.5:
-        star_x.append(Triple(x, rng.choice(IRIS), y))
+    triples = list(graph)
+    by_subject: dict = {}
+    for triple in triples:
+        by_subject.setdefault(triple.subject, []).append(triple)
+    links = [triple for triple in triples if triple.object in by_subject]
+    if links and rng.random() < 0.5:
+        link = rng.choice(links)
+        sx, sy = link.subject, link.object
+        edge_x, edge_y = [Triple(x, link.predicate, y)], []
     else:
-        star_x.append(Triple(x, rng.choice(IRIS), z))
-        star_y.append(Triple(y, rng.choice(IRIS), z))
+        left = rng.choice(triples)
+        right = rng.choice(
+            [triple for triple in triples if triple.object == left.object]
+        )
+        sx, sy = left.subject, right.subject
+        edge_x = [Triple(x, left.predicate, z)]
+        edge_y = [Triple(y, right.predicate, z)]
+    star_x = [
+        Triple(x, triple.predicate, triple.object)
+        for triple in rng.choices(by_subject[sx], k=rng.randint(1, 2))
+    ] + edge_x
+    star_y = [
+        Triple(y, triple.predicate, triple.object)
+        for triple in rng.choices(by_subject[sy], k=rng.randint(1, 2))
+    ] + edge_y
     children: list = [BGP(tuple(star_x)), BGP(tuple(star_y))]
-    if rng.random() < 0.4:
+    if rng.random() < 0.3:
         children.append(Filter(_random_expression(rng)))
     order_by = tuple(
         OrderCondition(TermExpr(rng.choice(VARIABLES)), rng.random() < 0.5)
@@ -377,7 +425,7 @@ def random_two_star_workload(
     differential sweep."""
     rng = random.Random(seed)
     graph = random_graph(rng, graph_size)
-    return graph, [random_two_star_query(rng) for __ in range(queries)]
+    return graph, [random_two_star_query(rng, graph) for __ in range(queries)]
 
 
 # ---------------------------------------------------------------------------
@@ -429,20 +477,20 @@ def _optional_where(rng: random.Random) -> Group:
     return Group((BGP((head,)), OptionalPattern(Group((BGP((tail,)),)))))
 
 
-def random_order_query(rng: random.Random) -> SelectQuery:
-    """An ORDER BY query for the rank-order differential.
+def random_order_query(rng: random.Random, graph: Graph) -> SelectQuery:
+    """An ORDER BY query over ``graph`` for the rank-order differential.
 
     One or two keys, each ASC or DESC and each a plain variable, a
     constant or a computed expression, over a subject star, a two-star
-    join, a star over every triple, an OPTIONAL that leaves the key
-    unbound on some rows, or a general nested group; with or without
-    DISTINCT and LIMIT/OFFSET.
+    join that meets in ``graph``, a star over every triple, an OPTIONAL
+    that leaves the key unbound on some rows, or a general nested group;
+    with or without DISTINCT and LIMIT/OFFSET.
     """
     roll = rng.random()
     if roll < 0.2:
         base = random_star_query(rng)
     elif roll < 0.35:
-        base = random_two_star_query(rng)
+        base = random_two_star_query(rng, graph)
     elif roll < 0.55:
         base = SelectQuery(
             projection=VARIABLES[: rng.randint(1, 3)],

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from repro.rdf import Graph, IRI, Triple, Variable
 from repro.sparql import columnar
-from repro.sparql import compiler
 from repro.sparql.ast import AskQuery, CountAggregate, SelectQuery
 from repro.sparql.engine import SparqlEngine
 
@@ -99,27 +98,14 @@ def test_count_agrees(graph, where, distinct, variable):
 
 @given(querygen.graphs, querygen.conjunctive_queries)
 def test_agrees_with_batch_joins_forced(graph, query):
-    """Drop the admission thresholds so tiny generated inputs exercise the
-    batch join operators (hash and merge) instead of the index loop."""
+    """Force each join route in turn (querygen.JOIN_ROUTES), so tiny
+    generated inputs exercise the index loop and both batch join
+    operators (hash and merge)."""
     oracle, col = _engines(graph)
     expected = oracle.query(query)
-    saved = (
-        compiler.HASH_JOIN_MIN_ROWS,
-        compiler.HASH_JOIN_MAX_SCAN_FACTOR,
-        columnar._planner.MERGE_JOIN_MIN_ROWS,
-    )
-    compiler.HASH_JOIN_MIN_ROWS = 1
-    compiler.HASH_JOIN_MAX_SCAN_FACTOR = 10**9
-    try:
-        for merge_min in (1, 10**9):
-            columnar._planner.MERGE_JOIN_MIN_ROWS = merge_min
+    for route in querygen.JOIN_ROUTES:
+        with querygen.join_route(*route):
             _assert_select_agrees(query, expected, col.query(query), oracle)
-    finally:
-        (
-            compiler.HASH_JOIN_MIN_ROWS,
-            compiler.HASH_JOIN_MAX_SCAN_FACTOR,
-            columnar._planner.MERGE_JOIN_MIN_ROWS,
-        ) = saved
 
 
 @given(querygen.graphs, querygen.select_queries)
@@ -139,19 +125,18 @@ def test_columnar_agrees_without_numpy(graph, query):
 @pytest.mark.parametrize("seed", [11, 23, 47])
 def test_seeded_workload_sweep(seed):
     """Fixed-size reproducible sweep over a denser graph than hypothesis
-    generates, forcing batch-join admission on realistic row counts."""
+    generates, every query run down each forced join route."""
     graph, queries = querygen.random_workload(
         seed, queries=40, graph_size=120
     )
     oracle, col = _engines(graph)
-    saved = compiler.HASH_JOIN_MIN_ROWS
-    compiler.HASH_JOIN_MIN_ROWS = 4
-    try:
-        for query in queries:
-            expected = oracle.query(query)
-            _assert_select_agrees(query, expected, col.query(query), oracle)
-    finally:
-        compiler.HASH_JOIN_MIN_ROWS = saved
+    for query in queries:
+        expected = oracle.query(query)
+        for route in querygen.JOIN_ROUTES:
+            with querygen.join_route(*route):
+                _assert_select_agrees(
+                    query, expected, col.query(query), oracle
+                )
 
 
 def test_mixed_boundness_falls_back_not_fails():

@@ -75,9 +75,7 @@ _pattern_triples = st.builds(
 
 
 def _compiled(graph, triple):
-    pattern = CompiledPattern(triple, SLOT_OF)
-    pattern.resolve(graph)
-    return pattern
+    return CompiledPattern(triple, SLOT_OF, graph)
 
 
 def _var_items(pattern):
@@ -288,12 +286,10 @@ def test_id_equality_filter_matches_row_reference(
     expression = Comparison("=", TermExpr(X), TermExpr(constant))
     if negate:
         expression = Comparison("!=", TermExpr(X), TermExpr(constant))
-    cells = []
-    closure = compile_expression(
-        expression, SLOT_OF, graph.decode_id, cells
+    closure = compile_expression(expression, SLOT_OF, graph)
+    assert closure.constant_id == graph.lookup_id(constant), (
+        "expected the id-equality fast path"
     )
-    assert cells, "expected the id-equality fast path"
-    closure.constant_box[0] = graph.lookup_id(constant)
     batch = ColumnBatch.from_rows(rows, WIDTH)
     out = filter_id_equality(batch, closure)
     # Reference: apply the same closure row-wise under SPARQL scoping.
@@ -304,8 +300,8 @@ def test_id_equality_filter_matches_row_reference(
         value = row[0]
         if value == UNBOUND:
             continue
-        keep = (value != closure.constant_box[0]) if negate else (
-            value == closure.constant_box[0]
+        keep = (value != closure.constant_id) if negate else (
+            value == closure.constant_id
         )
         if keep:
             expected.append(row)
@@ -322,9 +318,7 @@ def test_memoized_filter_matches_row_reference(graph, choices, data, backend):
 
     expression = data.draw(querygen._expressions)
     slots_used: set[int] = set()
-    closure = compile_expression(
-        expression, SLOT_OF, graph.decode_id, [], slots_used
-    )
+    closure = compile_expression(expression, SLOT_OF, graph, slots_used)
     closure.slots_used = frozenset(slots_used)
     # Rows whose ids are all real (decodable) dictionary ids.
     interned = sorted(
@@ -353,13 +347,11 @@ def test_memoized_filter_constant_expression(backend):
     one = Literal("1", datatype=XSD_INTEGER)
     two = Literal("2", datatype=XSD_INTEGER)
     true_closure = compile_expression(
-        Comparison("<", TermExpr(one), TermExpr(two)), SLOT_OF,
-        graph.decode_id, []
+        Comparison("<", TermExpr(one), TermExpr(two)), SLOT_OF, graph
     )
     true_closure.slots_used = frozenset()
     false_closure = compile_expression(
-        Comparison(">", TermExpr(one), TermExpr(two)), SLOT_OF,
-        graph.decode_id, []
+        Comparison(">", TermExpr(one), TermExpr(two)), SLOT_OF, graph
     )
     false_closure.slots_used = frozenset()
     batch = ColumnBatch.from_rows([(UNBOUND,) * WIDTH] * 7, WIDTH)
@@ -372,10 +364,8 @@ def test_filter_empty_batch(backend):
 
     graph = Graph([Triple(IRIS[0], IRIS[1], IRIS[2])])
     closure = compile_expression(
-        Comparison("=", TermExpr(X), TermExpr(IRIS[0])), SLOT_OF,
-        graph.decode_id, []
+        Comparison("=", TermExpr(X), TermExpr(IRIS[0])), SLOT_OF, graph
     )
-    closure.constant_box[0] = graph.lookup_id(IRIS[0])
     batch = ColumnBatch.empty(WIDTH)
     assert filter_id_equality(batch, closure).length == 0
     closure.slots_used = frozenset({0})

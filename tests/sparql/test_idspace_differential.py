@@ -232,31 +232,26 @@ def test_order_by_produces_oracle_order(graph, projection, where, order_by):
 @settings(max_examples=150, deadline=None)
 @given(_graphs, _groups)
 def test_hash_join_operator_agrees(graph, where):
-    """Force the hash-join operator on tiny inputs and re-check equality.
-
-    Generated graphs are far below the production HASH_JOIN_MIN_ROWS
-    threshold, so without this override the differential suite would only
-    ever exercise the nested-index-loop operator.
-    """
-    from repro.sparql import compiler
+    """Force each join route in turn (querygen.JOIN_ROUTES) on tiny
+    inputs and re-check equality: the hash join, the merge join and the
+    index loop all run every generated query."""
+    from tests.sparql import querygen
 
     query = SelectQuery(projection=(), where=where)
     idspace, oracle = _engines(graph)
     expected = oracle.query(query)
-    saved = compiler.HASH_JOIN_MIN_ROWS, compiler.HASH_JOIN_MAX_SCAN_FACTOR
-    compiler.HASH_JOIN_MIN_ROWS, compiler.HASH_JOIN_MAX_SCAN_FACTOR = 1, 10**9
-    try:
-        actual = idspace.query(query)
-    finally:
-        compiler.HASH_JOIN_MIN_ROWS, compiler.HASH_JOIN_MAX_SCAN_FACTOR = saved
-    assert actual.variables == expected.variables
-    assert _multiset(actual) == _multiset(expected)
+    for route in querygen.JOIN_ROUTES:
+        with querygen.join_route(*route):
+            actual = idspace.query(query)
+        assert actual.variables == expected.variables
+        assert _multiset(actual) == _multiset(expected)
 
 
 def test_negated_id_equality_inside_not():
-    """Regression: ``FILTER(!(?x = <iri>))`` nested the id-equality fast
-    path under ``Not``, whose constant id was never resolved — the dangling
-    ``-1`` cell made the equality always-false and the negation always-true.
+    """Regression: ``FILTER(!(?x = <iri>))`` nests the id-equality fast
+    path under ``Not``, whose constant id must resolve like a top-level
+    one — an unresolved ``-1`` made the equality always-false and the
+    negation always-true.
     """
     a = IRI("http://e/a")
     x = Variable("x")
@@ -273,7 +268,7 @@ def test_negated_id_equality_inside_not():
 @settings(max_examples=80, deadline=None)
 @given(_graphs, _select_queries)
 def test_idspace_agrees_after_mutation(graph, query):
-    """Plans survive graph mutation: re-resolution keeps results aligned."""
+    """Results stay aligned with the oracle across a graph mutation."""
     idspace, oracle = _engines(graph)
     first_id = idspace.query(query)
     first_oracle = oracle.query(query)

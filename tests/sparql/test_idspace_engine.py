@@ -1,16 +1,16 @@
-"""Regression tests for the compiled id-space engine's caching layers.
+"""Regression tests for the compiled id-space engine's one cache.
 
-The original motivation for the plan cache: the execute stage submits
-``candidate.to_ast()`` directly, so the *parse* cache never saw the QA hot
-path (its ``sparql.parse_cache.hit_rate`` read 0.0).  Plans are
-keyed on the AST's structural hash, so AST-submitted queries must now hit
-both the plan cache and the result cache.
+The execute stage submits ``candidate.to_ast()`` directly, so the result
+cache is keyed on the AST's structural hash: AST-submitted queries hit it
+like textual ones.  Nothing else is cached — a result-cache miss compiles
+its plan, a hit compiles nothing.
 """
 
 import pytest
 
 from repro.rdf import DBO, DBR, Graph, RDF, Triple
 from repro.rdf.terms import Variable
+from repro.sparql import engine as engine_module
 from repro.sparql.ast import BGP, Group, SelectQuery
 from repro.sparql.engine import SparqlEngine
 
@@ -34,8 +34,8 @@ def _candidate_ast(*triples) -> SelectQuery:
     )
 
 
-class TestPlanCache:
-    def test_ast_submitted_queries_hit_plan_and_result_caches(self, graph):
+class TestResultCacheKeys:
+    def test_equal_asts_hit_the_result_cache(self, graph):
         engine = SparqlEngine(graph)
         x = Variable("x")
         # Two structurally equal but distinct AST objects, as produced by
@@ -47,50 +47,44 @@ class TestPlanCache:
         result = engine.query(first)
         repeat = engine.query(second)
         assert repeat is result  # result cache hit on structural equality
+        stats = engine.cache_stats()["result_cache"]
+        assert (stats["hits"], stats["misses"]) == (1, 1)
 
-        plan_stats = engine.cache_stats()["plan_cache"]
-        assert plan_stats["misses"] == 1
-        assert plan_stats["hits"] == 1
-        assert plan_stats["hit_rate"] > 0.0
-
-    def test_plan_survives_result_cache_invalidation(self, graph):
+    def test_text_and_ast_share_the_result_cache(self, graph):
         engine = SparqlEngine(graph)
+        result = engine.query("SELECT DISTINCT ?x WHERE { ?x a dbo:Book }")
         ast = _candidate_ast(Triple(Variable("x"), RDF.type, DBO.Book))
-        before = engine.query(ast)
-        graph.add(Triple(DBR.Extra, RDF.type, DBO.Book))
-        after = engine.query(ast)
-        assert len(after) == len(before) + 1
-        stats = engine.cache_stats()
-        # The mutation invalidated the result cache but not the plan.
-        assert stats["result_cache"]["misses"] == 2
-        assert stats["plan_cache"]["misses"] == 1
-        assert stats["plan_cache"]["hits"] == 1
+        # The parsed text and the hand-built AST are structurally equal.
+        assert engine.query(ast) is result
+        assert engine.cache_stats()["result_cache"]["hits"] == 1
 
-    def test_textual_queries_share_the_plan_cache(self, graph):
+    def test_clear_caches_drops_results(self, graph):
         engine = SparqlEngine(graph)
-        engine.query("SELECT DISTINCT ?x WHERE { ?x a dbo:Book }")
-        ast = _candidate_ast(Triple(Variable("x"), RDF.type, DBO.Book))
-        engine.query(ast)
-        # The parsed text and the hand-built AST are structurally equal, so
-        # the AST submission reuses the text query's plan.
-        assert engine.cache_stats()["plan_cache"]["hits"] == 1
-
-    def test_plan_cache_active_with_result_cache_disabled(self, graph):
-        engine = SparqlEngine(graph, cache_size=0)
         ast = _candidate_ast(Triple(Variable("x"), RDF.type, DBO.Book))
         first = engine.query(ast)
-        second = engine.query(ast)
-        assert first is not second  # no result caching...
-        assert first.rows == second.rows
-        assert engine.cache_stats()["plan_cache"]["hits"] == 1  # ...but plans reuse
-
-    def test_clear_caches_drops_plans(self, graph):
-        engine = SparqlEngine(graph)
-        ast = _candidate_ast(Triple(Variable("x"), RDF.type, DBO.Book))
-        engine.query(ast)
         engine.clear_caches()
-        engine.query(ast)
-        assert engine.cache_stats()["plan_cache"]["misses"] == 2
+        second = engine.query(ast)
+        assert second is not first
+        assert second.rows == first.rows
+        assert engine.cache_stats()["result_cache"]["misses"] == 2
+
+    @pytest.mark.parametrize("cache_size", (0, 512))
+    def test_only_a_result_cache_miss_compiles(
+        self, graph, monkeypatch, cache_size
+    ):
+        compiled = []
+        compile_query = engine_module.compile_query
+
+        def counting(query, graph):
+            compiled.append(query)
+            return compile_query(query, graph)
+
+        monkeypatch.setattr(engine_module, "compile_query", counting)
+        engine = SparqlEngine(graph, cache_size=cache_size)
+        ast = _candidate_ast(Triple(Variable("x"), RDF.type, DBO.Book))
+        for __ in range(3):
+            engine.query(ast)
+        assert len(compiled) == (3 if cache_size == 0 else 1)
 
 
 class TestCandidateQueries:
@@ -119,7 +113,7 @@ class TestCandidateQueries:
 
 
 class TestMetricsExposure:
-    def test_metrics_document_carries_plan_cache_gauges(self, graph):
+    def test_metrics_carry_result_cache_gauges(self, graph):
         from repro.obs.metrics import MetricsRegistry
 
         engine = SparqlEngine(graph)
@@ -128,8 +122,10 @@ class TestMetricsExposure:
         engine.query(ast)
         registry = MetricsRegistry()
         registry.absorb_cache_stats(engine.cache_stats())
-        document = registry.snapshot()
-        gauges = document["gauges"]
-        assert gauges["sparql.plan_cache.hits"] == 1
-        assert gauges["sparql.plan_cache.misses"] == 1
-        assert gauges["sparql.plan_cache.hit_rate"] > 0.0
+        gauges = registry.snapshot()["gauges"]
+        assert gauges["sparql.result_cache.hits"] == 1
+        assert gauges["sparql.result_cache.misses"] == 1
+        assert gauges["sparql.result_cache.hit_rate"] > 0.0
+        assert sorted({name.rsplit(".", 1)[0] for name in gauges}) == [
+            "sparql.result_cache"
+        ]

@@ -95,7 +95,11 @@ def directories(tmp_path_factory):
 
 def _queries(seed: int):
     rng = random.Random(1000 + seed)
-    return [querygen.random_order_query(rng) for __ in range(QUERIES_PER_GRAPH)]
+    graph = _graph(seed)
+    return [
+        querygen.random_order_query(rng, graph)
+        for __ in range(QUERIES_PER_GRAPH)
+    ]
 
 
 def _assert_identical(engine, oracle, queries):

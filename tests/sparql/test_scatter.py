@@ -8,6 +8,7 @@ stars and two-star joins; everything else must fall back to the ordinary
 path, bit-for-bit.
 """
 
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -479,17 +480,20 @@ class TestSemiJoinDifferential:
         stats = MetricsRegistry()
         engine = SparqlEngine(backend.graph_view(), cache_size=0, stats=stats)
         engine.install_scatter(ScatterGatherExecutor(backend))
+        answered = 0
         for query in queries:
             _assert_agrees(
                 query, oracle.query(query), engine.query(query), oracle
             )
+            unsliced = dataclasses.replace(query, limit=None, offset=0)
+            answered += bool(oracle.query(unsliced).rows)
+        # The generated stars meet in the graph, so the sweep compares
+        # rows, not mostly empty results (only a FILTER can empty one).
+        assert answered > len(queries) // 2
         counters = stats.snapshot()["counters"]
         assert counters.get("sparql.scatter.semijoin.queries", 0) > 0
-        # Every lead star that found join keys broadcast them (on seed 11
-        # every lead star is empty, and nothing is shipped).
-        shipped = counters.get("sparql.scatter.semijoin.keys_shipped", 0)
-        broadcasts = counters.get("sparql.scatter.semijoin.broadcasts", 0)
-        assert (broadcasts > 0) == (shipped > 0)
+        assert counters.get("sparql.scatter.semijoin.keys_shipped", 0) > 0
+        assert counters.get("sparql.scatter.semijoin.broadcasts", 0) > 0
         backend.close()
 
     def test_handcrafted_join_counters(self, tmp_path):

@@ -221,10 +221,8 @@ class TestFanoutGate:
     """Plans whose most selective pattern matches fewer than
     FANOUT_MIN_ROWS rows run single-process; larger ones fan out."""
 
-    def test_threshold_is_the_hash_join_admission(self):
-        from repro.sparql.compiler import HASH_JOIN_MIN_ROWS
-
-        assert scatter.FANOUT_MIN_ROWS == HASH_JOIN_MIN_ROWS == 64
+    def test_threshold_is_64_rows(self):
+        assert scatter.FANOUT_MIN_ROWS == 64
 
     @pytest.mark.parametrize(
         "text, kind",

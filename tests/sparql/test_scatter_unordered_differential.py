@@ -47,10 +47,11 @@ def _unordered(query):
 
 def _queries(seed: int):
     rng = random.Random(2000 + seed)
+    graph = _graph(seed)
     queries = []
     for __ in range(ROUNDS):
         queries.append(querygen.random_star_query(rng))
-        queries.append(querygen.random_two_star_query(rng))
+        queries.append(querygen.random_two_star_query(rng, graph))
         queries.extend(
             querygen.random_query(rng, conjunctive=True) for __ in range(3)
         )
