@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from repro.core.config import PipelineConfig
 from repro.core.triples import Slot, SlotKind, TriplePattern
 from repro.kb.builder import KnowledgeBase
-from repro.kb.ontology import PropertyDef, PropertyKind
+from repro.kb.ontology import PropertyKind
 from repro.ned.disambiguator import Disambiguator
 from repro.nlp.pipeline import Sentence
 from repro.obs.metrics import MetricsRegistry
@@ -34,7 +34,6 @@ from repro.obs.trace import NULL_TRACER
 from repro.patty.store import PatternStore
 from repro.perf.lru import LRUCache
 from repro.similarity.cache import MemoizedSimilarity
-from repro.similarity.lcs import char_profile, subsequence_upper_bound
 from repro.rdf.namespaces import RDF
 from repro.rdf.terms import IRI, Term, Variable
 from repro.similarity import get_similarity, memoize_similarity
@@ -76,73 +75,6 @@ class MappingFailure(Exception):
         self.slot_name = slot_name
 
 
-class _ScanIndex:
-    """Length/first-character-bucketed catalogue labels for pruned scans.
-
-    The vocabulary scan of 2.2.1/2.2.2 scores a question word against every
-    property's name and label words.  Under the default LCS metric most of
-    those pairs cannot reach the acceptance threshold on length grounds
-    alone: ``subsequence_similarity`` divides by the longer string, so a
-    label of length ``L`` can only match a word of length ``n`` at
-    threshold ``t`` when ``t*n <= L <= n/t``.  This index buckets every
-    catalogue label word by ``(length, first character)`` at construction;
-    a scan then
-
-    1. visits only the length buckets inside the feasible window,
-    2. rejects a whole first-character group when the character is absent
-       from the question word *and* losing that one character already puts
-       the bound below the threshold (boundary lengths of the window),
-    3. applies the O(alphabet) :func:`~repro.similarity.lcs.subsequence_upper_bound`
-       per surviving label before the scorer's O(n*L) DP runs.
-
-    All three steps are sound over-approximations — a property is skipped
-    only when *no* label word of it can reach the threshold — so the pruned
-    scan returns exactly the candidate set of the full scan.
-    """
-
-    def __init__(self, properties: list[PropertyDef]) -> None:
-        # length -> first char -> list of (profile, property name)
-        self._buckets: dict[int, dict[str, list[tuple[dict[str, int], str]]]] = {}
-        for prop in properties:
-            for word in {prop.name, *prop.display_label().split()}:
-                normalized = word.strip().lower()
-                if not normalized:
-                    continue
-                by_first = self._buckets.setdefault(len(normalized), {})
-                by_first.setdefault(normalized[0], []).append(
-                    (char_profile(normalized), prop.name)
-                )
-
-    def feasible_names(self, word: str, threshold: float) -> set[str] | None:
-        """Property names that might reach ``threshold`` against ``word``.
-
-        Returns None (meaning "scan everything") when the threshold does
-        not permit pruning.
-        """
-        normalized = word.strip().lower()
-        length = len(normalized)
-        if length == 0 or threshold <= 0.0:
-            return None
-        profile = char_profile(normalized)
-        feasible: set[str] = set()
-        for label_length, by_first in self._buckets.items():
-            longer = max(length, label_length)
-            if min(length, label_length) / longer < threshold:
-                continue
-            for first, entries in by_first.items():
-                if first not in profile and min(length, label_length - 1) / longer < threshold:
-                    continue
-                for label_profile, name in entries:
-                    if name in feasible:
-                        continue
-                    bound = subsequence_upper_bound(
-                        profile, length, label_profile, label_length
-                    )
-                    if bound >= threshold:
-                        feasible.add(name)
-        return feasible
-
-
 class TripleMapper:
     """Maps triple-pattern slots onto the knowledge-base vocabulary."""
 
@@ -180,12 +112,11 @@ class TripleMapper:
         #: Memo for WordNet similar-pair expansions (2.2.1), keyed on the
         #: property local name; the index is immutable after construction.
         self._similar_names: dict[str, tuple[str, ...]] = {}
-        #: Length/first-char-bucketed label indexes for the pruned scan,
-        #: built lazily per catalogue flavour (verb -> object properties
-        #: only).  Sound only for the default LCS metric — the bound in
-        #: :class:`_ScanIndex` is specific to subsequence similarity — so
-        #: ablation configs with other metrics keep the full scan.
-        self._scan_indexes: dict[bool, _ScanIndex] = {}
+        #: The scan prunes through the ontology's shared label index
+        #: (:meth:`repro.kb.ontology.Ontology.label_index`) only under the
+        #: default LCS metric -- its bound is specific to subsequence
+        #: similarity -- so ablation configs with other metrics keep the
+        #: full scan.
         self._prune_scans = (
             self._config.enable_scan_pruning
             and self._config.similarity == "lcs"
@@ -409,15 +340,13 @@ class TripleMapper:
                 if self._stats is not None:
                     self._stats.inc("mapping.scan_cache.hits")
                 return cached
+        ontology = self._kb.ontology
         searchable = list(
-            self._kb.ontology.object_properties()
-            if is_verb else self._kb.ontology.properties()
+            ontology.object_properties() if is_verb else ontology.properties()
         )
+        index = ontology.label_index(object_only=is_verb)
         threshold = self._config.similarity_threshold
         if self._prune_scans:
-            index = self._scan_indexes.get(is_verb)
-            if index is None:
-                index = self._scan_indexes[is_verb] = _ScanIndex(searchable)
             feasible = index.feasible_names(word, threshold)
             if feasible is not None:
                 # Filtering (not replacing) ``searchable`` preserves the
@@ -431,7 +360,9 @@ class TripleMapper:
         found = tuple(
             PredicateCandidate(prop.iri, prop.kind, score, "similarity")
             for prop in searchable
-            if (score := self._property_similarity(word, prop)) >= threshold
+            if (
+                score := self._property_similarity(word, index.words(prop.name))
+            ) >= threshold
         )
         if use_cache:
             self._scan_cache.put(key, found)
@@ -455,10 +386,9 @@ class TripleMapper:
             )
         return cached
 
-    def _property_similarity(self, word: str, prop: PropertyDef) -> float:
-        """Best similarity between the word and the property's name or any
-        word of its decamelised label."""
-        best = self._similarity(word, prop.name)
-        for label_word in prop.display_label().split():
-            best = max(best, self._similarity(word, label_word))
-        return best
+    def _property_similarity(
+        self, word: str, label_words: tuple[str, ...]
+    ) -> float:
+        """Best similarity between the word and a property's label words
+        (its name, then each word of its decamelised label)."""
+        return max(self._similarity(word, label) for label in label_words)

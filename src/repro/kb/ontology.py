@@ -16,6 +16,7 @@ from typing import Iterable, Iterator
 
 from repro.rdf.namespaces import DBO, RDF, RDFS
 from repro.rdf.terms import IRI, Literal, Triple
+from repro.similarity.lcs import LabelIndex
 
 
 class PropertyKind(enum.Enum):
@@ -94,6 +95,8 @@ class Ontology:
     def __init__(self) -> None:
         self._classes: dict[str, OntologyClass] = {}
         self._properties: dict[str, PropertyDef] = {}
+        #: object_only -> the property-label index (:meth:`label_index`).
+        self._label_indexes: dict[bool, LabelIndex] = {}
 
     # -- classes -----------------------------------------------------------
 
@@ -158,6 +161,7 @@ class Ontology:
                     f"property {prop.name!r} references unknown class {class_ref!r}"
                 )
         self._properties[prop.name] = prop
+        self._label_indexes.clear()
 
     def properties(self) -> Iterator[PropertyDef]:
         return iter(self._properties.values())
@@ -176,6 +180,35 @@ class Ontology:
 
     def data_properties(self) -> list[PropertyDef]:
         return [p for p in self._properties.values() if p.kind is PropertyKind.DATA]
+
+    def label_index(self, object_only: bool = False) -> LabelIndex:
+        """Each property's name and decamelised label words, over every
+        property or over object properties only, bucketed for the
+        vocabulary scan of 2.2.1/2.2.2.
+
+        It depends on the catalogue alone, so it is built on first use,
+        shared by every mapper over this ontology, and dropped by
+        :meth:`add_property`.
+
+        >>> ontology = Ontology()
+        >>> ontology.add_property(
+        ...     PropertyDef("birthPlace", PropertyKind.OBJECT, ValueType.ENTITY))
+        >>> ontology.label_index().words("birthPlace")
+        ('birthPlace', 'birth', 'place')
+        >>> ontology.label_index() is ontology.label_index()
+        True
+        """
+        index = self._label_indexes.get(object_only)
+        if index is None:
+            # Two threads that race here each build an index over the same
+            # catalogue; both are equal, the later assignment wins, and
+            # either answers every scan the same way.
+            index = self._label_indexes[object_only] = LabelIndex(
+                (prop.name, (prop.name, *prop.display_label().split()))
+                for prop in self._properties.values()
+                if not object_only or prop.kind is PropertyKind.OBJECT
+            )
+        return index
 
     # -- RDF view -------------------------------------------------------------
 

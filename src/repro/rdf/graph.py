@@ -13,8 +13,8 @@ o -, o s              OSP
 ====================  =================
 
 Each index is a two-level ``dict[int, dict[int, set[int]]]``.  The store
-also keeps exact first-level cardinalities so the query planner can order
-joins by selectivity without scanning.
+also keeps one triple count per predicate, so the planner's count of a
+pattern bound in its predicate alone is a dict lookup, not a scan.
 """
 
 from __future__ import annotations
@@ -64,6 +64,8 @@ class Graph:
         self._spo: _Index = {}
         self._pos: _Index = {}
         self._osp: _Index = {}
+        #: predicate id -> number of triples with that predicate.
+        self._predicate_sizes: dict[int, int] = {}
         self._size = 0
         self._generation = 0
         if triples is not None:
@@ -98,6 +100,7 @@ class Graph:
         objects.add(o)
         _index_add(self._pos, p, o, s)
         _index_add(self._osp, o, s, p)
+        self._predicate_sizes[p] = self._predicate_sizes.get(p, 0) + 1
         self._size += 1
         self._generation += 1
         return True
@@ -118,6 +121,11 @@ class Graph:
         _index_remove(self._spo, s, p, o)
         _index_remove(self._pos, p, o, s)
         _index_remove(self._osp, o, s, p)
+        remaining = self._predicate_sizes[p] - 1
+        if remaining:
+            self._predicate_sizes[p] = remaining
+        else:
+            del self._predicate_sizes[p]
         self._size -= 1
         self._generation += 1
         return True
@@ -304,7 +312,7 @@ class Graph:
         if s is not None and p is not None and o is None:
             return len(self._spo.get(s, {}).get(p, ()))
         if p is not None and s is None and o is None:
-            return sum(len(subs) for subs in self._pos.get(p, {}).values())
+            return self._predicate_sizes.get(p, 0)
         if p is not None and o is not None and s is None:
             return len(self._pos.get(p, {}).get(o, ()))
         if o is not None and s is None and p is None:

@@ -18,6 +18,8 @@ inside a long property name is penalised.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 
 def _normalize(text: str) -> str:
     """Lower-case and strip camelCase boundaries for fair comparison."""
@@ -105,8 +107,8 @@ def char_profile(text: str) -> dict[str, int]:
     """Character multiset of the normalised text.
 
     Feeds :func:`subsequence_upper_bound`: the profile is computed once per
-    catalogue label at index-build time, then reused across every scan
-    (see ``repro.core.mapping``).
+    catalogue label when a :class:`LabelIndex` is built, then reused across
+    every scan.
 
     >>> char_profile("Deed") == {"d": 2, "e": 2}
     True
@@ -167,3 +169,88 @@ def subsequence_similarity(word: str, candidate: str) -> float:
     if longest == 0:
         return 0.0
     return lcs_length(word, candidate) / longest
+
+
+class LabelIndex:
+    """Catalogue label words, bucketed by length and first character for
+    pruned scans.
+
+    Built from ``(name, words)`` entries: a property's local name and the
+    words a scan scores a question word against (the name itself and its
+    decamelised label words).  :meth:`words` hands them back in the given
+    order, so a scorer reads them here instead of deriving them per scan.
+
+    The vocabulary scan of 2.2.1/2.2.2 scores a question word against every
+    property's name and label words.  Under the default LCS metric most of
+    those pairs cannot reach the acceptance threshold on length grounds
+    alone: :func:`subsequence_similarity` divides by the longer string, so a
+    label of length ``L`` can only match a word of length ``n`` at
+    threshold ``t`` when ``t*n <= L <= n/t``.  :meth:`feasible_names`
+
+    1. visits only the length buckets inside the feasible window,
+    2. rejects a whole first-character group when the character is absent
+       from the question word *and* losing that one character already puts
+       the bound below the threshold (boundary lengths of the window),
+    3. applies the O(alphabet) :func:`subsequence_upper_bound` per
+       surviving label before the scorer's O(n*L) DP runs.
+
+    All three steps are sound over-approximations -- a name is skipped
+    only when *no* label word of it can reach the threshold -- so the
+    pruned scan returns exactly the candidate set of the full scan.  The
+    bound is specific to subsequence similarity: a scan under any other
+    metric reads :meth:`words` and visits every name.
+
+    >>> index = LabelIndex([("birthPlace", ("birthPlace", "birth", "place"))])
+    >>> index.words("birthPlace")
+    ('birthPlace', 'birth', 'place')
+    >>> index.feasible_names("places", 0.7), index.feasible_names("zz", 0.7)
+    ({'birthPlace'}, set())
+    """
+
+    def __init__(self, entries: Iterable[tuple[str, tuple[str, ...]]]) -> None:
+        self._words: dict[str, tuple[str, ...]] = {}
+        # length -> first char -> list of (profile, name)
+        self._buckets: dict[int, dict[str, list[tuple[dict[str, int], str]]]] = {}
+        for name, words in entries:
+            self._words[name] = words
+            for word in set(words):
+                normalized = _normalize(word)
+                if not normalized:
+                    continue
+                by_first = self._buckets.setdefault(len(normalized), {})
+                by_first.setdefault(normalized[0], []).append(
+                    (char_profile(normalized), name)
+                )
+
+    def words(self, name: str) -> tuple[str, ...]:
+        """The label words ``name`` was indexed with, in their given order."""
+        return self._words[name]
+
+    def feasible_names(self, word: str, threshold: float) -> set[str] | None:
+        """Names that might reach ``threshold`` against ``word``.
+
+        Returns None (meaning "scan everything") when the threshold does
+        not permit pruning.
+        """
+        normalized = _normalize(word)
+        length = len(normalized)
+        if length == 0 or threshold <= 0.0:
+            return None
+        profile = char_profile(normalized)
+        feasible: set[str] = set()
+        for label_length, by_first in self._buckets.items():
+            longer = max(length, label_length)
+            if min(length, label_length) / longer < threshold:
+                continue
+            for first, entries in by_first.items():
+                if first not in profile and min(length, label_length - 1) / longer < threshold:
+                    continue
+                for label_profile, name in entries:
+                    if name in feasible:
+                        continue
+                    bound = subsequence_upper_bound(
+                        profile, length, label_profile, label_length
+                    )
+                    if bound >= threshold:
+                        feasible.add(name)
+        return feasible

@@ -12,9 +12,10 @@ once into a plan over the integer id space the dictionary-encoded
   solution is a flat tuple of ids with :data:`UNBOUND` (-1) holes — no
   dictionaries, no Term objects;
 * triple patterns resolve their constants to dictionary ids when the plan
-  compiles (an absent constant resolves to -1 and matches nothing), join
-  in the order :func:`repro.sparql.planner.plan_bgp` picks, and match
-  through :meth:`~repro.rdf.Graph.match_ids`;
+  compiles (an absent constant resolves to -1 and matches nothing), are
+  counted once on those ids, join in the order
+  :func:`repro.sparql.planner.order_patterns` picks from the counts, and
+  match through :meth:`~repro.rdf.Graph.match_ids`;
 * FILTER / ORDER BY expressions compile once into closures over slot
   indices (:func:`compile_expression`) instead of re-walking the AST per
   solution, with an id-level fast path for ``?var = <iri>`` equality; a
@@ -60,7 +61,7 @@ from repro.sparql.functions import (
     compare_values,
     effective_boolean,
 )
-from repro.sparql.planner import plan_bgp
+from repro.sparql.planner import order_patterns
 
 #: Slot value marking "this variable is not bound in this row".  Real
 #: dictionary ids are non-negative; the graph's own ``-1`` ("constant not
@@ -111,13 +112,15 @@ class CompiledPattern:
     ``*_slot`` is the slot index for a variable position (None for a
     constant); ``*_id`` is the dictionary id a constant position resolved
     to on ``graph`` (-1 when the constant is absent from the dictionary;
-    None for a variable).
+    None for a variable).  ``count`` is the pattern's exact match count on
+    ``graph`` with every variable open, taken once here: the planner
+    orders on it and the scatter gate sizes plans by it.
     """
 
     __slots__ = (
         "s_slot", "p_slot", "o_slot",
         "s_id", "p_id", "o_id",
-        "variables",
+        "count",
     )
 
     def __init__(
@@ -126,7 +129,7 @@ class CompiledPattern:
         self.s_slot, self.s_id = self._position(triple.subject, slot_of, graph)
         self.p_slot, self.p_id = self._position(triple.predicate, slot_of, graph)
         self.o_slot, self.o_id = self._position(triple.object, slot_of, graph)
-        self.variables = frozenset(triple.variables())
+        self.count = graph.count_ids(self.s_id, self.p_id, self.o_id)
 
     @staticmethod
     def _position(
@@ -556,12 +559,21 @@ class CompiledQuery:
         graph: Graph,
         bound: set[Variable],
     ) -> CompiledBGP:
-        ordered = plan_bgp(graph, bgp.triples, bound)
         compiled = [
-            CompiledPattern(triple, self.slot_of, graph) for triple in ordered
+            CompiledPattern(triple, self.slot_of, graph)
+            for triple in bgp.triples
         ]
-        self._patterns.extend(compiled)
-        return CompiledBGP(compiled)
+        steps = order_patterns(
+            [pattern.count for pattern in compiled],
+            [
+                (pattern.s_slot, pattern.p_slot, pattern.o_slot)
+                for pattern in compiled
+            ],
+            {self.slot_of[variable] for variable in bound},
+        )
+        ordered = [compiled[index] for index, __ in steps]
+        self._patterns.extend(ordered)
+        return CompiledBGP(ordered)
 
     def _compile_select_tail(self, query: SelectQuery, graph: Graph) -> None:
         # Each ORDER BY key: its closure, DESC flag, and the slot of a

@@ -88,14 +88,14 @@ def evaluate_bgp(
         bound &= set(solution)
         if not bound:
             break
-    ordered = plan_bgp(graph, triples, bound)
+    steps = plan_bgp(graph, triples, bound)
 
     def join(current: Iterable[Solution], pattern: Triple) -> Iterator[Solution]:
         for solution in current:
             yield from _match_pattern(graph, pattern, solution)
 
     stream: Iterable[Solution] = solutions
-    for pattern in ordered:
+    for pattern, __ in steps:
         stream = join(stream, pattern)
     yield from stream
 

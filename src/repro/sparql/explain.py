@@ -1,9 +1,9 @@
 """EXPLAIN: show the executor's plan for a query.
 
 Renders, per group, the planner's join order with the cardinality
-estimates it used, plus filter placement — the classic relational EXPLAIN,
-adapted to BGPs.  Purely observational: calling it never executes the
-query.
+estimate each step was chosen on (from one count per triple), plus
+filter placement — the classic relational EXPLAIN, adapted to BGPs.
+Purely observational: calling it never executes the query.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.sparql.ast import (
 from repro.sparql.columnar import compile_query
 from repro.sparql import compiler
 from repro.sparql.parser import parse_query
-from repro.sparql.planner import estimate_cardinality, plan_bgp
+from repro.sparql.planner import plan_bgp
 from repro.sparql.serializer import serialize_expression, serialize_term
 
 
@@ -77,14 +77,17 @@ def _explain_group(
     graph: Graph, group: Group, lines: list[str], indent: str,
     bound: set[Variable],
 ) -> None:
+    """Render one group.  ``bound`` tracks the variables definitely bound
+    as the compiler does: each BGP plans from it and adds its variables,
+    a UNION adds what both branches bind, a nested group adds its own,
+    and an OPTIONAL adds nothing."""
     lines.append(f"{indent}group")
     inner = indent + "  "
     filters: list[Filter] = []
     for child in group.patterns:
         if isinstance(child, BGP):
-            ordered = plan_bgp(graph, child.triples, bound)
-            for step, pattern in enumerate(ordered, start=1):
-                estimate = estimate_cardinality(graph, pattern, bound)
+            steps = plan_bgp(graph, child.triples, bound)
+            for step, (pattern, estimate) in enumerate(steps, start=1):
                 access = "lookup" if pattern.is_ground() else "scan"
                 rendered = " ".join(
                     serialize_term(slot) for slot in pattern
@@ -101,10 +104,12 @@ def _explain_group(
             _explain_group(graph, child.pattern, lines, inner + "  ", set(bound))
         elif isinstance(child, UnionPattern):
             lines.append(f"{inner}union")
-            _explain_group(graph, child.left, lines, inner + "  ", set(bound))
-            _explain_group(graph, child.right, lines, inner + "  ", set(bound))
+            left_bound, right_bound = set(bound), set(bound)
+            _explain_group(graph, child.left, lines, inner + "  ", left_bound)
+            _explain_group(graph, child.right, lines, inner + "  ", right_bound)
+            bound |= left_bound & right_bound
         elif isinstance(child, Group):
-            _explain_group(graph, child, lines, inner, set(bound))
+            _explain_group(graph, child, lines, inner, bound)
     for constraint in filters:
         lines.append(
             f"{inner}filter {serialize_expression(constraint.expression)}"

@@ -1,13 +1,16 @@
 """Join-order planning for basic graph patterns.
 
 Both engines evaluate a BGP as a left-deep join, so the order of the
-triple patterns dominates the cost.  :func:`plan_bgp` orders them greedily
-by estimated cardinality — for the term-space executor at run time, and
-for the id-space compiler (:mod:`repro.sparql.compiler`) once per plan,
-from the variables definitely bound when the BGP starts:
+triple patterns dominates the cost.  :func:`order_patterns` orders them
+greedily by estimated cardinality, from the variables definitely bound
+when the BGP starts and one exact match count per pattern, taken once per
+plan: the id-space compiler (:mod:`repro.sparql.compiler`) counts its
+compiled patterns with :meth:`~repro.rdf.Graph.count_ids` on the ids it
+has already resolved, and :func:`plan_bgp` counts triples with
+:meth:`~repro.rdf.Graph.count` for the term-space executor and EXPLAIN.
+At each greedy step:
 
-* a slot holding a constant restricts via the store's exact statistics
-  (:meth:`repro.rdf.Graph.count`);
+* a slot holding a constant restricts via that count;
 * a slot holding an already-bound variable will be a constant *at run time*,
   which we credit with a fixed reduction factor per bound slot;
 * unbound slots do not restrict.
@@ -18,8 +21,10 @@ when full characteristic-set statistics are unavailable.
 
 from __future__ import annotations
 
+from typing import Hashable, Iterable, Sequence
+
 from repro.rdf.graph import Graph
-from repro.rdf.terms import Term, Triple, Variable
+from repro.rdf.terms import Triple, Variable
 
 #: Cardinality reduction credited to a variable that will be bound by the
 #: time the pattern executes.  The exact value only has to break ties
@@ -57,51 +62,89 @@ def choose_batch_join(
     return "hash"
 
 
+#: One pattern's variable at each of its three positions (subject,
+#: predicate, object), None where the position holds a constant.  Any
+#: hashable names serve (variables, or compiled slot indices) as long as
+#: the bound set uses the same ones.
+Positions = tuple[Hashable | None, Hashable | None, Hashable | None]
+
+
 def estimate_cardinality(
-    graph: Graph, pattern: Triple, bound: set[Variable]
+    count: int, positions: Positions, bound: set[Hashable]
 ) -> float:
-    """Estimated number of matches for ``pattern`` given bound variables."""
+    """Estimated matches of a pattern with ``count`` exact matches (its
+    constants bound, its variables open) once the ``bound`` variables are:
+    ``count`` divided by :data:`BOUND_VARIABLE_FACTOR` per position that
+    holds a bound variable.
 
-    def constant(slot: Term) -> Term | None:
-        return None if isinstance(slot, Variable) else slot
-
-    base = graph.count(
-        constant(pattern.subject),
-        constant(pattern.predicate),
-        constant(pattern.object),
-    )
-    estimate = float(base)
-    for slot in (pattern.subject, pattern.predicate, pattern.object):
-        if isinstance(slot, Variable) and slot in bound:
+    >>> estimate_cardinality(400, ("x", None, "y"), {"y"})
+    20.0
+    """
+    estimate = float(count)
+    for variable in positions:
+        if variable is not None and variable in bound:
             estimate /= BOUND_VARIABLE_FACTOR
     return estimate
 
 
-def plan_bgp(
-    graph: Graph, triples: tuple[Triple, ...], initially_bound: set[Variable]
-) -> list[Triple]:
-    """Order BGP triples for execution.
+def order_patterns(
+    counts: Sequence[int],
+    positions: Sequence[Positions],
+    initially_bound: Iterable[Hashable],
+) -> list[tuple[int, float]]:
+    """Order a BGP's patterns for execution, as ``(pattern index,
+    estimate)`` steps.
 
-    Greedy: repeatedly pick the remaining pattern with the lowest estimated
-    cardinality under the current bound-variable set, preferring patterns
-    connected to already-bound variables to avoid Cartesian products.
+    Greedy: repeatedly pick the remaining pattern with the lowest
+    :func:`estimate_cardinality` under the current bound-variable set,
+    preferring patterns connected to already-bound variables to avoid
+    Cartesian products; ties go to the earlier pattern.  Each step's
+    estimate is the one it was chosen on.
     """
-    remaining = list(triples)
+    variables = [
+        {variable for variable in slots if variable is not None}
+        for slots in positions
+    ]
+    remaining = list(range(len(counts)))
     bound = set(initially_bound)
-    ordered: list[Triple] = []
+    steps: list[tuple[int, float]] = []
     while remaining:
-        best_index = 0
+        best_at = 0
         best_key: tuple[int, float] | None = None
-        for index, pattern in enumerate(remaining):
-            variables = pattern.variables()
+        for at, index in enumerate(remaining):
             # 0 when connected to the join so far (or the first pattern),
             # 1 when it would form a Cartesian product.
-            disconnected = int(bool(ordered) and bound.isdisjoint(variables))
-            key = (disconnected, estimate_cardinality(graph, pattern, bound))
+            disconnected = int(bool(steps) and bound.isdisjoint(variables[index]))
+            key = (
+                disconnected,
+                estimate_cardinality(counts[index], positions[index], bound),
+            )
             if best_key is None or key < best_key:
                 best_key = key
-                best_index = index
-        chosen = remaining.pop(best_index)
-        ordered.append(chosen)
-        bound |= chosen.variables()
-    return ordered
+                best_at = at
+        chosen = remaining.pop(best_at)
+        steps.append((chosen, best_key[1]))
+        bound |= variables[chosen]
+    return steps
+
+
+def plan_bgp(
+    graph: Graph, triples: tuple[Triple, ...], initially_bound: set[Variable]
+) -> list[tuple[Triple, float]]:
+    """Term-space :func:`order_patterns`: each triple counted once with
+    :meth:`~repro.rdf.Graph.count`, the order returned as ``(triple,
+    estimate)`` steps."""
+    positions = [
+        tuple(slot if isinstance(slot, Variable) else None for slot in triple)
+        for triple in triples
+    ]
+    counts = [
+        graph.count(*(
+            None if isinstance(slot, Variable) else slot for slot in triple
+        ))
+        for triple in triples
+    ]
+    return [
+        (triples[index], estimate)
+        for index, estimate in order_patterns(counts, positions, initially_bound)
+    ]

@@ -164,18 +164,12 @@ def partition_spec(query):
     return None
 
 
-def _min_pattern_count(graph, plan: ColumnarQuery) -> int:
-    """Matches of the plan's most selective triple pattern: ``count_ids``
-    over the pattern ids resolved at compile time, no dictionary lookups
-    (an absent constant resolves to -1 and counts zero).  Sizes both the
-    fan-out gate and the semi-join's lead star."""
-    return min(
-        (
-            graph.count_ids(pattern.s_id, pattern.p_id, pattern.o_id)
-            for pattern in plan._patterns
-        ),
-        default=0,
-    )
+def _min_pattern_count(plan: ColumnarQuery) -> int:
+    """Matches of the plan's most selective triple pattern: the counts
+    its patterns took as it compiled, over the whole backend (an absent
+    constant counts zero).  Sizes both the fan-out gate and the
+    semi-join's lead star."""
+    return min((pattern.count for pattern in plan._patterns), default=0)
 
 
 def _keys_token(keys) -> object:
@@ -315,7 +309,7 @@ class ScatterGatherExecutor:
             if stats is not None:
                 stats.inc("sparql.scatter.fallback_queries")
             return None
-        if _min_pattern_count(context.graph, plan) < FANOUT_MIN_ROWS:
+        if _min_pattern_count(plan) < FANOUT_MIN_ROWS:
             if stats is not None:
                 stats.inc("sparql.scatter.local_queries")
             return None
@@ -392,7 +386,7 @@ class ScatterGatherExecutor:
         graph = context.graph
         memo = context.filter_memo
         star_plans = [self._local_plan(star.query) for star in sliced.stars]
-        estimates = [_min_pattern_count(graph, star) for star in star_plans]
+        estimates = [_min_pattern_count(star) for star in star_plans]
         lead = 0 if estimates[0] <= estimates[1] else 1
         plan_lead, plan_trail = star_plans[lead], star_plans[1 - lead]
         join_names = sliced.join_names

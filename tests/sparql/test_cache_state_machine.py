@@ -12,7 +12,9 @@ equal a cold term-space oracle's.
   additions and removals, ``clear_caches()``, and a warm-state round
   trip (export, pickle, import into a fresh engine over the same graph).
   The last few queries are issued again after every step.  The oracle is
-  a fresh ``SparqlEngine(graph, cache_size=0, idspace=False)``.
+  a fresh ``SparqlEngine(graph, cache_size=0, idspace=False)``.  After
+  every step the graph's per-predicate triple counts must equal its
+  scans.
 * :class:`ScatterMachine` runs over a 4-shard segment directory with a
   :class:`~repro.sparql.scatter.ScatterGatherExecutor` installed and the
   fan-out gate dropped, interleaving star, two-star and conjunctive
@@ -248,6 +250,16 @@ class EngineMachine(RuleBasedStateMachine):
     def cache_is_bounded(self):
         stats = self.engine.cache_stats()["result_cache"]
         assert stats["size"] <= stats["maxsize"]
+
+    @invariant()
+    def predicate_counts_match_scans(self):
+        # The graph keeps one triple count per predicate through every
+        # add and remove; the planner's predicate-only counts read it.
+        for predicate in querygen.IRIS:
+            p = self.graph.lookup_id(predicate)
+            assert self.graph.count_ids(None, p, None) == sum(
+                1 for __ in self.graph.match_ids(None, p, None)
+            )
 
 
 def test_engine_cache_state_machine():
