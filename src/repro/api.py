@@ -11,7 +11,9 @@ where the tracer lives, …) never break callers::
     print(result.answers)
     print(result.explanation())          # structured, str() == report text
 
-Batch answering without holding a system yourself::
+Batch answering without holding a system yourself (answered in input
+order on the calling thread; concurrent callers go through
+``ResilientServer``)::
 
     from repro.api import answer_many
 
@@ -35,8 +37,9 @@ compatibility promise:
                               or an explicit ``KBBackend``/config
 ``answer_many``               one-shot batch helper (below)
 ``ResilientServer``           long-lived concurrent serving layer:
-                              admission control, circuit breakers,
-                              warm-state snapshots (``repro.serve``)
+                              admission control (its one concurrency
+                              limit), circuit breakers, warm-state
+                              snapshots (``repro.serve``)
 ``ServerConfig``              sizing/policy knobs for the server
 ============================  =========================================
 
@@ -122,12 +125,11 @@ def answer_many(
     *,
     kb: KnowledgeBase | None = None,
     config: PipelineConfig | None = None,
-    max_workers: int | None = None,
 ) -> list[Answer]:
     """Answer a batch of questions in one call, results in input order.
 
     Builds a :class:`QuestionAnsweringSystem` over ``kb`` (the curated KB
-    when omitted) and fans the questions out over a thread pool — the
+    when omitted) and answers the questions one after another — the
     convenience wrapper around
     :meth:`QuestionAnsweringSystem.answer_many` for callers who do not
     need to keep the system (and its warm caches) around.  Constructing
@@ -137,4 +139,4 @@ def answer_many(
     system = QuestionAnsweringSystem.over(
         kb if kb is not None else load_curated_kb(), config
     )
-    return system.answer_many(questions, max_workers=max_workers)
+    return system.answer_many(questions)

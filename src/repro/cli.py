@@ -473,8 +473,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """Line-oriented serving loop over stdin (the demo/ops entry point).
 
     Reads one question per line, answers through the
-    :class:`repro.serve.ResilientServer` (admission control, breakers,
-    bulkheads all active), prints one tab-separated line per answer.  With
+    :class:`repro.serve.ResilientServer` (admission control and circuit
+    breakers active), prints one tab-separated line per answer.  With
     ``--snapshot`` the warm caches are restored on start (when the file is
     valid for the current KB) and saved on shutdown.
     """

@@ -94,7 +94,7 @@ class PipelineConfig:
     fault_injector: "FaultInjector | None" = field(
         default=None, compare=False, repr=False
     )
-    #: Serving-layer stage guard (circuit breakers + bulkheads, see
+    #: Serving-layer stage guard (per-stage circuit breakers, see
     #: ``repro.serve`` and docs/reliability.md "Serving & overload
     #: behavior").  ``None`` — the default everywhere outside
     #: :class:`repro.serve.ResilientServer` — costs one ``is None`` check
@@ -176,7 +176,7 @@ class PipelineConfig:
         return self._replace(fault_injector=injector)
 
     def with_stage_guard(self, guard: "StageGuard") -> "PipelineConfig":
-        """Attach a serving-layer stage guard (breakers + bulkheads)."""
+        """Attach a serving-layer stage guard (per-stage circuit breakers)."""
         return self._replace(stage_guard=guard)
 
     def new_deadline(self) -> "Deadline":

@@ -5,11 +5,11 @@
 filter by expected answer type (2.3.2) -> return the answers of the
 best-scoring productive query (2.3.1).
 
-``answer_many()`` fans a batch of questions out over a thread pool against
-the same (read-only) knowledge base; see :mod:`repro.perf.batch` for the
-thread-safety contract and ``docs/performance.md`` for the cache layers
-that make repeated runs cheap.  Every stage records wall time and counters
-into :attr:`QuestionAnsweringSystem.stats`.
+``answer_many()`` answers a batch in order on the caller's thread, one
+question at a time; ``docs/performance.md`` covers the cache layers that
+make repeated runs cheap and the thread-safety contract that lets the
+serving layer's workers share one system.  Every stage records wall time
+and counters into :attr:`QuestionAnsweringSystem.stats`.
 
 **Reliability contract** (``docs/reliability.md``): ``answer()`` never
 raises.  Every stage boundary converts failures into a typed
@@ -53,7 +53,6 @@ from repro.reliability.errors import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Span, Tracer
-from repro.perf.batch import BatchAnswerer
 from repro.rdf.terms import Term, Variable
 from repro.wordnet.adjectives import AdjectivePropertyMap, build_adjective_map
 from repro.wordnet.database import build_wordnet
@@ -393,8 +392,8 @@ class QuestionAnsweringSystem:
                 guard.enter("execute")
                 guarded = True
             except StageError as error:
-                # Breaker open / bulkhead saturated: candidates are never
-                # run; the request fails fast with the typed rejection.
+                # Breaker open: candidates are never run; the request
+                # fails fast with the typed rejection.
                 rejection = error
                 self._trace_stage_failure(error)
                 result.failure = error.describe()
@@ -432,10 +431,10 @@ class QuestionAnsweringSystem:
         """Full annotation, degrading to shallow annotation on failure.
 
         The serving layer's stage guard (when installed) gates entry: an
-        open annotate breaker or saturated bulkhead raises its typed
-        rejection here, which lands on the same fallback ladder as a real
-        annotation failure — i.e. an overloaded annotate stage degrades to
-        shallow annotation instead of queueing more work behind it.
+        open annotate breaker raises its typed rejection here, which lands
+        on the same fallback ladder as a real annotation failure — i.e. a
+        failing annotate stage degrades to shallow annotation while its
+        breaker gives the full annotator room to recover.
         """
         error: StageError | None = None
         guard = self._config.stage_guard
@@ -619,7 +618,7 @@ class QuestionAnsweringSystem:
         The mapping stage's caches (similarity memo, property-scan memo)
         are shared across questions and threads; the deltas are exact for
         a sequentially traced question and best-effort approximations
-        while a concurrent batch is in flight.
+        while other questions run on the serving layer's workers.
         """
         if before is None:
             return
@@ -632,20 +631,30 @@ class QuestionAnsweringSystem:
                 misses=counters.get("misses", 0) - baseline.get("misses", 0),
             )
 
-    def answer_many(
-        self,
-        questions: Sequence[str] | Iterable[str],
-        max_workers: int | None = None,
-    ) -> list[Answer]:
-        """Answer a batch of questions concurrently.
+    def answer_many(self, questions: Sequence[str] | Iterable[str]) -> list[Answer]:
+        """Answer a batch of questions in input order.
 
-        Results come back in input order and are exactly what sequential
-        :meth:`answer` calls would produce — the pipeline is deterministic
-        and its shared caches change only how fast answers are computed,
-        never what they are.  The knowledge base must not be mutated while
-        the batch is in flight.
+        Each answer is exactly what :meth:`answer` gives for its question.
+        One poisoned question never kills the batch: an exception that
+        escapes :meth:`answer` becomes a typed ``internal`` failure for
+        that question alone (counted under ``batch.failures``).
         """
-        return BatchAnswerer(self, max_workers=max_workers).answer_many(questions)
+        questions = list(questions)
+        if questions:
+            self._stats.inc("batch.questions", len(questions))
+        return [self._answer_isolated(question) for question in questions]
+
+    def _answer_isolated(self, question: str) -> Answer:
+        try:
+            return self.answer(question)
+        except Exception as error:
+            self._stats.inc("batch.failures")
+            typed = InternalError.from_exception(error)
+            return Answer(
+                question=question,
+                failure=typed.describe(),
+                failure_stage=typed.stage_value,
+            )
 
     # ------------------------------------------------------------------
 
@@ -815,7 +824,7 @@ class QuestionAnsweringSystem:
     # -- serving-layer integration (repro.serve) -----------------------
 
     def install_stage_guard(self, guard) -> None:
-        """Install a serving-layer stage guard (breakers + bulkheads).
+        """Install a serving-layer stage guard (per-stage circuit breakers).
 
         The guard's ``enter(stage)`` / ``exit(stage, failed)`` hooks wrap
         the annotate/map/execute stage boundaries (see

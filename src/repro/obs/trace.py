@@ -15,8 +15,8 @@ Design constraints (docs/observability.md):
   :data:`NULL_TRACER`, whose every operation is a constant-time early
   return, so tier-1 throughput is unchanged (the overhead guard in
   ``tests/obs/test_overhead.py`` pins this at <2%).
-* **Thread-correct.** The open-span stack is thread-local, so the batch
-  answerer's worker threads each build their own tree and events from
+* **Thread-correct.** The open-span stack is thread-local, so the serving
+  layer's worker threads each build their own tree and events from
   shared components (the engine cache, the similarity memo) land on the
   span of the question that caused them.
 * **Sampled.** ``sample_every=n`` traces every n-th root; non-sampled

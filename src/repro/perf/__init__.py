@@ -1,20 +1,10 @@
-"""Performance infrastructure: caches and batch execution.
-
-This package backs the throughput-oriented answering layer:
-
-* :mod:`repro.perf.lru` — thread-safe LRU cache (SPARQL parse/result
-  caches, similarity memo);
-* :mod:`repro.perf.batch` — :class:`BatchAnswerer`, the thread-pool
-  fan-out behind ``QuestionAnsweringSystem.answer_many``.
+"""Performance infrastructure: :class:`~repro.perf.lru.LRUCache`, the
+bounded, thread-safe cache behind the engine's result cache, the
+annotation cache and the mapper's similarity and scan memos.
 
 Stage timers and counters live in :class:`repro.obs.MetricsRegistry`.
 """
 
-from repro.perf.batch import BatchAnswerer, default_workers
 from repro.perf.lru import LRUCache
 
-__all__ = [
-    "BatchAnswerer",
-    "LRUCache",
-    "default_workers",
-]
+__all__ = ["LRUCache"]

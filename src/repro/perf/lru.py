@@ -10,7 +10,7 @@ folded into the metrics document as gauges by
 benchmarks can report cache efficiency.
 
 Thread-safety contract: every public method takes the internal lock, so the
-cache can be shared by the :class:`repro.perf.batch.BatchAnswerer` worker
+cache can be shared by the :class:`repro.serve.ResilientServer` worker
 threads.  Values are expected to be immutable (frozen result tuples,
 floats) — the cache hands out the stored object itself, never a copy.
 """

@@ -20,7 +20,6 @@ from repro.reliability.errors import (
     STAGES,
     AnnotationError,
     BudgetExceeded,
-    BulkheadSaturatedError,
     CircuitOpenError,
     ExecutionError,
     ExtractionError,
@@ -51,7 +50,6 @@ __all__ = [
     "BudgetExceeded",
     "InternalError",
     "CircuitOpenError",
-    "BulkheadSaturatedError",
     "error_for",
     "Deadline",
     "FaultInjector",

@@ -177,16 +177,6 @@ class CircuitOpenError(StageError):
         self.stage = Stage(stage) if isinstance(stage, str) else stage
 
 
-class BulkheadSaturatedError(StageError):
-    """The serving layer's per-stage bulkhead (concurrency limit) had no
-    free slot within its wait budget — the stage was shed to protect the
-    other stages' workers, not attempted and failed."""
-
-    def __init__(self, stage: Stage | str, detail: str = "") -> None:
-        super().__init__(detail)
-        self.stage = Stage(stage) if isinstance(stage, str) else stage
-
-
 _ERROR_FOR_STAGE: dict[Stage, type[StageError]] = {
     Stage.ANNOTATE: AnnotationError,
     Stage.EXTRACT: ExtractionError,

@@ -76,8 +76,8 @@ class FaultSpec:
 
 class FaultInjector:
     """Fires armed faults at stage boundaries; thread-safe and inert when
-    disarmed.  One injector may be shared by every worker thread of a
-    batch — the remaining-fires countdown is taken under a lock."""
+    disarmed.  One injector may be shared by every serving worker thread
+    — the remaining-fires countdown is taken under a lock."""
 
     def __init__(self, specs: tuple[FaultSpec, ...] | list[FaultSpec] = ()) -> None:
         self._lock = threading.Lock()

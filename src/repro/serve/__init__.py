@@ -5,13 +5,14 @@ behavior").
 :class:`repro.core.system.QuestionAnsweringSystem` into a long-lived
 concurrent service with explicit overload behavior:
 
-* **admission control** — a bounded request queue; a full queue sheds the
-  request with a typed :class:`Overloaded` failure (``reject`` policy) or
-  re-routes it onto a small tight-budget lane (``degrade`` policy);
-* **circuit breakers + bulkheads** — per-stage failure breakers with
-  half-open probing and per-stage concurrency limits
-  (:class:`~repro.serve.guard.StageGuard`), so a wedged SPARQL backend
-  cannot starve the NLP-only stages;
+* **admission control** — the one concurrency limiter: a bounded request
+  queue; a full queue sheds the request with a typed :class:`Overloaded`
+  failure (``reject`` policy) or re-routes it onto a small tight-budget
+  lane (``degrade`` policy), and a request whose deadline expired while
+  queued is shed when dequeued;
+* **circuit breakers** — per-stage failure breakers with half-open
+  probing (:class:`~repro.serve.guard.StageGuard`), so a failing stage
+  fails fast instead of being attempted again and again;
 * **crash-safe warm state** — versioned, checksummed snapshots of the warm
   caches (:mod:`repro.serve.snapshot`) so a restarted server skips the
   cold-start cliff;
@@ -22,7 +23,7 @@ concurrent service with explicit overload behavior:
 
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.errors import Overloaded, ServeError, ServerClosed, SnapshotError
-from repro.serve.guard import GUARDED_STAGES, Bulkhead, StageGuard
+from repro.serve.guard import GUARDED_STAGES, StageGuard
 from repro.serve.server import ResilientServer, ServerConfig
 from repro.serve.snapshot import SNAPSHOT_SCHEMA, load_snapshot, save_snapshot
 from repro.serve.soak import SoakReport, run_soak
@@ -32,7 +33,6 @@ __all__ = [
     "ServerConfig",
     "CircuitBreaker",
     "StageGuard",
-    "Bulkhead",
     "GUARDED_STAGES",
     "ServeError",
     "Overloaded",

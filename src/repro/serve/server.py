@@ -17,11 +17,12 @@ Overload behavior (docs/reliability.md "Serving & overload behavior"):
   (``degraded_timeout_s``), trading answer depth for admission;
 * every request carries a :class:`repro.reliability.Deadline` from
   admission time, so time spent *queued* counts against the request and
-  an expired request is shed at dequeue instead of wasting a worker;
-* per-stage circuit breakers and bulkheads
-  (:class:`~repro.serve.guard.StageGuard`) are installed into the
-  pipeline, so stage-level failure storms fail fast and slow SPARQL
-  execution cannot absorb every worker.
+  an expired request is shed at dequeue instead of wasting a worker.
+
+Admission is the server's one concurrency limiter: a worker that takes a
+request runs it to the end.  Per-stage circuit breakers
+(:class:`~repro.serve.guard.StageGuard`) are installed into the pipeline
+so that stage-level failure storms fail fast; they limit no concurrency.
 
 Hot KB reload: :meth:`ResilientServer.hot_reload` swaps the entire system
 reference atomically.  Workers read the reference once per request, so
@@ -94,10 +95,6 @@ class ServerConfig:
     #: Default per-request deadline when ``submit`` passes none
     #: (``None`` = unlimited).
     default_timeout_s: float | None = None
-    #: Execute-stage bulkhead size (``None`` disables the bulkhead).  It
-    #: defaults below the worker count so a wedged SPARQL backend leaves
-    #: workers free for NLP-only traffic.
-    execute_concurrency: int | None = 3
     #: Breaker tuning (consecutive failures to trip / seconds until a
     #: half-open probe is allowed).
     breaker_failure_threshold: int = 5
@@ -111,6 +108,12 @@ class ServerConfig:
             )
         if self.max_queue < 1 or self.workers < 1:
             raise ValueError("max_queue and workers must be >= 1")
+        # A degraded lane without a worker never serves what it admits,
+        # and ``queue.Queue(0)`` is unbounded, not empty.
+        if self.degraded_workers < 1:
+            raise ValueError("degraded_workers must be >= 1")
+        if self.max_degraded_queue < 1:
+            raise ValueError("max_degraded_queue must be >= 1")
 
 
 class _Request:
@@ -140,7 +143,6 @@ class ResilientServer:
         self._guard = StageGuard.default(
             failure_threshold=self._config.breaker_failure_threshold,
             recovery_s=self._config.breaker_recovery_s,
-            concurrency={"execute": self._config.execute_concurrency},
             stats=self._stats,
         )
         system.install_stage_guard(self._guard)
@@ -335,8 +337,8 @@ class ResilientServer:
         """The unified ``repro.metrics/v1`` document for server + system.
 
         Serving-layer families are bounded by construction: ``serve.*``
-        counters are fixed names, ``breaker.*`` / ``bulkhead.*`` gauges
-        are keyed per *stage* — cardinality never grows with traffic.
+        counters are fixed names, ``breaker.*`` gauges are keyed per
+        *stage* — cardinality never grows with traffic.
         """
         registry = MetricsRegistry()
         registry.merge(self._stats)

@@ -59,7 +59,7 @@ def test_serving_metric_families_are_per_stage_not_per_request(kb):
                 name
                 for section in ("counters", "gauges")
                 for name in server.metrics()[section]
-                if name.startswith(("serve.", "breaker.", "bulkhead."))
+                if name.startswith(("serve.", "breaker."))
             }
             if baseline is None:
                 baseline = names

@@ -164,12 +164,22 @@ class TestSpanTreeInvariants:
         assert system.tracer is NULL_TRACER
 
     def test_batch_builds_one_tree_per_question(self, traced_qa):
+        """Three serving workers answer at once; each answer carries its
+        own question's closed tree (the open-span stack is per thread)."""
+        from repro.serve import ResilientServer, ServerConfig
+
         questions = [
             "Who wrote The Pillars of the Earth?",
             "Who is the mayor of Berlin?",
             "Which book is written by Orhan Pamuk?",
         ]
-        results = traced_qa.answer_many(questions, max_workers=3)
+        server = ResilientServer(traced_qa, ServerConfig(workers=3))
+        try:
+            futures = [server.submit(question) for question in questions]
+            results = [future.result(timeout=60) for future in futures]
+        finally:
+            server.stop()
+            traced_qa.install_stage_guard(None)  # the fixture is shared
         for question, result in zip(questions, results):
             assert result.trace is not None
             assert result.trace.attributes["question"] == question

@@ -1,11 +1,8 @@
 """Batch answering: answer_many() must equal sequential answer() exactly,
 and equal the seed's cold term-space path on the dev set."""
 
-import pytest
-
 from repro.core import PipelineConfig, QuestionAnsweringSystem
 from repro.kb import load_curated_kb
-from repro.perf import BatchAnswerer
 from repro.qald.devset import load_dev_questions
 
 QUESTIONS = [
@@ -38,22 +35,18 @@ def signature(answer):
 class TestAnswerMany:
     def test_matches_sequential_answers(self, qa):
         sequential = [signature(qa.answer(q)) for q in QUESTIONS]
-        batch = [signature(a) for a in qa.answer_many(QUESTIONS, max_workers=4)]
+        batch = [signature(a) for a in qa.answer_many(QUESTIONS)]
         assert batch == sequential
 
     def test_matches_sequential_on_dev_set(self, qa):
         questions = [q.text for q in load_dev_questions()]
         sequential = [signature(qa.answer(q)) for q in questions]
-        batch = [signature(a) for a in qa.answer_many(questions, max_workers=8)]
+        batch = [signature(a) for a in qa.answer_many(questions)]
         assert batch == sequential
 
     def test_preserves_input_order(self, qa):
-        answers = qa.answer_many(QUESTIONS, max_workers=4)
+        answers = qa.answer_many(QUESTIONS)
         assert [a.question for a in answers] == QUESTIONS
-
-    def test_single_worker_path(self, qa):
-        answers = qa.answer_many(QUESTIONS[:2], max_workers=1)
-        assert [a.question for a in answers] == QUESTIONS[:2]
 
     def test_empty_batch(self, qa):
         assert qa.answer_many([]) == []
@@ -64,12 +57,28 @@ class TestAnswerMany:
 
     def test_batch_counter_recorded(self, qa):
         before = qa.stats.counter("batch.questions")
-        qa.answer_many(QUESTIONS[:3], max_workers=2)
+        qa.answer_many(QUESTIONS[:3])
         assert qa.stats.counter("batch.questions") == before + 3
 
-    def test_invalid_worker_count_rejected(self, qa):
-        with pytest.raises(ValueError):
-            BatchAnswerer(qa, max_workers=0)
+    def test_escaping_exception_fails_only_its_question(self, qa, monkeypatch):
+        """Per-question isolation: an exception escaping ``answer()``
+        becomes a typed internal failure for that question alone."""
+        poisoned = QUESTIONS[1]
+        answer = qa.answer
+
+        def failing(question, *args, **kwargs):
+            if question == poisoned:
+                raise RuntimeError("boom")
+            return answer(question, *args, **kwargs)
+
+        monkeypatch.setattr(qa, "answer", failing)
+        before = qa.stats.counter("batch.failures")
+        answers = qa.answer_many(QUESTIONS[:3])
+        assert [a.question for a in answers] == QUESTIONS[:3]
+        assert answers[1].failure_stage == "internal"
+        assert "RuntimeError: boom" in answers[1].failure
+        assert answers[0].answered and answers[2].answered
+        assert qa.stats.counter("batch.failures") == before + 1
 
     def test_repeated_batches_stay_identical(self, qa):
         """Cache warmth must change speed only, never answers."""
@@ -107,5 +116,5 @@ class TestTermSpaceBaseline:
         )
         expected = [signature(cold.answer(question)) for question in questions]
         warm = QuestionAnsweringSystem.over(load_curated_kb(), PipelineConfig())
-        batch = warm.answer_many(questions, max_workers=4)
+        batch = warm.answer_many(questions)
         assert [signature(answer) for answer in batch] == expected

@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.system import Answer
+from repro.serve import ResilientServer, ServerConfig
 
 _PREFIXES = ["", " ", "\t\n", "Which ", "WHO ", "how many ", '"', "((", "'s "]
 _PAYLOADS = [
@@ -113,8 +114,13 @@ class TestHypothesisFuzz:
         questions=st.lists(st.text(max_size=80), min_size=1, max_size=6),
         workers=st.integers(min_value=1, max_value=4),
     )
-    def test_batches_of_garbage_complete(self, session_qa, questions, workers):
-        answers = session_qa.answer_many(questions, max_workers=workers)
+    def test_batches_of_garbage_complete(self, make_system, questions, workers):
+        server = ResilientServer(make_system(), ServerConfig(workers=workers))
+        try:
+            futures = [server.submit(question) for question in questions]
+            answers = [future.result(timeout=60) for future in futures]
+        finally:
+            server.stop()
         assert [a.question for a in answers] == questions
         for question, result in zip(questions, answers):
             _assert_answer_invariant(result, question)

@@ -2,15 +2,10 @@
 
 import pytest
 
-from repro.reliability import (
-    BulkheadSaturatedError,
-    CircuitOpenError,
-    FaultInjector,
-    FaultSpec,
-)
+from repro.reliability import CircuitOpenError, FaultInjector, FaultSpec
 from repro.api import PipelineConfig, QuestionAnsweringSystem
 from repro.serve.breaker import OPEN
-from repro.serve.guard import GUARDED_STAGES, Bulkhead, StageGuard
+from repro.serve.guard import GUARDED_STAGES, StageGuard
 
 QUESTION = "Which book is written by Orhan Pamuk?"
 
@@ -25,30 +20,6 @@ def test_enter_raises_typed_rejection_when_breaker_open():
     with pytest.raises(CircuitOpenError) as info:
         guard.enter("execute")
     assert info.value.stage_value == "execute"
-
-
-def test_bulkhead_sheds_when_saturated():
-    bulkhead = Bulkhead("execute", max_concurrent=1)
-    guard = StageGuard(bulkheads={"execute": bulkhead})
-    guard.enter("execute")
-    with pytest.raises(BulkheadSaturatedError):
-        guard.enter("execute")
-    guard.exit("execute", failed=False)
-    guard.enter("execute")  # slot released, entry flows again
-    guard.exit("execute", failed=False)
-    assert bulkhead.in_flight == 0
-
-
-def test_breaker_rejection_releases_the_bulkhead_slot():
-    bulkhead = Bulkhead("execute", max_concurrent=1)
-    guard = StageGuard(bulkheads={"execute": bulkhead})
-    guard._breakers["execute"] = StageGuard.default(
-        failure_threshold=1, recovery_s=60.0
-    ).breaker("execute")
-    guard._breakers["execute"].record_failure()
-    with pytest.raises(CircuitOpenError):
-        guard.enter("execute")
-    assert bulkhead.in_flight == 0  # the acquired slot was handed back
 
 
 def test_execute_failures_trip_breaker_and_requests_fail_fast(kb):
@@ -114,9 +85,7 @@ def test_mapping_refusal_does_not_count_as_breaker_failure(kb):
 
 
 def test_guard_snapshot_keys_are_per_stage(kb):
-    guard = StageGuard.default(concurrency={"execute": 2})
-    snapshot = guard.snapshot()
+    snapshot = StageGuard.default().snapshot()
     assert set(snapshot) == {
         "breaker.annotate", "breaker.map", "breaker.execute",
-        "bulkhead.execute",
     }

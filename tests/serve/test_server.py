@@ -180,9 +180,51 @@ def test_segmented_server_answers_like_a_cold_system(kb, tmp_path):
         assert served(server) == expected
 
 
+@pytest.mark.parametrize("count", [5, 20])
+def test_slow_execute_refuses_no_question(kb, count):
+    """Admission is the one limiter: when every worker sits in a slow
+    execute stage at once, no question is refused there.  The whole batch
+    is submitted before any answer is awaited, so the default server's
+    workers all reach execute together, each candidate 200 ms late."""
+    from repro.api import PipelineConfig, QuestionAnsweringSystem
+    from repro.qald.devset import load_dev_questions
+    from repro.reliability import FaultInjector, FaultSpec
+    from repro.serve.soak import answer_signature
+
+    questions = [question.text for question in load_dev_questions()][:count]
+    clean = QuestionAnsweringSystem.over(kb)
+    expected = [answer_signature(clean.answer(text)) for text in questions]
+
+    faults = FaultInjector([FaultSpec("execute", "slow", delay_ms=200.0)])
+    slow = QuestionAnsweringSystem.over(
+        kb, PipelineConfig().with_fault_injector(faults)
+    )
+    with ResilientServer(slow, ServerConfig()) as server:
+        futures = [server.submit(text) for text in questions]
+        answers = [future.result(timeout=60) for future in futures]
+
+    assert faults.fired("execute", "slow") > 0
+    assert [answer.failure_stage for answer in answers].count("execute") == 0
+    assert [answer_signature(answer) for answer in answers] == expected
+    if count == 5:
+        assert all(answer.answered for answer in answers)
+
+
 def test_shed_policy_is_validated():
     with pytest.raises(ValueError, match="shed_policy"):
         ServerConfig(shed_policy="panic")
+
+
+def test_degraded_lane_without_workers_is_rejected():
+    # Requests shed onto a lane with no worker would never be served.
+    with pytest.raises(ValueError, match="degraded_workers"):
+        ServerConfig(shed_policy="degrade", degraded_workers=0)
+
+
+def test_unbounded_degraded_queue_is_rejected():
+    # ``queue.Queue(0)`` is unbounded: the lane would shed nothing.
+    with pytest.raises(ValueError, match="max_degraded_queue"):
+        ServerConfig(shed_policy="degrade", max_degraded_queue=0)
 
 
 def test_overloaded_describe_shape():

@@ -228,3 +228,39 @@ class TestKbBuildSegments:
                      "Which book is written by Orhan Pamuk?"])
         assert code == 0
         assert "My Name Is Red" in capsys.readouterr().out
+
+
+class TestServe:
+    STDIN = "How tall is Tom Cruise?\n\nIs Frank Herbert still alive?\n"
+
+    def serve(self, monkeypatch, capsys, snapshot):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(self.STDIN))
+        code = main(["serve", "--snapshot", str(snapshot)])
+        captured = capsys.readouterr()
+        return code, captured.out.splitlines(), captured.err.splitlines()
+
+    def test_answers_stdin_and_round_trips_warm_state(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        snapshot = tmp_path / "warm.snapshot"
+        code, out, err = self.serve(monkeypatch, capsys, snapshot)
+        assert code == 0
+        # One line per non-blank question; the blank line is skipped.
+        assert len(out) == 2
+        question, answer = out[0].split("\t")
+        assert question == "How tall is Tom Cruise?"
+        assert answer and not answer.startswith("(unanswered")
+        question, answer = out[1].split("\t")
+        assert question == "Is Frank Herbert still alive?"
+        assert answer.startswith("(unanswered [map]: ")
+        assert len(err) == 2
+        assert err[0].startswith("(starting cold: ")
+        assert err[1].startswith("(warm state saved: ")
+        assert snapshot.exists()
+
+        code, again, err = self.serve(monkeypatch, capsys, snapshot)
+        assert code == 0
+        assert again == out
+        assert err[0].startswith("(warm state restored: ")
