@@ -44,6 +44,7 @@ from repro.qald import (
 )
 from repro.qald.report import format_category_breakdown
 from repro.rdf import Literal
+from repro.reliability.faults import FAULT_KINDS
 from repro.sparql.results import AskResult
 
 # ---------------------------------------------------------------------------
@@ -127,10 +128,11 @@ PIPELINE_FLAGS: tuple[Flag, ...] = (
     ),
     Flag(
         "--inject-fault",
-        kwargs=dict(action="append", default=[], metavar="STAGE:KIND",
+        kwargs=dict(action="append", default=[], metavar="STAGE:KIND[:MATCH]",
                     help="force a fault at a stage boundary (kind: "
-                         "error|timeout|empty; repeatable; for reliability "
-                         "testing)"),
+                         f"{'|'.join(FAULT_KINDS)}; MATCH limits it to "
+                         "questions containing that text; repeatable; for "
+                         "reliability testing)"),
         apply=_apply_faults,
     ),
     Flag(

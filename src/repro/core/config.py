@@ -55,11 +55,6 @@ class PipelineConfig:
     #: stop executing candidates once a productive query can no longer be
     #: displaced (scores are sorted non-increasing).
     enable_early_termination: bool = True
-    #: Skip vocabulary-scan similarity comparisons whose LCS upper bound
-    #: (length/character-profile buckets) cannot reach the acceptance
-    #: threshold.  Sound for the LCS metric only; other metrics always
-    #: take the full scan regardless of this switch.
-    enable_scan_pruning: bool = True
 
     # -- reliability layer (docs/reliability.md): typed failures, budgets,
     # -- graceful degradation.  Budgets default to "unlimited" and the
@@ -221,7 +216,6 @@ class PipelineConfig:
             enable_similarity_cache=False,
             enable_annotation_cache=False,
             enable_early_termination=False,
-            enable_scan_pruning=False,
         )
 
     def _replace(self, **changes) -> "PipelineConfig":

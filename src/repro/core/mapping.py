@@ -112,15 +112,11 @@ class TripleMapper:
         #: Memo for WordNet similar-pair expansions (2.2.1), keyed on the
         #: property local name; the index is immutable after construction.
         self._similar_names: dict[str, tuple[str, ...]] = {}
-        #: The scan prunes through the ontology's shared label index
-        #: (:meth:`repro.kb.ontology.Ontology.label_index`) only under the
-        #: default LCS metric -- its bound is specific to subsequence
-        #: similarity -- so ablation configs with other metrics keep the
-        #: full scan.
-        self._prune_scans = (
-            self._config.enable_scan_pruning
-            and self._config.similarity == "lcs"
-        )
+        #: Under the default LCS metric the scan is one bit-parallel pass
+        #: over the ontology's shared label index
+        #: (:meth:`repro.kb.ontology.Ontology.label_index`); ablation
+        #: configs with other metrics score label by label.
+        self._packed_scan = self._config.similarity == "lcs"
         #: Optional extension resource (section 5 research gap): patterns
         #: for data properties, consulted only when the config enables it.
         self._data_patterns = data_pattern_store
@@ -324,13 +320,15 @@ class TripleMapper:
     def _similarity_candidates(
         self, word: str, is_verb: bool
     ) -> tuple[PredicateCandidate, ...]:
-        """Above-threshold similarity candidates for one predicate word.
+        """Above-threshold similarity candidates for one predicate word, in
+        catalogue order.
 
-        Scanning the whole property catalogue per question is the mapping
-        stage's hot loop; question words repeat heavily across a batch, so
-        the scan result is memoized (candidates are frozen dataclasses and
-        safe to share).  With the cache disabled this is exactly the seed's
-        per-question scan.
+        Under the LCS metric the whole catalogue is scored in one
+        bit-parallel pass (:meth:`repro.similarity.lcs.LabelIndex.scores`);
+        any other metric scores each property's label words in turn.
+        Question words repeat heavily across a batch, so the result is
+        memoized (candidates are frozen dataclasses and safe to share);
+        with the cache disabled every call scans.
         """
         use_cache = self._config.enable_similarity_cache
         key = (word, is_verb)
@@ -341,28 +339,27 @@ class TripleMapper:
                     self._stats.inc("mapping.scan_cache.hits")
                 return cached
         ontology = self._kb.ontology
-        searchable = list(
-            ontology.object_properties() if is_verb else ontology.properties()
-        )
         index = ontology.label_index(object_only=is_verb)
         threshold = self._config.similarity_threshold
-        if self._prune_scans:
-            feasible = index.feasible_names(word, threshold)
-            if feasible is not None:
-                # Filtering (not replacing) ``searchable`` preserves the
-                # full scan's catalogue order exactly.
-                pool = [prop for prop in searchable if prop.name in feasible]
-                if self._stats is not None:
-                    self._stats.inc(
-                        "mapping.scan_pruned", len(searchable) - len(pool)
-                    )
-                searchable = pool
+        if self._packed_scan:
+            scored = [
+                (ontology.get_property(name), score)
+                for name, score in index.scores(word, threshold).items()
+            ]
+        else:
+            scored = [
+                (prop, score)
+                for prop in (
+                    ontology.object_properties() if is_verb
+                    else ontology.properties()
+                )
+                if (
+                    score := self._property_similarity(word, index.words(prop.name))
+                ) >= threshold
+            ]
         found = tuple(
             PredicateCandidate(prop.iri, prop.kind, score, "similarity")
-            for prop in searchable
-            if (
-                score := self._property_similarity(word, index.words(prop.name))
-            ) >= threshold
+            for prop, score in scored
         )
         if use_cache:
             self._scan_cache.put(key, found)

@@ -183,8 +183,9 @@ class Ontology:
 
     def label_index(self, object_only: bool = False) -> LabelIndex:
         """Each property's name and decamelised label words, over every
-        property or over object properties only, bucketed for the
-        vocabulary scan of 2.2.1/2.2.2.
+        property or over object properties only, packed for the
+        bit-parallel vocabulary scan of 2.2.1/2.2.2
+        (:meth:`~repro.similarity.lcs.LabelIndex.scores`).
 
         It depends on the catalogue alone, so it is built on first use,
         shared by every mapper over this ontology, and dropped by

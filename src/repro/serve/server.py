@@ -270,10 +270,22 @@ class ResilientServer:
 
         The stage guard moves to the new system; the reference swap is
         atomic, in-flight requests finish on the system they started on.
+        The replaced system loses the guard, so its own ``answer()`` no
+        longer fails fast on this server's breakers; a stage already
+        running there keeps the guard it entered.
         """
+        replaced = self._system
         system.install_stage_guard(self._guard)
         self._system = system
+        if replaced is not system:
+            self._uninstall_guard(replaced)
         self._stats.inc("serve.reloads")
+
+    def _uninstall_guard(self, system: QuestionAnsweringSystem) -> None:
+        """Remove this server's guard from ``system``, leaving any other
+        guard installed there alone."""
+        if system.config.stage_guard is self._guard:
+            system.install_stage_guard(None)
 
     def save_snapshot(self, path) -> dict:
         """Persist the current system's warm caches (atomic write)."""
@@ -299,6 +311,8 @@ class ResilientServer:
 
         Requests still queued when the workers exit are resolved with a
         typed :class:`ServerClosed` failure — stop never strands a future.
+        Once the workers have joined, the served system loses the stage
+        guard, so it answers on its own again.
         """
         if self._stopped.is_set():
             return
@@ -310,6 +324,7 @@ class ResilientServer:
             source.put(_STOP)
         for thread in self._threads:
             thread.join(timeout=timeout_s)
+        self._uninstall_guard(self._system)
         for source in (self._queue, self._degraded_queue):
             while True:
                 try:

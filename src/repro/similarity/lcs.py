@@ -14,15 +14,22 @@ sides: we expose :func:`lcs_score` (the paper's one-sided score) and
 :func:`subsequence_similarity`, the symmetric variant used by the pipeline,
 which divides by the length of the longer string so that a short word buried
 inside a long property name is penalised.
+
+:class:`LabelIndex` scores a word against a whole property catalogue in
+one pass: the bit-vector LCS recurrence of Allison and Dix (1986), in
+Hyyrö's form (2004), run in one Python int over every label word at once.
+:func:`lcs_length` is the reference dynamic programme its tests compare
+it with.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 
 def _normalize(text: str) -> str:
-    """Lower-case and strip camelCase boundaries for fair comparison."""
+    """Strip surrounding whitespace and lower-case, for fair comparison."""
     return text.strip().lower()
 
 
@@ -103,53 +110,6 @@ def lcs_score(word: str, candidate: str) -> float:
     return lcs_length(word, candidate) / len(word)
 
 
-def char_profile(text: str) -> dict[str, int]:
-    """Character multiset of the normalised text.
-
-    Feeds :func:`subsequence_upper_bound`: the profile is computed once per
-    catalogue label when a :class:`LabelIndex` is built, then reused across
-    every scan.
-
-    >>> char_profile("Deed") == {"d": 2, "e": 2}
-    True
-    """
-    profile: dict[str, int] = {}
-    for ch in _normalize(text):
-        profile[ch] = profile.get(ch, 0) + 1
-    return profile
-
-
-def subsequence_upper_bound(
-    profile_a: dict[str, int], len_a: int, profile_b: dict[str, int], len_b: int
-) -> float:
-    """Cheap sound upper bound on :func:`subsequence_similarity`.
-
-    A common subsequence can use each character at most as often as it
-    occurs in *both* strings, and can never be longer than either string,
-    so ``|LCS| <= min(len_a, len_b, |bag(a) ∩ bag(b)|)`` and dividing by
-    ``max(len_a, len_b)`` bounds the similarity.  O(alphabet) instead of
-    the DP's O(len_a * len_b): the vocabulary scan uses it to skip label
-    pairs that cannot reach the acceptance threshold.
-
-    >>> a, b = char_profile("river"), char_profile("taxidriver")
-    >>> subsequence_upper_bound(a, 5, b, 10) >= subsequence_similarity("river", "taxidriver")
-    True
-    """
-    if len_a == 0 or len_b == 0:
-        return 0.0
-    small, large = (
-        (profile_a, profile_b)
-        if len(profile_a) <= len(profile_b)
-        else (profile_b, profile_a)
-    )
-    common = 0
-    for ch, count in small.items():
-        other = large.get(ch, 0)
-        common += count if count < other else other
-    upper = min(common, len_a, len_b)
-    return upper / (len_a if len_a > len_b else len_b)
-
-
 def subsequence_similarity(word: str, candidate: str) -> float:
     """Symmetric LCS similarity: ``|LCS| / max(|word|, |candidate|)``.
 
@@ -171,86 +131,203 @@ def subsequence_similarity(word: str, candidate: str) -> float:
     return lcs_length(word, candidate) / longest
 
 
+def _least_passing_count(length: int, label_length: int, threshold: float) -> int:
+    """The least LCS length ``k`` with ``k / max(length, label_length) >=
+    threshold``, in the float arithmetic of :func:`subsequence_similarity`,
+    or ``min(length, label_length) + 1`` when no common subsequence is long
+    enough.
+
+    >>> _least_passing_count(7, 6, 0.7), _least_passing_count(2, 10, 0.7)
+    (5, 3)
+    """
+    longest = max(length, label_length)
+    shortest = min(length, label_length)
+    if threshold <= 0.0:
+        return 0
+    count = min(math.ceil(threshold * longest), shortest + 1)
+    while count > 0 and (count - 1) / longest >= threshold:
+        count -= 1
+    while count <= shortest and count / longest < threshold:
+        count += 1
+    return count
+
+
 class LabelIndex:
-    """Catalogue label words, bucketed by length and first character for
-    pruned scans.
+    """Catalogue label words, packed for one bit-parallel LCS pass.
 
-    Built from ``(name, words)`` entries: a property's local name and the
-    words a scan scores a question word against (the name itself and its
-    decamelised label words).  :meth:`words` hands them back in the given
-    order, so a scorer reads them here instead of deriving them per scan.
+    Built from ``(name, words)`` entries in catalogue order: a property's
+    local name and the words a scan scores a question word against (the
+    name itself and its decamelised label words).  :meth:`words` hands
+    them back in the given order.
 
-    The vocabulary scan of 2.2.1/2.2.2 scores a question word against every
-    property's name and label words.  Under the default LCS metric most of
-    those pairs cannot reach the acceptance threshold on length grounds
-    alone: :func:`subsequence_similarity` divides by the longer string, so a
-    label of length ``L`` can only match a word of length ``n`` at
-    threshold ``t`` when ``t*n <= L <= n/t``.  :meth:`feasible_names`
+    :meth:`scores` is the vocabulary scan of 2.2.1/2.2.2 under
+    :func:`subsequence_similarity`, run over every label word at once.
+    Each distinct normalised label word owns one lane of ``width`` bits in
+    a single int, its characters in the lane's low bits; ``width`` is 32,
+    or the next power of two that leaves one guard bit above the longest
+    word.  ``masks[c]`` sets the bit of every label character equal to
+    ``c``.  Starting from ``V = ones`` (every lane's label bits), each
+    character ``c`` of the question word applies Hyyrö's form of the
+    Allison-Dix recurrence::
 
-    1. visits only the length buckets inside the feasible window,
-    2. rejects a whole first-character group when the character is absent
-       from the question word *and* losing that one character already puts
-       the bound below the threshold (boundary lengths of the window),
-    3. applies the O(alphabet) :func:`subsequence_upper_bound` per
-       surviving label before the scorer's O(n*L) DP runs.
+        U = V & masks[c]
+        V = ((V + U) | (V - U)) & ones
 
-    All three steps are sound over-approximations -- a name is skipped
-    only when *no* label word of it can reach the threshold -- so the
-    pruned scan returns exactly the candidate set of the full scan.  The
-    bound is specific to subsequence similarity: a scan under any other
-    metric reads :meth:`words` and visits every name.
+    A carry ends in the bits above a lane's label, and the mask clears it,
+    so no carry crosses a lane.  A lane's LCS is the number of label bits
+    ``V`` has cleared.  A SWAR popcount yields every lane's count in the
+    top byte (or wider field) of its lane; adding the lane's headroom
+    (its guard bit less the least passing count) sets the guard bit of
+    exactly the lanes that reach the threshold.  The scores are then
+    ``count / max(n, m)``, exactly :func:`subsequence_similarity`'s.
 
     >>> index = LabelIndex([("birthPlace", ("birthPlace", "birth", "place"))])
     >>> index.words("birthPlace")
     ('birthPlace', 'birth', 'place')
-    >>> index.feasible_names("places", 0.7), index.feasible_names("zz", 0.7)
-    ({'birthPlace'}, set())
+    >>> index.scores("places", 0.7), index.scores("zz", 0.7)
+    ({'birthPlace': 0.8333333333333334}, {})
     """
 
     def __init__(self, entries: Iterable[tuple[str, tuple[str, ...]]]) -> None:
         self._words: dict[str, tuple[str, ...]] = {}
-        # length -> first char -> list of (profile, name)
-        self._buckets: dict[int, dict[str, list[tuple[dict[str, int], str]]]] = {}
-        for name, words in entries:
+        self._names: list[str] = []
+        #: Catalogue positions whose every word normalises to "": they
+        #: score 0.0 against any word.
+        self._blank: list[int] = []
+        positions_of: dict[str, list[int]] = {}
+        for position, (name, words) in enumerate(entries):
             self._words[name] = words
-            for word in set(words):
-                normalized = _normalize(word)
-                if not normalized:
-                    continue
-                by_first = self._buckets.setdefault(len(normalized), {})
-                by_first.setdefault(normalized[0], []).append(
-                    (char_profile(normalized), name)
-                )
+            self._names.append(name)
+            normalized = [
+                word for word in dict.fromkeys(map(_normalize, words)) if word
+            ]
+            if not normalized:
+                self._blank.append(position)
+            for word in normalized:
+                positions_of.setdefault(word, []).append(position)
+
+        width = 32
+        while width <= max(map(len, positions_of), default=0):
+            width *= 2
+        # Counts are summed into one ``field``-bit field per lane, wide
+        # enough for the lane's count and least passing count below its
+        # top (guard) bit.
+        field = 8
+        while 1 << (field - 1) < width:
+            field *= 2
+        lane_bytes = width // 8
+        lanes = len(positions_of)
+        size = lanes * lane_bytes
+        lane_words = list(positions_of)
+        # Bits are set in byte buffers and packed once per character: ORing
+        # each label into a growing int would copy it once per label.
+        masks = {char: bytearray(size) for char in set().union(*lane_words)}
+        units: dict[int, bytearray] = {}
+        for lane, word in enumerate(lane_words):
+            base = lane * width
+            for offset, char in enumerate(word):
+                bit = base + offset
+                masks[char][bit >> 3] |= 1 << (bit & 7)
+            unit = units.get(len(word))
+            if unit is None:
+                unit = units[len(word)] = bytearray(size)
+            unit[(base + width - field) >> 3] = 1
+        #: Per lane: its label word's length, and the catalogue positions
+        #: of the names it is a word of.
+        self._lane_lengths = [len(word) for word in lane_words]
+        self._lane_positions = [
+            tuple(positions) for positions in positions_of.values()
+        ]
+
+        def packed(buffer: bytes | bytearray) -> int:
+            return int.from_bytes(buffer, "little")
+
+        field_bytes = field // 8
+        self._masks = {char: packed(mask) for char, mask in masks.items()}
+        self._ones = 0
+        for mask in self._masks.values():
+            self._ones |= mask
+        #: Per label length: one unit in the count field of each lane of
+        #: that length, to build a headroom vector in one product per length.
+        self._units = [(length, packed(unit)) for length, unit in units.items()]
+        self._field = field
+        self._lane_shift = width.bit_length() - 1
+        self._guard = packed((bytes(lane_bytes - 1) + b"\x80") * lanes)
+        self._count_fields = packed(
+            (bytes(lane_bytes - field_bytes) + b"\xff" * field_bytes) * lanes
+        )
+        self._swar = tuple(
+            packed(pattern * size) for pattern in (b"\x55", b"\x33", b"\x0f")
+        )
+        # Byte counts fold into ``field``-bit fields; the product by
+        # ``spread`` then sums a lane's fields into its top one.
+        self._folds: list[tuple[int, int]] = []
+        shift = 8
+        while shift < field:
+            half = b"\xff" * (shift // 8) + bytes(shift // 8)
+            self._folds.append((packed(half * (size // len(half))), shift))
+            shift *= 2
+        self._spread = sum(1 << (field * k) for k in range(width // field))
+        #: (word length, threshold) -> headroom vector (:meth:`_headroom`).
+        self._headrooms: dict[tuple[int, float], int] = {}
 
     def words(self, name: str) -> tuple[str, ...]:
         """The label words ``name`` was indexed with, in their given order."""
         return self._words[name]
 
-    def feasible_names(self, word: str, threshold: float) -> set[str] | None:
-        """Names that might reach ``threshold`` against ``word``.
+    def scores(self, word: str, threshold: float) -> dict[str, float]:
+        """Every name whose best label word reaches ``threshold`` against
+        ``word`` under :func:`subsequence_similarity`, with that score, in
+        catalogue order."""
+        word = _normalize(word)
+        length = len(word)
+        masks = self._masks
+        ones = v = self._ones
+        for char in word:
+            match = masks.get(char)
+            if match is not None:
+                u = v & match
+                v = ((v + u) | (v - u)) & ones
+        low, pairs, nibbles = self._swar
+        counts = ones ^ v
+        counts -= (counts >> 1) & low
+        counts = (counts & pairs) + ((counts >> 2) & pairs)
+        counts = (counts + (counts >> 4)) & nibbles
+        for mask, shift in self._folds:
+            counts = (counts & mask) + ((counts >> shift) & mask)
+        counts = (counts * self._spread) & self._count_fields
+        passing = (counts + self._headroom(length, threshold)) & self._guard
 
-        Returns None (meaning "scan everything") when the threshold does
-        not permit pruning.
+        field = self._field
+        field_mask = (1 << field) - 1
+        best: dict[int, float] = {}
+        while passing:
+            guard = passing & -passing
+            passing ^= guard
+            bit = guard.bit_length() - 1
+            lane = bit >> self._lane_shift
+            count = (counts >> (bit + 1 - field)) & field_mask
+            score = count / max(length, self._lane_lengths[lane])
+            for position in self._lane_positions[lane]:
+                if score > best.get(position, -1.0):
+                    best[position] = score
+        if self._blank and 0.0 >= threshold:
+            best.update(dict.fromkeys(self._blank, 0.0))
+        names = self._names
+        return {names[position]: best[position] for position in sorted(best)}
+
+    def _headroom(self, length: int, threshold: float) -> int:
+        """Per lane, its guard bit less its least passing count (in its
+        count field), for a word of ``length`` characters.
+
+        Memoized on the index; two threads that race on an entry each
+        store an equal vector.
         """
-        normalized = _normalize(word)
-        length = len(normalized)
-        if length == 0 or threshold <= 0.0:
-            return None
-        profile = char_profile(normalized)
-        feasible: set[str] = set()
-        for label_length, by_first in self._buckets.items():
-            longer = max(length, label_length)
-            if min(length, label_length) / longer < threshold:
-                continue
-            for first, entries in by_first.items():
-                if first not in profile and min(length, label_length - 1) / longer < threshold:
-                    continue
-                for label_profile, name in entries:
-                    if name in feasible:
-                        continue
-                    bound = subsequence_upper_bound(
-                        profile, length, label_profile, label_length
-                    )
-                    if bound >= threshold:
-                        feasible.add(name)
-        return feasible
+        key = (length, threshold)
+        headroom = self._headrooms.get(key)
+        if headroom is None:
+            caps = 0
+            for label_length, unit in self._units:
+                caps += _least_passing_count(length, label_length, threshold) * unit
+            headroom = self._headrooms[key] = self._guard - caps
+        return headroom

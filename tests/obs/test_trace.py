@@ -179,7 +179,6 @@ class TestSpanTreeInvariants:
             results = [future.result(timeout=60) for future in futures]
         finally:
             server.stop()
-            traced_qa.install_stage_guard(None)  # the fixture is shared
         for question, result in zip(questions, results):
             assert result.trace is not None
             assert result.trace.attributes["question"] == question

@@ -144,11 +144,61 @@ def test_hot_reload_swaps_system_under_live_requests(qa, kb):
         before = server.answer(QUESTION)
         server.hot_reload(twin)
         assert server.system is twin
+        # The guard moved with the reload.
+        assert twin.config.stage_guard is server.guard
         after = server.answer(QUESTION)
     assert [t.n3() for t in after.answers] == [t.n3() for t in before.answers]
     assert server.metrics()["counters"]["serve.reloads"] == 1
-    # The guard moved with the reload.
-    assert twin.config.stage_guard is server.guard
+
+
+TALL = "How tall is Tom Cruise?"
+
+
+def tripping_server(kb):
+    """A server whose execute breaker opens on one injected execute error
+    and stays open for a minute, and the system it serves."""
+    from repro.api import PipelineConfig, QuestionAnsweringSystem
+    from repro.reliability import FaultInjector, FaultSpec
+
+    faults = FaultInjector([FaultSpec("execute", "error", times=1)])
+    system = QuestionAnsweringSystem.over(
+        kb, PipelineConfig().with_fault_injector(faults)
+    )
+    config = ServerConfig(
+        workers=1, breaker_failure_threshold=1, breaker_recovery_s=60
+    )
+    server = ResilientServer(system, config)
+    assert server.answer(TALL).failure_stage == "execute"
+    return server, system
+
+
+def test_stop_removes_the_guard_from_the_served_system(kb):
+    server, system = tripping_server(kb)
+    server.stop()
+    assert system.config.stage_guard is None
+    answer = system.answer(TALL)
+    assert answer.answered, answer.failure
+
+
+def test_hot_reload_removes_the_guard_from_the_replaced_system(kb):
+    from repro.api import QuestionAnsweringSystem
+    from repro.serve.guard import StageGuard
+
+    server, system = tripping_server(kb)
+    twin = QuestionAnsweringSystem.over(kb)
+    with server:
+        server.hot_reload(twin)
+        assert system.config.stage_guard is None
+        answer = system.answer(TALL)
+        assert answer.answered, answer.failure
+        # Reloading the serving system keeps its guard; a guard another
+        # owner installed on the replaced system stays.
+        server.hot_reload(twin)
+        assert twin.config.stage_guard is server.guard
+        foreign = StageGuard.default()
+        twin.install_stage_guard(foreign)
+        server.hot_reload(system)
+        assert twin.config.stage_guard is foreign
 
 
 def test_segmented_server_answers_like_a_cold_system(kb, tmp_path):

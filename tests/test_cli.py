@@ -140,6 +140,27 @@ class TestFlagTable:
         assert config.enable_boolean_questions is True
         assert config.fault_injector is not None
 
+    def test_inject_fault_help_names_every_kind(self, capsys):
+        from repro.cli import _build_parser
+        from repro.reliability.faults import FAULT_KINDS
+
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(["ask", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "--inject-fault STAGE:KIND[:MATCH]" in out
+        assert "|".join(FAULT_KINDS) in out
+
+    def test_inject_fault_parses_a_slow_spec(self):
+        from repro.cli import _build_parser, config_from_args
+
+        args = _build_parser().parse_args(
+            ["ask", "--inject-fault", "execute:slow", "q"]
+        )
+        injector = config_from_args(args).fault_injector
+        # A slow fault delays the stage, then lets it run.
+        assert injector.check("execute", "q") is False
+        assert injector.fired("execute", "slow") == 1
+
     def test_same_flags_on_every_pipeline_command(self):
         from repro.cli import _build_parser
 
